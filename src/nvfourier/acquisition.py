@@ -12,9 +12,15 @@ are actually acquired; each acquired point is stamped with the wall-clock
 time at which it starts (points * shots * sequence time), which is the
 schedule on which platform drift acts.
 
+The sweep is evaluated as arrays: the ramp, the current modulation, the
+drifted positions, the gradient, the echo phase and the expected signal are
+computed once for all masked points.
+
 Determinism contract: every stochastic ingredient draws from a stream keyed
 by (seed, stream id, point index), so results are independent of evaluation
-order, and a fixed plan reproduces a record bit-exactly.
+order, and a fixed plan reproduces a record bit-exactly.  A point's current
+stream is built only when white current noise is on, and its shot stream
+only when shot noise is on.
 """
 
 from __future__ import annotations
@@ -155,20 +161,6 @@ class CurrentNoiseModel:
         return self.relative_amplitude == 0.0 and self.white_sigma == 0.0
 
 
-def perturb_current(
-    noise: CurrentNoiseModel, nominal_ma: float, sweep_fraction: float, rng
-) -> float:
-    """Setpoint current with sinusoidal modulation and white noise applied."""
-    factor = 1.0
-    if noise.relative_amplitude > 0.0:
-        factor += noise.relative_amplitude * math.sin(
-            2.0 * math.pi * noise.modulation_frequency_cycles * sweep_fraction
-        )
-    if noise.white_sigma > 0.0:
-        factor += noise.white_sigma * rng.standard_normal()
-    return nominal_ma * factor
-
-
 @dataclass(frozen=True, eq=False)
 class AcquisitionPlan:
     """Everything needed to run (and re-run, bit-exactly) one K sweep."""
@@ -187,8 +179,8 @@ class AcquisitionPlan:
     imaging_axis: np.ndarray = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.i_max_ma > 0:
-            raise ValidationError("i_max_ma must be > 0")
+        if not (math.isfinite(self.i_max_ma) and self.i_max_ma > 0):
+            raise ValidationError("i_max_ma must be finite and > 0")
         if self.n_points < 2:
             raise ValidationError("n_points must be >= 2")
         if self.shots_per_point < 1:
@@ -301,10 +293,11 @@ def _resolve_gradient_per_ma(
     wire: MicrowireModel | None,
     axis: NvAxis | None,
     gradient_per_ma: float | None,
+    offsets_nm,
 ):
-    """Nominal per-mA gradient at the NV, and a position->gradient function."""
+    """Per-mA gradient at the NV, and at the NV displaced by each drift offset."""
     if gradient_per_ma is not None:
-        return float(gradient_per_ma), None
+        return float(gradient_per_ma), float(gradient_per_ma)
     if wire is None:
         raise MissingCalibrationError(
             "run_sweep needs either gradient_per_ma or a wire model with an NV axis"
@@ -312,47 +305,51 @@ def _resolve_gradient_per_ma(
     if axis is None:
         raise ValidationError("an NvAxis is required when computing gradients from a wire")
     unit_wire = replace(wire, current_ma=1.0)  # polarity kept: it signs the drive
-
-    def per_ma_at(position_um):
-        return gradient_at(unit_wire, position_um, axis, plan.imaging_axis)
-
-    return float(per_ma_at(nv.position_um)), per_ma_at
+    drifted = nv.position_um + np.multiply.outer(offsets_nm * NM_TO_UM, plan.imaging_axis)
+    g = gradient_at(unit_wire, np.vstack([nv.position_um, drifted]), axis, plan.imaging_axis)
+    return float(g[0]), g[1:]
 
 
-def acquire_point(
+def acquire_points(
     plan: AcquisitionPlan,
     nv: NvCenter,
-    index: int,
-    drift_offset_nm: float,
-    x0_nm: float,
-    gradient_fn,
-    nominal_gradient_per_ma: float,
-) -> tuple[float, float]:
-    """Signal and error for one masked sweep index (order-independent).
+    indices,
+    currents_ma,
+    x_nm,
+    gradient_per_ma,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signals and errors at the given sweep indices, evaluated as arrays.
 
-    Exposed separately so concurrency (or tests) can evaluate points in any
-    order and obtain results bitwise identical to the sequential sweep.
+    ``currents_ma`` (nominal setpoints), ``x_nm`` (drifted imaging
+    coordinates) and ``gradient_per_ma`` (G/um per mA at the drifted
+    positions) line up with ``indices`` or broadcast against them.  Each
+    point draws only from streams keyed by its own index, so any subset of
+    indices, evaluated in any order, gives values bitwise equal to the sweep.
     """
-    currents = sweep_currents(plan)
-    nominal = float(currents[index])
-    rng_current = np.random.default_rng([plan.seed, _STREAM_CURRENT, index])
-    actual = perturb_current(
-        plan.current_noise, nominal, index / (plan.n_points - 1), rng_current
-    )
-    if gradient_fn is not None and drift_offset_nm != 0.0:
-        pos = nv.position_um + (drift_offset_nm * NM_TO_UM) * plan.imaging_axis
-        g_per_ma = gradient_fn(pos)
-    else:
-        g_per_ma = nominal_gradient_per_ma
+    idx = np.asarray(indices, dtype=int)
+    noise = plan.current_noise
+    factor = 1.0
+    if noise.relative_amplitude > 0.0:
+        factor += noise.relative_amplitude * np.sin(
+            2.0 * math.pi * noise.modulation_frequency_cycles * (idx / (plan.n_points - 1))
+        )
+    if noise.white_sigma > 0.0:
+        draws = [
+            np.random.default_rng([plan.seed, _STREAM_CURRENT, i]).standard_normal()
+            for i in idx.tolist()
+        ]
+        factor += noise.white_sigma * np.array(draws)
     phase = phase_from_coordinate(
-        x0_nm + drift_offset_nm, g_per_ma * actual, plan.sequence, plan.waveform_template
+        x_nm, gradient_per_ma * (currents_ma * factor), plan.sequence, plan.waveform_template
     )
     expected = echo_signal(nv, phase, plan.sequence)
     if not plan.shot_noise:
-        return expected.expected_signal, 0.0
-    mean, err = sample_counts(
-        expected.expected_counts, plan.shots_per_point, [plan.seed, _STREAM_SHOTS, index]
-    )
+        return expected.expected_signal, np.zeros(idx.shape)
+    mean, err = np.empty(idx.shape), np.empty(idx.shape)
+    for rank, i in enumerate(idx.tolist()):
+        mean[rank], err[rank] = sample_counts(
+            expected.expected_counts[rank], plan.shots_per_point, [plan.seed, _STREAM_SHOTS, i]
+        )
     return signal_from_counts(mean, err, nv)
 
 
@@ -367,11 +364,14 @@ def run_sweep(
 
     The gradient calibration comes either from ``gradient_per_ma`` directly
     or from the wire geometry (projected on ``axis``, differentiated along
-    the plan's imaging axis).  Signals are sampled with per-point seeded
-    shot noise unless plan.shot_noise is False, in which case the exact
-    expected signal is recorded with zero error.
+    the plan's imaging axis, at each drifted NV position).  Signals are
+    sampled with per-point seeded shot noise unless plan.shot_noise is
+    False, in which case the exact expected signal is recorded with zero
+    error.
     """
-    g0, gradient_fn = _resolve_gradient_per_ma(nv, plan, wire, axis, gradient_per_ma)
+    times = point_times_hours(plan)
+    offsets = 0.0 if plan.drift.is_static else drift_trajectory(plan.drift, times, seed=plan.seed)
+    g0, g_per_ma = _resolve_gradient_per_ma(nv, plan, wire, axis, gradient_per_ma, offsets)
     if g0 <= 0:
         raise ValidationError(
             f"projected gradient per mA along the imaging axis must be positive, got {g0:.4g}; "
@@ -386,22 +386,14 @@ def run_sweep(
 
     x0_nm = imaging_coordinate_nm(nv, plan.origin_um, plan.imaging_axis)
     currents = sweep_currents(plan)
-    times = point_times_hours(plan)
-    offsets = (
-        np.zeros(len(plan.mask))
-        if plan.drift.is_static
-        else drift_trajectory(plan.drift, times, seed=plan.seed)
-    )
+    # a strictly increasing mask as long as the sweep is the whole ramp, so
+    # np.arange stands in for converting its index tuple point by point
+    full = len(plan.mask) == plan.n_points
+    mask = np.arange(plan.n_points) if full else np.asarray(plan.mask, dtype=int)
+    sampled = currents[mask]
+    signals, errors = acquire_points(plan, nv, mask, sampled, x0_nm + offsets, g_per_ma)
 
-    mask = np.asarray(plan.mask, dtype=int)
-    signals = np.empty(len(mask))
-    errors = np.empty(len(mask))
-    for rank, idx in enumerate(mask):
-        signals[rank], errors[rank] = acquire_point(
-            plan, nv, int(idx), float(offsets[rank]), x0_nm, gradient_fn, g0
-        )
-
-    k_sampled = k_of_current(plan, currents[mask], g0)
+    k_sampled = k_of_current(plan, sampled, g0)
     delta_k = float(k_of_current(plan, currents[1], g0))
     metadata = {
         "total_time_us": plan.sequence.total_time_us,
@@ -417,7 +409,7 @@ def run_sweep(
         },
         "i_max_ma": plan.i_max_ma,
         "n_points": plan.n_points,
-        "mask": [int(i) for i in plan.mask],
+        "mask": list(plan.mask),
         "shots_per_point": plan.shots_per_point,
         "shot_noise": plan.shot_noise,
         "seed": plan.seed,
@@ -446,7 +438,7 @@ def run_sweep(
     }
     return KSpaceRecord(
         k_values=k_sampled,
-        currents=currents[mask],
+        currents=sampled,
         signals=signals,
         errors=errors,
         t_hours=times,

@@ -21,7 +21,7 @@ from .acquisition import (
     DriftModel,
     make_undersampling_mask,
 )
-from .errors import ConfigError, ConfigParseError, ValidationError
+from .errors import ConfigError, ConfigParseError, NvFourierError, ValidationError
 from .field_model import MicrowireModel, NvAxis
 from .spin_dynamics import EchoSequence, GradientWaveform, NvCenter
 
@@ -181,7 +181,11 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     def wrap(section: str, fn):
         try:
             return fn()
-        except (ValidationError, TypeError) as exc:
+        except ValidationError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+        except NvFourierError:
+            raise
+        except (ValueError, TypeError) as exc:  # e.g. float('abc') on a leaf value
             raise ConfigError(f"{section}: {exc}") from exc
 
     nv_raw = _merged("nv", data)

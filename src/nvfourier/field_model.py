@@ -39,10 +39,12 @@ MIN_WIRE_DISTANCE_UM = 1e-6
 CALIBRATION_CSV_COLUMNS = ["x_um", "y_um", "z_um", "delta_f_MHz", "sigma_MHz"]
 
 
-def _vec3(v, name: str) -> np.ndarray:
+def _vec3(v, name: str, stack: bool = False) -> np.ndarray:
+    """A finite 3-vector, or with ``stack`` also an (n, 3) stack of them."""
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    if arr.shape != (3,) and not (stack and arr.ndim == 2 and arr.shape[1] == 3):
+        kind = "a 3-vector or an (n, 3) stack" if stack else "a 3-vector"
+        raise ValidationError(f"{name} must be {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite")
     return arr
@@ -102,9 +104,9 @@ class FieldSample:
     delta_f_mhz: float
 
 
-def _perp_displacement(wire: MicrowireModel, point_um) -> np.ndarray:
-    rel = _vec3(point_um, "point_um") - wire.anchor_point_um
-    return rel - np.dot(rel, wire.direction) * wire.direction
+def _perp_displacement(wire: MicrowireModel, points_um: np.ndarray) -> np.ndarray:
+    rel = points_um - wire.anchor_point_um
+    return rel - np.vecdot(rel, wire.direction)[..., np.newaxis] * wire.direction
 
 
 def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
@@ -113,7 +115,7 @@ def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
     Raises GeometryError when the point lies within MIN_WIRE_DISTANCE_UM of
     the wire axis, where the 1/r law diverges.
     """
-    rho = _perp_displacement(wire, point_um)
+    rho = _perp_displacement(wire, _vec3(point_um, "point_um"))
     r2 = float(np.dot(rho, rho))
     if r2 <= MIN_WIRE_DISTANCE_UM**2:
         raise GeometryError(
@@ -134,26 +136,32 @@ def odmr_shift(b_projected_g: float) -> float:
     return GAMMA_CYC_MHZ_PER_G * float(b_projected_g)
 
 
-def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis) -> float:
+def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis):
     """Directional derivative (G/um) of the projected field along imaging_axis.
 
     Analytic derivative of the 1/r model.  The component of imaging_axis
     parallel to the wire contributes nothing (the field is invariant along
-    the wire), so only its transverse part enters.
+    the wire), so only its transverse part enters.  ``point_um`` is one
+    point, giving a float, or an (n, 3) stack, giving n gradients that are
+    bitwise equal to the per-point calls.
     """
     e = _unit3(imaging_axis, "imaging_axis")
-    rho = _perp_displacement(wire, point_um)
-    r2 = float(np.dot(rho, rho))
-    if r2 <= MIN_WIRE_DISTANCE_UM**2:
+    rho = _perp_displacement(wire, _vec3(point_um, "point_um", stack=True))
+    r2 = np.vecdot(rho, rho)
+    if np.any(r2 <= MIN_WIRE_DISTANCE_UM**2):
         raise GeometryError("gradient requested on the wire axis")
     e_perp = e - np.dot(e, wire.direction) * wire.direction
     a = axis.orientation
     d = wire.direction
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma
-    # d/ds [ a . (d x (rho + s*e_perp)) / |rho + s*e_perp|^2 ] at s = 0
+    # d/ds [ a . (d x (rho + s*e_perp)) / |rho + s*e_perp|^2 ] at s = 0;
+    # float_power keeps r2**2 equal to the scalar float power
     term1 = float(np.dot(a, np.cross(d, e_perp))) / r2
-    term2 = -2.0 * float(np.dot(a, np.cross(d, rho))) * float(np.dot(rho, e_perp)) / r2**2
-    return pref * (term1 + term2)
+    term2 = (
+        -2.0 * np.vecdot(a, np.cross(d, rho)) * np.vecdot(rho, e_perp) / np.float_power(r2, 2.0)
+    )
+    g = pref * (term1 + term2)
+    return g if g.ndim else float(g)
 
 
 def numeric_gradient_at(
@@ -238,10 +246,6 @@ def _standoff_axis(guess: MicrowireModel, positions: list[np.ndarray]) -> np.nda
     if norm <= MIN_WIRE_DISTANCE_UM:
         raise GeometryError("sample centroid lies on the wire axis; standoff direction undefined")
     return perp / norm
-
-
-def predicted_delta_f(wire: MicrowireModel, axis: NvAxis, position_um) -> float:
-    return odmr_shift(project_on_axis(field_at(wire, position_um), axis))
 
 
 def calibrate_wire(

@@ -490,26 +490,6 @@ def save_profile_csv(profile: RealSpaceProfile, path) -> None:
             writer.writerow([repr(float(xv)), repr(float(av))])
 
 
-def load_profile_csv(path, pixel_size_nm=None, k_max_per_nm=None) -> RealSpaceProfile:
-    rows = Path(path).read_text().strip().splitlines()
-    header = [c.strip() for c in rows[0].split(",")]
-    if header != ["x_nm", "amplitude"]:
-        raise DataFormatError(f"{path}: unexpected header {header}")
-    data = np.asarray([[float(v) for v in r.split(",")] for r in rows[1:]], dtype=float)
-    x, a = data[:, 0], data[:, 1]
-    step = float(x[1] - x[0])
-    if pixel_size_nm is None:
-        pixel_size_nm = step  # best guess without metadata
-    if k_max_per_nm is None:
-        k_max_per_nm = 1.0 / (2.0 * pixel_size_nm)
-    return RealSpaceProfile(
-        x_grid_nm=x,
-        amplitude=a,
-        pixel_size_nm=float(pixel_size_nm),
-        k_max_per_nm=float(k_max_per_nm),
-    )
-
-
 def save_fit_json(fit, path) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)

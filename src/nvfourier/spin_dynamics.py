@@ -117,10 +117,12 @@ class EchoSequence:
 
 @dataclass(frozen=True)
 class EchoSignal:
-    phase_rad: float
+    """Expected echo for one phase (floats) or for many (arrays)."""
+
+    phase_rad: float | np.ndarray
     coherence_envelope: float
-    expected_signal: float
-    expected_counts: float
+    expected_signal: float | np.ndarray
+    expected_counts: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +215,11 @@ def imaging_coordinate_nm(nv: NvCenter, origin_um=(0.0, 0.0, 0.0), imaging_axis=
     return float(np.dot(nv.position_um - _vec3(origin_um, "origin_um"), e)) / NM_TO_UM
 
 
-def phase_from_coordinate(
-    x_nm: float,
-    peak_gradient_g_per_um: float,
-    seq: EchoSequence,
-    wf: GradientWaveform,
-) -> float:
-    """Echo phase (rad) for a point at x_nm under a shaped gradient drive."""
+def phase_from_coordinate(x_nm, peak_gradient_g_per_um, seq: EchoSequence, wf: GradientWaveform):
+    """Echo phase (rad) for a point at x_nm under a shaped gradient drive.
+
+    ``x_nm`` and the gradient may be arrays (one entry per point).
+    """
     first, second = signed_half_integrals(wf, seq, seq.sync_offset_us)
     x_um = x_nm * NM_TO_UM
     return (
@@ -292,17 +292,20 @@ def echo_phase(
     return phase_from_coordinate(x_nm, float(gradient), seq, wf)
 
 
-def echo_signal(nv: NvCenter, phase_rad: float, seq: EchoSequence) -> EchoSignal:
+def echo_signal(nv: NvCenter, phase_rad, seq: EchoSequence) -> EchoSignal:
     """Expected normalized echo signal and photon yield for a given phase.
 
     The decoherence envelope is exp[-(2tau/T2)^p]; readout maps the signal s
     to expected counts beta*(1 + alpha*s)/(1 + alpha), so the bright level
     (s = 1, no decoherence) reads beta.  An imperfect pi pulse
-    (seq.pi_fidelity < 1) scales the contrast.
+    (seq.pi_fidelity < 1) scales the contrast.  An array of phases gives
+    arrays of signals and counts; a scalar phase gives floats.
     """
     envelope = math.exp(-((seq.total_time_us / nv.t2_us) ** nv.stretch_p))
-    s = seq.pi_fidelity * envelope * math.cos(phase_rad)
+    s = seq.pi_fidelity * envelope * np.cos(phase_rad)
     counts = nv.yield_beta * (1.0 + nv.contrast_alpha * s) / (1.0 + nv.contrast_alpha)
+    if not np.ndim(s):
+        s, counts = float(s), float(counts)
     return EchoSignal(
         phase_rad=phase_rad,
         coherence_envelope=envelope,
@@ -331,11 +334,15 @@ def sample_counts(expected_counts: float, shots: int, seed) -> tuple[float, floa
     return float(mean), float(math.sqrt(mean / shots))
 
 
-def signal_from_counts(mean_counts: float, counts_error: float, nv: NvCenter) -> tuple[float, float]:
-    """Invert the readout map: estimated normalized signal and its error."""
+def signal_from_counts(mean_counts, counts_error, nv: NvCenter):
+    """Invert the readout map: estimated normalized signal and its error.
+
+    Arrays map elementwise; scalars give floats.
+    """
     a, b = nv.contrast_alpha, nv.yield_beta
-    s = ((1.0 + a) * mean_counts / b - 1.0) / a
-    return float(s), float((1.0 + a) / (a * b) * counts_error)
+    s = ((1.0 + a) * np.asarray(mean_counts, dtype=float) / b - 1.0) / a
+    err = (1.0 + a) / (a * b) * np.asarray(counts_error, dtype=float)
+    return (s, err) if s.ndim else (float(s), float(err))
 
 
 def sync_error_phase_distortion(

@@ -3,7 +3,7 @@ import pytest
 
 import nvfourier as nf
 from nvfourier.acquisition import (
-    acquire_point,
+    acquire_points,
     point_times_hours,
     sweep_currents,
 )
@@ -136,17 +136,40 @@ class TestRunSweep:
         np.testing.assert_allclose(record.signals, full.signals[::4], atol=1e-15)
 
     def test_order_independence(self):
-        # evaluating masked points in reverse order reproduces the sweep bitwise
-        plan = reference_plan(n_points=60, shot_noise=True, shots_per_point=1000, seed=99)
+        # the array kernel evaluated one index at a time, in reverse order,
+        # reproduces the sweep bitwise with shot and white current noise on
+        plan = reference_plan(
+            n_points=60, shot_noise=True, shots_per_point=1000, seed=99,
+            mask=nf.make_undersampling_mask(60, "stride", stride=3),
+            current_noise=nf.CurrentNoiseModel(white_sigma=0.01),
+        )
         nv = reference_nv(25.0)
         record = nf.run_sweep(plan, nv, gradient_per_ma=0.326)
-        x0 = 25.0
-        reversed_signals = np.empty(len(plan.mask))
+        currents = sweep_currents(plan)
+        signals, errors = np.empty(len(plan.mask)), np.empty(len(plan.mask))
         for rank in reversed(range(len(plan.mask))):
             idx = plan.mask[rank]
-            sig, _ = acquire_point(plan, nv, idx, 0.0, x0, None, 0.326)
-            reversed_signals[rank] = sig
-        np.testing.assert_array_equal(record.signals, reversed_signals)
+            sig, err = acquire_points(plan, nv, [idx], currents[[idx]], 25.0, 0.326)
+            signals[rank], errors[rank] = sig[0], err[0]
+        assert record.signals.tobytes() == signals.tobytes()
+        assert record.errors.tobytes() == errors.tobytes()
+
+    def test_noise_streams_built_only_when_noise_is_on(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed=None):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        simulate(x_nm=30.0, n_points=40)
+        assert built == []
+        simulate(x_nm=30.0, n_points=40, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
+        assert [s[1] for s in built] == [nf.acquisition._STREAM_CURRENT] * 40
+        built.clear()
+        simulate(x_nm=30.0, n_points=40, shot_noise=True, shots_per_point=100)
+        assert [s[1] for s in built] == [nf.acquisition._STREAM_SHOTS] * 40
 
     def test_seed_determinism(self):
         a = simulate(x_nm=30.0, shot_noise=True, shots_per_point=10_000, seed=5)

@@ -170,6 +170,22 @@ class TestCliCommands:
         doc = json.loads((out / "cosine_fit.json").read_text())
         assert doc["implied_position_nm"] == pytest.approx(100.0, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        ("section", "key", "value"),
+        [("plan", "i_max_ma", float("inf")), ("nv", "t2_us", "abc")],
+    )
+    def test_non_numeric_or_infinite_value_is_one_config_line(
+        self, tmp_path, capsys, section, key, value
+    ):
+        data = minimal_config_dict()
+        data[section][key] = value
+        config = write_config(tmp_path, data)
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config-validation: {section}:")
+        assert not (tmp_path / "o" / "record.csv").exists()
+
     def test_missing_config_flag(self, capsys):
         rc = main(["simulate"])
         assert rc == 1

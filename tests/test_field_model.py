@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nvfourier as nf
+from nvfourier.constants import MU0_OVER_2PI_G_UM_PER_MA
 from nvfourier.errors import DataFormatError, GeometryError, UnderDeterminedError, ValidationError
 
 
@@ -11,6 +14,24 @@ def wire_y(current=1.0, anchor=(0.0, 0.0, 0.0), polarity=1):
 
 
 AXIS_MZ = nf.NvAxis([0.0, 0.0, -1.0])
+
+coordinate = st.floats(-5.0, 5.0, allow_nan=False)
+vector = st.tuples(coordinate, coordinate, coordinate)
+direction = vector.filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+def scalar_gradient(wire, point, axis, imaging_axis):
+    """gradient_at for one point in Python float arithmetic (np.dot, float ** 2)."""
+    e = np.asarray(imaging_axis, dtype=float) / float(np.linalg.norm(imaging_axis))
+    d, a = wire.direction, axis.orientation
+    rel = np.asarray(point, dtype=float) - wire.anchor_point_um
+    rho = rel - np.dot(rel, d) * d
+    r2 = float(np.dot(rho, rho))
+    e_perp = e - np.dot(e, d) * d
+    pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma
+    term1 = float(np.dot(a, np.cross(d, e_perp))) / r2
+    term2 = -2.0 * float(np.dot(a, np.cross(d, rho))) * float(np.dot(rho, e_perp)) / r2**2
+    return pref * (term1 + term2)
 
 
 class TestFieldAt:
@@ -110,6 +131,46 @@ class TestGradient:
             analytic = nf.gradient_at(wire, point, axis, imaging)
             numeric = nf.numeric_gradient_at(wire, point, axis, imaging)
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wire_dir=direction,
+        nv_axis=direction,
+        imaging=direction,
+        anchor=vector,
+        points=st.lists(vector, min_size=1, max_size=12),
+        polarity=st.sampled_from([1, -1]),
+    )
+    def test_stack_matches_per_point_bitwise(
+        self, wire_dir, nv_axis, imaging, anchor, points, polarity
+    ):
+        wire = nf.MicrowireModel(anchor, wire_dir, 1.0, polarity)
+        axis = nf.NvAxis(nv_axis)
+        stack = np.asarray(points)
+        rho = nf.field_model._perp_displacement(wire, stack)
+        assume(np.all(np.linalg.norm(rho, axis=1) > 1e-3))
+        batched = nf.gradient_at(wire, stack, axis, imaging)
+        single = np.array([nf.gradient_at(wire, p, axis, imaging) for p in points])
+        scalar = np.array([scalar_gradient(wire, p, axis, imaging) for p in points])
+        assert batched.shape == (len(points),)
+        assert batched.tobytes() == single.tobytes() == scalar.tobytes()
+
+    def test_dense_stack_matches_scalar_formula(self):
+        # pow(r2, 2) and r2 * r2 part in about 7 of 10 000 values, so a dense
+        # tilted stack shows whether the batched path kept the scalar power
+        rng = np.random.default_rng(7)
+        wire = nf.MicrowireModel(rng.normal(size=3), rng.normal(size=3), 1.0)
+        axis, imaging = nf.NvAxis(rng.normal(size=3)), rng.normal(size=3)
+        points = wire.anchor_point_um + rng.uniform(-5.0, 5.0, (8_000, 3))
+        rho = nf.field_model._perp_displacement(wire, points)
+        points = points[np.linalg.norm(rho, axis=1) > 1e-3]
+        batched = nf.gradient_at(wire, points, axis, imaging)
+        scalar = np.array([scalar_gradient(wire, p, axis, imaging) for p in points])
+        assert batched.tobytes() == scalar.tobytes()
+
+    def test_scalar_point_gives_float(self):
+        g = nf.gradient_at(wire_y(1.0), [1.0, 0.2, 0.3], AXIS_MZ, [1, 0, 0])
+        assert type(g) is float
 
     def test_along_wire_is_flat(self):
         g = nf.gradient_at(wire_y(4.0), [1.0, 0, 0], AXIS_MZ, [0, 1, 0])

@@ -65,7 +65,8 @@ def _drift_wire(cfg):
 
 
 def _dense(cfg):
-    return replace(cfg.plan, n_points=15_000, mask=()), {"gradient_per_ma": _reference_gradient(cfg)}
+    plan = replace(cfg.plan, n_points=15_000, mask=())
+    return plan, {"gradient_per_ma": _reference_gradient(cfg)}
 
 
 CASES = {
