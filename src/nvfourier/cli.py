@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -86,22 +87,12 @@ class Manifest:
         self.outputs: list[Path] = []
         self.derived: dict = {}
 
+    @contextmanager
     def stage(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                if exc_type is None:
-                    manifest.stages.append(
-                        {"name": name, "seconds": time.perf_counter() - self.t0}
-                    )
-                return False
-
-        return _Timer()
+        """Time the body; a stage that raises is not recorded."""
+        t0 = time.perf_counter()
+        yield
+        self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
     def add_output(self, path) -> None:
         self.outputs.append(Path(path))

@@ -218,7 +218,7 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     gradient_per_ma = data.get("gradient_per_ma_g_per_um")
     if gradient_per_ma is not None:
-        gradient_per_ma = float(gradient_per_ma)
+        gradient_per_ma = wrap("gradient_per_ma_g_per_um", lambda: float(gradient_per_ma))
         if gradient_per_ma <= 0:
             raise ConfigError("gradient_per_ma_g_per_um must be > 0")
 
@@ -241,7 +241,9 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     )
 
     wf_raw = _merged("waveform", data)
-    active_fraction = float(wf_raw.get("active_fraction", DEFAULT_SINE_ACTIVE_FRACTION))
+    active_fraction = wrap(
+        "waveform", lambda: float(wf_raw.get("active_fraction", DEFAULT_SINE_ACTIVE_FRACTION))
+    )
     period = wf_raw.get("period_us")
     if period is None:
         # one half-sine lobe filling the active window of each echo half
@@ -259,7 +261,7 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     plan_raw = _merged("plan", data)
     mask_raw = dict(_DEFAULTS["plan"]["mask"])
     mask_raw.update(plan_raw.get("mask") or {})
-    n_points = int(_require(plan_raw, "n_points", "plan"))
+    n_points = wrap("plan", lambda: int(_require(plan_raw, "n_points", "plan")))
     mask = wrap(
         "plan.mask",
         lambda: make_undersampling_mask(
@@ -297,12 +299,12 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     recon_window = str(recon_raw.get("window", "none"))
     if recon_window not in ("none", "hann"):
         raise ConfigError("reconstruction.window must be 'none' or 'hann'")
-    zero_pad = int(recon_raw.get("zero_pad_factor", 4))
+    zero_pad = wrap("reconstruction", lambda: int(recon_raw.get("zero_pad_factor", 4)))
     if zero_pad < 1:
         raise ConfigError("reconstruction.zero_pad_factor must be >= 1")
 
     sens_raw = _merged("sensitivity", data)
-    sigma_s = float(sens_raw.get("sigma_s", 0.06))
+    sigma_s = wrap("sensitivity", lambda: float(sens_raw.get("sigma_s", 0.06)))
     if sigma_s <= 0:
         raise ConfigError("sensitivity.sigma_s must be > 0")
     time_convention = str(sens_raw.get("time_convention", "total"))

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .acquisition import KSpaceRecord
 from .constants import GAMMA_CYC_MHZ_PER_G
@@ -50,6 +48,11 @@ WINDOWS = ("none", "hann")
 
 # relative tolerance for the uniform-K-grid check
 _GRID_RTOL = 1e-9
+
+# residual norm, relative to the mean-subtracted signal, at or below which a
+# cosine fit counts as exact: the fitter stops at a relative step of 1.5e-8
+# in the parameters, which left up to 5.5e-7 on noiseless records
+_EXACT_FIT_RTOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -124,6 +127,17 @@ class CosineFit:
         }
 
 
+def curve_fit(*args, **kwargs):
+    """``scipy.optimize.curve_fit``, imported on first use.
+
+    Both fits look this name up on the module at call time, so a wrapper
+    installed on ``reconstruction.curve_fit`` sees every fit.
+    """
+    from scipy.optimize import curve_fit
+
+    return curve_fit(*args, **kwargs)
+
+
 def lorentzian(x, amplitude, center, half_width, offset):
     return amplitude * half_width**2 / ((x - center) ** 2 + half_width**2) + offset
 
@@ -179,6 +193,8 @@ def fourier_reconstruct(
     ``zero_pad_factor`` refines the output grid by that integer factor
     without changing the underlying resolution.
     """
+    from scipy.fft import dct
+
     if window not in WINDOWS:
         raise ValidationError(f"window must be one of {WINDOWS}")
     if int(zero_pad_factor) != zero_pad_factor or zero_pad_factor < 1:
@@ -325,9 +341,12 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     phase0 = float(np.angle(transform[bin_idx]))
     amp0 = 2.0 * float(spectrum[bin_idx]) / n
     p0 = [amp0, f0, phase0, float(np.mean(s))]
+    from scipy.optimize import OptimizeWarning
+
     try:
         with warnings.catch_warnings():
-            # an inestimable covariance surfaces as DegenerateFitError below
+            # an inestimable covariance of an inexact fit surfaces as
+            # DegenerateFitError below
             warnings.simplefilter("ignore", OptimizeWarning)
             popt, pcov = curve_fit(_cosine, currents, s, p0=p0, maxfev=20000)
     except RuntimeError as exc:
@@ -338,7 +357,13 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     if freq < 0:
         freq, phase = -freq, -phase
     phase = math.remainder(phase, 2.0 * math.pi)
+    residual_norm = float(np.linalg.norm(s - _cosine(currents, amp, freq, phase, offset)))
     perr = np.sqrt(np.maximum(np.diag(pcov), 0.0))
+    exact = residual_norm <= _EXACT_FIT_RTOL * float(np.linalg.norm(centered))
+    if exact and not np.all(np.isfinite(perr)):
+        # curve_fit can report an infinite covariance for an exact fit;
+        # scaled by the zero residual variance, the covariance is zero
+        perr = np.zeros_like(perr)
     if not np.isfinite(perr[0]) or (perr[0] > 0 and abs(amp) < perr[0]):
         raise DegenerateFitError("fitted amplitude indistinguishable from zero")
     if freq * span < 0.8:
@@ -359,7 +384,6 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     except KeyError as exc:
         raise MetadataError(f"record metadata missing {exc} for position conversion") from exc
     implied = float(freq / k_per_ma)
-    resid = s - _cosine(currents, amp, freq, phase, offset)
     return CosineFit(
         frequency_per_ma=float(freq),
         phase_rad=float(phase),
@@ -372,7 +396,7 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
             "phase_rad": float(perr[2]),
             "offset": float(perr[3]),
         },
-        residual_norm=float(np.linalg.norm(resid)),
+        residual_norm=residual_norm,
     )
 
 

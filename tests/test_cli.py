@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from nvfourier.cli import main
+from nvfourier.cli import Manifest, main
 from nvfourier.config import load_config
 from nvfourier.errors import ConfigError, ConfigParseError
 
@@ -172,18 +172,26 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         ("section", "key", "value"),
-        [("plan", "i_max_ma", float("inf")), ("nv", "t2_us", "abc")],
+        [
+            ("plan", "i_max_ma", float("inf")),
+            ("nv", "t2_us", "abc"),
+            ("plan", "n_points", "abc"),
+            ("waveform", "active_fraction", "abc"),
+            ("sensitivity", "sigma_s", "abc"),
+            ("reconstruction", "zero_pad_factor", "abc"),
+            (None, "gradient_per_ma_g_per_um", "abc"),
+        ],
     )
     def test_non_numeric_or_infinite_value_is_one_config_line(
         self, tmp_path, capsys, section, key, value
     ):
         data = minimal_config_dict()
-        data[section][key] = value
+        (data if section is None else data.setdefault(section, {}))[key] = value
         config = write_config(tmp_path, data)
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config-validation: {section}:")
+        assert len(err) == 1 and err[0].startswith(f"config-validation: {section or key}:")
         assert not (tmp_path / "o" / "record.csv").exists()
 
     def test_missing_config_flag(self, capsys):
@@ -266,6 +274,19 @@ class TestRunAll:
             for entry in m["outputs"]:
                 entry["path"] = Path(entry["path"]).name
         assert m1 == m2
+
+
+class TestManifestStage:
+    def test_records_only_stages_that_finish(self):
+        manifest = Manifest(load_config(DEFAULT_CONFIG))
+        with manifest.stage("simulate"):
+            pass
+        with pytest.raises(ConfigError):
+            with manifest.stage("reconstruct"):
+                raise ConfigError("stage failed")
+        assert [list(s) for s in manifest.stages] == [["name", "seconds"]]
+        assert manifest.stages[0]["name"] == "simulate"
+        assert manifest.stages[0]["seconds"] >= 0.0
 
 
 class TestEnvOutputDir(object):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nvfourier as nf
+from nvfourier import reconstruction
 from nvfourier.errors import (
     AliasAmbiguityError,
     DegenerateFitError,
@@ -12,7 +15,7 @@ from nvfourier.errors import (
 )
 from nvfourier.reconstruction import lorentzian
 
-from helpers import dct_oracle, reference_plan, simulate
+from helpers import REF_GRADIENT_PER_MA, dct_oracle, reference_nv, reference_plan, simulate
 
 
 def synthetic_record(signals, dk=0.005, metadata=None):
@@ -192,6 +195,27 @@ class TestCosineFit:
         })
         with pytest.raises(DegenerateFitError):
             nf.fit_cosine(record)
+
+    def test_exact_record_is_not_degenerate(self, monkeypatch):
+        # noiseless 60-point sweep to 0.6 mA: the fit is exact and curve_fit
+        # reports an infinite covariance for it
+        plan = dataclasses.replace(reference_plan(n_points=60), i_max_ma=0.6)
+        record = nf.run_sweep(plan, reference_nv(29.5), gradient_per_ma=REF_GRADIENT_PER_MA)
+        covariances = []
+        fit_with = reconstruction.curve_fit
+
+        def spy(*args, **kwargs):
+            popt, pcov = fit_with(*args, **kwargs)
+            covariances.append(pcov)
+            return popt, pcov
+
+        monkeypatch.setattr(reconstruction, "curve_fit", spy)
+        fit = nf.fit_cosine(record)
+        assert not np.all(np.isfinite(covariances[0]))
+        pixel = 1.0 / (2.0 * record.k_max)
+        assert abs(fit.implied_position_nm - 29.5) <= pixel / 2.0
+        assert fit.implied_position_nm == pytest.approx(29.5, rel=1e-6)
+        assert set(fit.uncertainties.values()) == {0.0}
 
     def test_too_few_points(self):
         record = synthetic_record(np.ones(4), metadata={})
