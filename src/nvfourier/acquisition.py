@@ -18,9 +18,11 @@ computed once for all masked points.
 
 Determinism contract: every stochastic ingredient draws from a stream keyed
 by (seed, stream id, point index), so results are independent of evaluation
-order, and a fixed plan reproduces a record bit-exactly.  A point's current
-stream is built only when white current noise is on, and its shot stream
-only when shot noise is on.
+order, and a fixed plan reproduces a record bit-exactly.  Each point's stream
+equals ``np.random.default_rng([seed, stream id, index])``, but the streams
+of a sweep are derived in one batched pass (``keyed_generators``) rather
+than built one by one.  A point's current stream is derived only when white
+current noise is on, and its shot stream only when shot noise is on.
 """
 
 from __future__ import annotations
@@ -59,6 +61,98 @@ _STREAM_SHOTS = 2
 _STREAM_CURRENT = 3
 
 RECORD_CSV_COLUMNS = ["k_per_nm", "current_mA", "signal", "sigma", "t_hours"]
+
+# numpy's SeedSequence hash constants (pool of four 32-bit words) and PCG64's
+# 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    if n < 0:
+        raise ValidationError("seed and stream ids must be non-negative integers")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_seeds(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row at once.
+
+    ``entropy`` holds one uint32 column per entropy word.  The hash constants
+    evolve independently of the data, so each step of SeedSequence's pool
+    mixing is one wrapping uint32 array operation over all rows.
+    """
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    with np.errstate(over="ignore"):
+        zero = np.zeros_like(entropy[0])
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const = INIT_B
+        state = []
+        for k in range(8):
+            value = pool[k % 4] ^ np.uint32(hash_const)
+            hash_const = hash_const * MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state.append((value ^ (value >> 16)).astype(np.uint64))
+    return [state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)]
+
+
+def keyed_generators(seed: int, stream: int, indices):
+    """Yield one reused Generator set to ``default_rng([seed, stream, i])``'s
+    state for each index ``i`` in turn.
+
+    The SeedSequence hashing for all indices runs in one batched pass, then
+    PCG64's seeding (two 128-bit LCG steps) is applied per index; the draws
+    are bit-identical to building each ``default_rng`` separately.  Consume
+    each generator before advancing: the next index resets its state.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and idx.min() < 0:
+        raise ValidationError("stream indices must be non-negative")
+    prefix = _uint32_words(int(seed)) + _uint32_words(int(stream))
+    seeds = np.empty((4, idx.size), dtype=np.uint64)
+    for wide in (False, True):  # indices >= 2**32 take a second entropy word
+        rows = (idx > _MASK32) == wide
+        if rows.any():
+            words = [idx[rows] & _MASK32] + ([idx[rows] >> 32] if wide else [])
+            columns = [np.full(rows.sum(), w, dtype=np.uint32) for w in prefix]
+            seeds[:, rows] = _pcg64_seeds(columns + [w.astype(np.uint32) for w in words])
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -156,10 +250,6 @@ class CurrentNoiseModel:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
-    @property
-    def is_quiet(self) -> bool:
-        return self.relative_amplitude == 0.0 and self.white_sigma == 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class AcquisitionPlan:
@@ -185,14 +275,15 @@ class AcquisitionPlan:
             raise ValidationError("n_points must be >= 2")
         if self.shots_per_point < 1:
             raise ValidationError("shots_per_point must be >= 1")
-        mask = tuple(int(i) for i in (self.mask or range(self.n_points)))
-        if len(mask) == 0:
-            raise EmptyMaskError("mask is empty")
-        if any(b <= a for a, b in zip(mask, mask[1:])):
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        # an empty mask means the whole sweep, and n_points >= 2 keeps it non-empty
+        mask = np.asarray(self.mask, dtype=np.int64) if len(self.mask) else np.arange(self.n_points)
+        if np.any(mask[1:] <= mask[:-1]):
             raise ValidationError("mask indices must be strictly increasing")
         if mask[0] < 0 or mask[-1] >= self.n_points:
             raise ValidationError("mask indices must lie in [0, n_points)")
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", tuple(mask.tolist()))
         object.__setattr__(self, "origin_um", _vec3(self.origin_um, "origin_um"))
         object.__setattr__(self, "imaging_axis", _unit3(self.imaging_axis, "imaging_axis"))
 
@@ -334,11 +425,8 @@ def acquire_points(
             2.0 * math.pi * noise.modulation_frequency_cycles * (idx / (plan.n_points - 1))
         )
     if noise.white_sigma > 0.0:
-        draws = [
-            np.random.default_rng([plan.seed, _STREAM_CURRENT, i]).standard_normal()
-            for i in idx.tolist()
-        ]
-        factor += noise.white_sigma * np.array(draws)
+        streams = keyed_generators(plan.seed, _STREAM_CURRENT, idx)
+        factor += noise.white_sigma * np.array([rng.standard_normal() for rng in streams])
     phase = phase_from_coordinate(
         x_nm, gradient_per_ma * (currents_ma * factor), plan.sequence, plan.waveform_template
     )
@@ -346,10 +434,9 @@ def acquire_points(
     if not plan.shot_noise:
         return expected.expected_signal, np.zeros(idx.shape)
     mean, err = np.empty(idx.shape), np.empty(idx.shape)
-    for rank, i in enumerate(idx.tolist()):
-        mean[rank], err[rank] = sample_counts(
-            expected.expected_counts[rank], plan.shots_per_point, [plan.seed, _STREAM_SHOTS, i]
-        )
+    counts = expected.expected_counts
+    for rank, rng in enumerate(keyed_generators(plan.seed, _STREAM_SHOTS, idx)):
+        mean[rank], err[rank] = sample_counts(counts[rank], plan.shots_per_point, rng)
     return signal_from_counts(mean, err, nv)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,8 +220,8 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     gradient_per_ma = data.get("gradient_per_ma_g_per_um")
     if gradient_per_ma is not None:
         gradient_per_ma = wrap("gradient_per_ma_g_per_um", lambda: float(gradient_per_ma))
-        if gradient_per_ma <= 0:
-            raise ConfigError("gradient_per_ma_g_per_um must be > 0")
+        if not (math.isfinite(gradient_per_ma) and gradient_per_ma > 0):
+            raise ConfigError("gradient_per_ma_g_per_um: must be finite and > 0")
 
     calibration_csv = data.get("calibration_csv")
     if calibration_csv is not None and base_dir is not None:
@@ -305,8 +306,8 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     sens_raw = _merged("sensitivity", data)
     sigma_s = wrap("sensitivity", lambda: float(sens_raw.get("sigma_s", 0.06)))
-    if sigma_s <= 0:
-        raise ConfigError("sensitivity.sigma_s must be > 0")
+    if not (math.isfinite(sigma_s) and sigma_s > 0):
+        raise ConfigError("sensitivity: sigma_s must be finite and > 0")
     time_convention = str(sens_raw.get("time_convention", "total"))
     if time_convention not in ("total", "half"):
         raise ConfigError("sensitivity.time_convention must be 'total' or 'half'")

@@ -319,8 +319,10 @@ def sample_counts(expected_counts: float, shots: int, seed) -> tuple[float, floa
 
     The sum of ``shots`` i.i.d. Poisson draws is itself Poisson with mean
     shots*lambda, so the total is drawn in one step; the returned pair is
-    statistically identical to averaging per-shot draws.  Deterministic for
-    a fixed seed (ints and int sequences both accepted).
+    statistically identical to averaging per-shot draws.  ``seed`` is
+    anything ``np.random.default_rng`` accepts: an int or int sequence, which
+    gives a deterministic draw, or a ``Generator``, which is drawn from
+    directly (the keyed per-point streams of ``acquisition`` pass one).
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvfourier as nf
 from nvfourier.acquisition import (
     acquire_points,
+    keyed_generators,
     point_times_hours,
     sweep_currents,
 )
@@ -70,10 +73,35 @@ class TestMasks:
             nf.make_undersampling_mask(100, "bogus")
 
     def test_plan_mask_validation(self):
+        for mask in ((5, 3), (3, 3), (-1, 2), (0, 9999)):
+            with pytest.raises(ValidationError):
+                reference_plan(mask=mask)
+
+
+class TestKeyedGenerators:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
+        stream=st.integers(0, 2**40),
+        indices=st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 5000), min_size=1, max_size=40),
+    )
+    def test_states_and_draws_equal_default_rng(self, seed, stream, indices):
+        # a SeedSequence change in a future numpy fails here instead of
+        # silently changing every noisy record
+        for i, rng in zip(indices, keyed_generators(seed, stream, indices), strict=True):
+            ref = np.random.PCG64(np.random.SeedSequence([seed, stream, i]))
+            assert rng.bit_generator.state == ref.state
+            ref_rng = np.random.Generator(ref)
+            assert rng.standard_normal() == ref_rng.standard_normal()
+            assert rng.poisson(2.0e4) == ref_rng.poisson(2.0e4)
+
+    def test_negative_seed_or_index_raises_like_default_rng(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 2, 0])
         with pytest.raises(ValidationError):
-            reference_plan(mask=(5, 3))
+            next(keyed_generators(-1, 2, [0]))
         with pytest.raises(ValidationError):
-            reference_plan(mask=(0, 9999))
+            next(keyed_generators(1, 2, [3, -1]))
 
 
 class TestDrift:
@@ -156,20 +184,21 @@ class TestRunSweep:
 
     def test_noise_streams_built_only_when_noise_is_on(self, monkeypatch):
         built = []
-        default_rng = np.random.default_rng
+        keyed = nf.acquisition.keyed_generators
 
-        def counting_rng(seed=None):
-            built.append(seed)
-            return default_rng(seed)
+        def counting_generators(seed, stream, indices):
+            for rng in keyed(seed, stream, indices):
+                built.append(stream)
+                yield rng
 
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(nf.acquisition, "keyed_generators", counting_generators)
         simulate(x_nm=30.0, n_points=40)
         assert built == []
         simulate(x_nm=30.0, n_points=40, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
-        assert [s[1] for s in built] == [nf.acquisition._STREAM_CURRENT] * 40
+        assert built == [nf.acquisition._STREAM_CURRENT] * 40
         built.clear()
         simulate(x_nm=30.0, n_points=40, shot_noise=True, shots_per_point=100)
-        assert [s[1] for s in built] == [nf.acquisition._STREAM_SHOTS] * 40
+        assert built == [nf.acquisition._STREAM_SHOTS] * 40
 
     def test_seed_determinism(self):
         a = simulate(x_nm=30.0, shot_noise=True, shots_per_point=10_000, seed=5)

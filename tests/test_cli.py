@@ -121,6 +121,15 @@ class TestCliCommands:
         main(["simulate", "--config", str(config), "--out", str(out2), "--seed", "99", "--quiet"])
         assert (out1 / "record.csv").read_bytes() != (out2 / "record.csv").read_bytes()
 
+    def test_negative_seed_override_is_one_line(self, tmp_path, capsys):
+        data = minimal_config_dict()
+        data["plan"]["shot_noise"] = True
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["validation: seed must be >= 0"]
+        assert not (out / "record.csv").exists()
+
     def test_window_option_plumbing(self, tmp_path):
         config = write_config(tmp_path, minimal_config_dict())
         out = tmp_path / "out"
@@ -180,6 +189,11 @@ class TestCliCommands:
             ("sensitivity", "sigma_s", "abc"),
             ("reconstruction", "zero_pad_factor", "abc"),
             (None, "gradient_per_ma_g_per_um", "abc"),
+            ("sensitivity", "sigma_s", float("inf")),
+            ("sensitivity", "sigma_s", float("nan")),
+            (None, "gradient_per_ma_g_per_um", float("inf")),
+            (None, "gradient_per_ma_g_per_um", float("nan")),
+            ("plan", "seed", -1),
         ],
     )
     def test_non_numeric_or_infinite_value_is_one_config_line(
