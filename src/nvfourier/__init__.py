@@ -9,7 +9,6 @@ from .acquisition import (
     CurrentNoiseModel,
     DriftModel,
     KSpaceRecord,
-    apply_drift,
     drift_trajectory,
     k_of_current,
     load_record,

@@ -196,27 +196,6 @@ def ambient_temperature_delta(drift: DriftModel, t_hours: float):
     )
 
 
-def apply_drift(drift: DriftModel, elapsed_hours: float, seed=None) -> float:
-    """Position offset (nm) after elapsed_hours; deterministic under seed."""
-    if elapsed_hours < 0:
-        raise ValidationError("elapsed_hours must be >= 0")
-    if seed is None:
-        seed = drift.seed
-    offset = drift.linear_rate_nm_per_hour * elapsed_hours
-    if drift.random_walk_sigma_nm_per_sqrt_hour > 0.0 and elapsed_hours > 0.0:
-        rng = np.random.default_rng([int(seed), _STREAM_DRIFT])
-        offset += (
-            drift.random_walk_sigma_nm_per_sqrt_hour
-            * math.sqrt(elapsed_hours)
-            * rng.standard_normal()
-        )
-    if drift.temperature_coupling_nm_per_k > 0.0:
-        offset += drift.temperature_coupling_nm_per_k * float(
-            ambient_temperature_delta(drift, elapsed_hours)
-        )
-    return float(offset)
-
-
 def drift_trajectory(drift: DriftModel, times_hours, seed=None) -> np.ndarray:
     """Offsets (nm) at increasing times, with a consistent random walk."""
     t = np.asarray(times_hours, dtype=float)

@@ -235,8 +235,6 @@ def stage_reconstruct(
         writer.writerow(["k_per_nm", "signal"])
         for kv, sv in zip(record.k_values, record.signals):
             writer.writerow([repr(float(kv)), repr(float(sv))])
-    profile_plot = plots / "profile.csv"
-    save_profile_csv(profile, profile_plot)
     spec_path = plots / "plot_spec.json"
     spec_path.write_text(
         json.dumps(
@@ -251,7 +249,7 @@ def stage_reconstruct(
                         "title": "K-space record",
                     },
                     {
-                        "file": profile_plot.name,
+                        "file": f"../{profile_path.name}",
                         "x": "x_nm",
                         "y": "amplitude",
                         "xlabel": "x (nm)",
@@ -265,7 +263,7 @@ def stage_reconstruct(
         )
         + "\n"
     )
-    for p in (kspace_plot, profile_plot, spec_path):
+    for p in (kspace_plot, spec_path):
         manifest.add_output(p)
 
     derived = {

@@ -7,7 +7,8 @@ a uniform x grid:
     A(x_i) = [ s_0 + (-1)^i s_{M-1} + 2 * sum_{0<j<M-1} s_j cos(pi j i / (M-1)) ] / (N-1)
 
 i.e. an unnormalized DCT-I of the (windowed, zero-padded) signal divided by
-N-1, where N is the number of K samples before padding.  With this scale a
+N-1, where N is the number of K samples before padding.  The DCT-I is the
+real part of the real FFT of the signal's even extension.  With this scale a
 unit-amplitude cosine reconstructs to a peak of height ~1.  The grid spans
 x in [0, 1/(2*dK)] with spacing pixel/zero_pad_factor, pixel = 1/(2*K_max).
 The profile stores |A|; with no quadrature channel the position sign is
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,9 +49,19 @@ WINDOWS = ("none", "hann")
 # relative tolerance for the uniform-K-grid check
 _GRID_RTOL = 1e-9
 
+# Levenberg-Marquardt constants of curve_fit: initial damping, MINPACK's
+# default stopping tolerances, and the budget of trial steps.  A resolved
+# peak takes about ten steps; a peak narrower than the grid step (zero-pad 1,
+# or a hann profile split by its nulls at +-1 pixel) has no minimum, and the
+# fit then crawls towards a spike for hundreds of steps or more
+_LM_LAMBDA0 = 1e-3
+_LM_FTOL = 1.5e-8
+_LM_XTOL = 1.5e-8
+_LM_MAX_STEPS = 20000
+
 # residual norm, relative to the mean-subtracted signal, at or below which a
-# cosine fit counts as exact: the fitter stops at a relative step of 1.5e-8
-# in the parameters, which left up to 5.5e-7 on noiseless records
+# cosine fit counts as exact; noiseless 60-point sweeps (0.6-1.0 mA, NV at
+# 26-46 nm) fit to at most 1.4e-11
 _EXACT_FIT_RTOL = 1e-6
 
 
@@ -127,19 +137,86 @@ class CosineFit:
         }
 
 
-def curve_fit(*args, **kwargs):
-    """``scipy.optimize.curve_fit``, imported on first use.
+def curve_fit(model, xdata, ydata, p0, jac):
+    """Levenberg-Marquardt least squares of ``model(xdata, *p)`` to ``ydata``.
 
-    Both fits look this name up on the module at call time, so a wrapper
-    installed on ``reconstruction.curve_fit`` sees every fit.
+    ``jac(xdata, *p)`` is the model's (m, n) Jacobian.  Each step solves the
+    normal equations with the diagonal of JᵀJ scaled by (1 + λ); λ starts at
+    1e-3 and is divided by 10 when a step lowers the residual sum of squares
+    and multiplied by 10 when it does not.  The fit stops on MINPACK's tests:
+    an accepted step lowers the sum of squares by at most ``_LM_FTOL`` of it,
+    or a step is at most ``_LM_XTOL`` of the parameters, with step and
+    parameters both scaled by the column norms of J.  Returns ``(popt, pcov)`` with
+    pcov = inv(JᵀJ)·RSS/(m - n), infinite when m <= n or JᵀJ is singular;
+    raises FitConvergenceError when ``_LM_MAX_STEPS`` trial steps do not
+    reach a stop.
+
+    The model is called for every evaluation and both fits look this name
+    up on the module at call time, so a wrapper installed on
+    ``reconstruction.curve_fit`` sees every fit and can count evaluations.
     """
-    from scipy.optimize import curve_fit
+    x = np.asarray(xdata, dtype=float)
+    y = np.asarray(ydata, dtype=float)
+    p = np.asarray(p0, dtype=float)
+    resid = y - model(x, *p.tolist())
+    rss = float(resid @ resid)
+    lam = _LM_LAMBDA0
+    jtj = None
+    for _ in range(_LM_MAX_STEPS):
+        if jtj is None:
+            j = jac(x, *p.tolist())
+            jtj, grad = j.T @ j, j.T @ resid
+            diag = np.diag(jtj.diagonal())
+            scale = np.sqrt(jtj.diagonal())
+            scaled_p = scale * p
+            xtol_bound = _LM_XTOL**2 * (scaled_p @ scaled_p)
+        damped = jtj + lam * diag
+        try:
+            step = np.linalg.solve(damped, grad)
+        except np.linalg.LinAlgError as exc:
+            raise FitConvergenceError(f"fit normal equations are singular: {exc}") from exc
+        scaled_step = scale * step
+        small_step = scaled_step @ scaled_step <= xtol_bound
+        trial = p + step
+        trial_resid = y - model(x, *trial.tolist())
+        trial_rss = float(trial_resid @ trial_resid)
+        if trial_rss < rss:
+            small_decrease = rss - trial_rss <= _LM_FTOL * rss
+            p, resid, rss = trial, trial_resid, trial_rss
+            if small_decrease or small_step:
+                return p, _covariance(jac(x, *p.tolist()), rss)
+            lam /= 10.0
+            jtj = None
+        elif small_step:
+            return p, _covariance(j, rss)
+        else:
+            lam *= 10.0
+    raise FitConvergenceError(f"least-squares fit did not converge in {_LM_MAX_STEPS} steps")
 
-    return curve_fit(*args, **kwargs)
+
+def _covariance(j: np.ndarray, rss: float) -> np.ndarray:
+    """inv(JᵀJ)·RSS/(m - n); infinite when m <= n or JᵀJ is singular."""
+    m, n = j.shape
+    if m > n:
+        try:
+            return np.linalg.inv(j.T @ j) * (rss / (m - n))
+        except np.linalg.LinAlgError:
+            pass
+    return np.full((n, n), np.inf)
 
 
 def lorentzian(x, amplitude, center, half_width, offset):
     return amplitude * half_width**2 / ((x - center) ** 2 + half_width**2) + offset
+
+
+def _lorentzian_jac(x, amplitude, center, half_width, offset):
+    d = x - center
+    q = 1.0 / (d * d + half_width * half_width)
+    shape = half_width * half_width * q
+    dq = d * q
+    d_center = (2.0 * amplitude) * shape * dq
+    d_width = (2.0 * amplitude * half_width) * dq * dq
+    return np.array([shape, d_center, d_width, np.ones(x.shape)]).T
 
 
 def _expand_to_full_grid(record: KSpaceRecord) -> tuple[np.ndarray, float]:
@@ -193,8 +270,6 @@ def fourier_reconstruct(
     ``zero_pad_factor`` refines the output grid by that integer factor
     without changing the underlying resolution.
     """
-    from scipy.fft import dct
-
     if window not in WINDOWS:
         raise ValidationError(f"window must be one of {WINDOWS}")
     if int(zero_pad_factor) != zero_pad_factor or zero_pad_factor < 1:
@@ -208,7 +283,8 @@ def fourier_reconstruct(
     if window == "hann":
         signal = signal * np.hanning(n)
     padded = np.concatenate([signal, np.zeros((n - 1) * (zero_pad_factor - 1))])
-    amplitude = np.abs(dct(padded, type=1)) / (n - 1)
+    # DCT-I: the real part of the real FFT of the even extension
+    amplitude = np.abs(np.fft.rfft(np.concatenate([padded, padded[-2:0:-1]])).real) / (n - 1)
 
     k_max = (n - 1) * dk
     pixel = 1.0 / (2.0 * k_max)
@@ -280,10 +356,7 @@ def fit_lorentzian(
     else:
         width0 = profile.pixel_size_nm / 2.0
     p0 = [amp0, float(xs[ipk]), width0, offset0]
-    try:
-        popt, pcov = curve_fit(lorentzian, xs, ys, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitConvergenceError(f"lorentzian fit did not converge: {exc}") from exc
+    popt, pcov = curve_fit(lorentzian, xs, ys, p0, _lorentzian_jac)
     amp, center, half_width, offset = popt
     if half_width < 0:  # width enters squared; fold the sign
         half_width = -half_width
@@ -306,6 +379,12 @@ def fit_lorentzian(
 
 def _cosine(i, amplitude, frequency, phase, offset):
     return amplitude * np.cos(2.0 * np.pi * frequency * i + phase) + offset
+
+
+def _cosine_jac(i, amplitude, frequency, phase, offset):
+    theta = 2.0 * np.pi * frequency * i + phase
+    slope = -amplitude * np.sin(theta)
+    return np.array([np.cos(theta), (2.0 * np.pi) * i * slope, slope, np.ones(i.shape)]).T
 
 
 def fit_cosine(record: KSpaceRecord) -> CosineFit:
@@ -341,16 +420,7 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     phase0 = float(np.angle(transform[bin_idx]))
     amp0 = 2.0 * float(spectrum[bin_idx]) / n
     p0 = [amp0, f0, phase0, float(np.mean(s))]
-    from scipy.optimize import OptimizeWarning
-
-    try:
-        with warnings.catch_warnings():
-            # an inestimable covariance of an inexact fit surfaces as
-            # DegenerateFitError below
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(_cosine, currents, s, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitConvergenceError(f"cosine fit did not converge: {exc}") from exc
+    popt, pcov = curve_fit(_cosine, currents, s, p0, _cosine_jac)
     amp, freq, phase, offset = popt
     if amp < 0:
         amp, phase = -amp, phase + math.pi
@@ -359,10 +429,9 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     phase = math.remainder(phase, 2.0 * math.pi)
     residual_norm = float(np.linalg.norm(s - _cosine(currents, amp, freq, phase, offset)))
     perr = np.sqrt(np.maximum(np.diag(pcov), 0.0))
-    exact = residual_norm <= _EXACT_FIT_RTOL * float(np.linalg.norm(centered))
-    if exact and not np.all(np.isfinite(perr)):
-        # curve_fit can report an infinite covariance for an exact fit;
-        # scaled by the zero residual variance, the covariance is zero
+    if residual_norm <= _EXACT_FIT_RTOL * float(np.linalg.norm(centered)):
+        # an exact fit has no residual variance to scale the covariance by,
+        # whether or not JᵀJ could be inverted
         perr = np.zeros_like(perr)
     if not np.isfinite(perr[0]) or (perr[0] > 0 and abs(amp) < perr[0]):
         raise DegenerateFitError("fitted amplitude indistinguishable from zero")

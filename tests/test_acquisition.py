@@ -108,18 +108,18 @@ class TestDrift:
     def test_all_zero(self):
         drift = nf.DriftModel()
         for t in (0.0, 1.0, 17.3):
-            assert nf.apply_drift(drift, t, seed=1) == 0.0
+            assert nf.drift_trajectory(drift, [t], seed=1)[0] == 0.0
 
     def test_linear(self):
         drift = nf.DriftModel(linear_rate_nm_per_hour=0.1)
-        assert nf.apply_drift(drift, 10.0, seed=1) == pytest.approx(1.0, rel=1e-12)
+        assert nf.drift_trajectory(drift, [10.0], seed=1)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_random_walk_variance_grows_linearly(self):
         drift = nf.DriftModel(random_walk_sigma_nm_per_sqrt_hour=1.0)
         times = [1.0, 4.0, 16.0]
         variances = []
         for t in times:
-            draws = [nf.apply_drift(drift, t, seed=s) for s in range(1000)]
+            draws = [nf.drift_trajectory(drift, [t], seed=s)[0] for s in range(1000)]
             variances.append(np.var(draws))
         slope = np.polyfit(np.log(times), np.log(variances), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)
@@ -129,7 +129,7 @@ class TestDrift:
                               temperature_amplitude_k=0.25,
                               temperature_period_hours=24.0)
         # quarter period: dT = +0.25 K
-        assert nf.apply_drift(drift, 6.0, seed=0) == pytest.approx(0.5, rel=1e-12)
+        assert nf.drift_trajectory(drift, [6.0], seed=0)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_trajectory_consistent_and_deterministic(self):
         drift = nf.DriftModel(linear_rate_nm_per_hour=0.3,
@@ -142,7 +142,7 @@ class TestDrift:
 
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValidationError):
-            nf.apply_drift(nf.DriftModel(), -1.0)
+            nf.drift_trajectory(nf.DriftModel(), [-1.0])
 
 
 class TestRunSweep:

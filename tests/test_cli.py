@@ -102,7 +102,12 @@ class TestCliCommands:
         assert (out / "profile.csv").exists()
         fit = json.loads((out / "peak_fit.json").read_text())
         assert fit["center_nm"] == pytest.approx(12.0, abs=0.5)
-        assert (out / "plots" / "plot_spec.json").exists()
+        plots = out / "plots"
+        spec = json.loads((plots / "plot_spec.json").read_text())
+        assert not (plots / "profile.csv").exists()
+        assert [entry["file"] for entry in spec["plots"]] == ["kspace_signal.csv", "../profile.csv"]
+        for entry in spec["plots"]:
+            assert (plots / entry["file"]).is_file()
 
     def test_simulate_determinism_bit_identical(self, tmp_path):
         config = write_config(tmp_path, minimal_config_dict())

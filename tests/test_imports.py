@@ -1,4 +1,4 @@
-"""The import boundary: scipy loads only in the stages that transform or fit.
+"""The import boundary: no command loads scipy.
 
 Each check runs in a fresh interpreter, since a module imported anywhere in
 the test session stays in ``sys.modules``.
@@ -47,17 +47,17 @@ def test_package_import_loads_no_scipy():
     assert run_fresh(f"import nvfourier\nprint(json.dumps({COUNT_SCIPY}))") == 0
 
 
-@pytest.mark.parametrize("subcommand", ["calibrate", "simulate", "sensitivity"])
-def test_stage_without_fits_loads_no_scipy(tmp_path, subcommand):
-    rcs, scipy_modules = run_fresh(cli_code(tmp_path, subcommand))
-    assert rcs == [0]
+@pytest.mark.parametrize(
+    "subcommand", ["calibrate", "simulate", "reconstruct", "fit-cosine", "sensitivity", "run-all"]
+)
+def test_subcommand_loads_no_scipy(tmp_path, subcommand):
+    # reconstruct and fit-cosine read the record that simulate writes
+    session = (subcommand,)
+    if subcommand in ("reconstruct", "fit-cosine"):
+        session = ("simulate", subcommand)
+    rcs, scipy_modules = run_fresh(cli_code(tmp_path, *session))
+    assert rcs == [0] * len(session)
     assert scipy_modules == 0
-
-
-def test_reconstruct_loads_scipy(tmp_path):
-    rcs, scipy_modules = run_fresh(cli_code(tmp_path, "simulate", "reconstruct"))
-    assert rcs == [0, 0]
-    assert scipy_modules > 0
 
 
 def test_fits_look_up_curve_fit_at_call_time(monkeypatch):

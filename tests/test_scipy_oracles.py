@@ -1,0 +1,156 @@
+"""The numpy-only transform and fits against scipy, kept as a test oracle.
+
+``fourier_reconstruct`` computes its DCT-I as the real FFT of the even
+extension; numpy and scipy share pocketfft, so the profile must equal
+``scipy.fft.dct(type=1)`` bit for bit.  ``reconstruction.curve_fit`` is an
+in-house Levenberg-Marquardt solver; both fits must land where scipy's
+MINPACK ``curve_fit`` lands, with no more residual.
+
+The Lorentzian comparison runs on unwindowed profiles at zero-pad 2 and
+above, where the main lobe spans several grid steps and the fit has a
+minimum.  At zero-pad 1 a peak can fall within a grid step of one sample,
+and a hann profile has nulls at +-1 pixel inside the fit window; there the
+best Lorentzian is a spike of vanishing width, and the two solvers stop at
+different points along that valley.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.fft import dct
+from scipy.optimize import curve_fit as scipy_curve_fit
+
+import nvfourier as nf
+from nvfourier import reconstruction
+from nvfourier.errors import DegenerateFitError, FitConvergenceError
+
+K_MAX = 2.0
+PIXEL = 1.0 / (2.0 * K_MAX)
+COSINE_METADATA = {"waveform_efficiency": 0.5, "tau_us": 250.0, "gradient_per_ma_g_per_um": 0.326}
+# Both solvers stop once a step lowers the residual sum of squares by at most
+# 1.5e-8 of it, which leaves each parameter about sqrt(1.5e-8 * (m - n))
+# standard errors from the minimum: up to 1.4e-3 for the 120-point sweeps
+# here.  On a poorly conditioned fit that exceeds the fixed bounds, so
+# parameters agree to the fixed bound or to STOP_SD standard errors, which
+# covers the two stops falling on either side of the minimum.
+STOP_SD = 5e-3
+
+
+def record_of(signals, currents=None, metadata=None):
+    n = len(signals)
+    return nf.KSpaceRecord(
+        k_values=np.arange(n) * (K_MAX / (n - 1)),
+        currents=np.arange(n, dtype=float) if currents is None else currents,
+        signals=signals, errors=np.zeros(n), t_hours=np.zeros(n), metadata=metadata or {},
+    )
+
+
+def with_scipy(fit, *args):
+    """Run ``fit`` with scipy's curve_fit in place of the in-house solver."""
+    def scipy_fit(model, xdata, ydata, p0, jac):
+        return scipy_curve_fit(model, xdata, ydata, p0=p0, maxfev=20000)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconstruction, "curve_fit", scipy_fit)
+        return fit(*args)
+
+
+def localization_profile(n, x0_frac, sigma_pixels, noise, zero_pad, seed):
+    """Profile of a decaying cosine sweep with Gaussian noise (K_max = 2 / nm)."""
+    k = np.arange(n) * (K_MAX / (n - 1))
+    x0 = x0_frac * (n - 1) * PIXEL
+    sigma = sigma_pixels * PIXEL
+    signals = np.cos(2.0 * math.pi * k * x0) * np.exp(-2.0 * math.pi**2 * sigma**2 * k**2)
+    signals = signals + noise * np.random.default_rng(seed).standard_normal(n)
+    return nf.fourier_reconstruct(record_of(signals), zero_pad_factor=zero_pad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 2000),
+    zero_pad=st.integers(1, 8),
+    window=st.sampled_from(reconstruction.WINDOWS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, zero_pad=1, window="none", seed=0)
+@example(n=458, zero_pad=4, window="none", seed=1)  # 8 * 457: a prime factor
+@example(n=1998, zero_pad=3, window="hann", seed=2)  # 6 * 1997: a prime factor
+def test_dct_equals_scipy_bit_for_bit(n, zero_pad, window, seed):
+    signals = np.random.default_rng(seed).standard_normal(n)
+    profile = nf.fourier_reconstruct(record_of(signals), window=window, zero_pad_factor=zero_pad)
+    tapered = signals * np.hanning(n) if window == "hann" else signals
+    padded = np.concatenate([tapered, np.zeros((n - 1) * (zero_pad - 1))])
+    assert profile.amplitude.tobytes() == (np.abs(dct(padded, type=1)) / (n - 1)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(16, 600),
+    x0_frac=st.floats(0.1, 0.9),
+    sigma_pixels=st.floats(0.0, 0.5),
+    noise=st.floats(0.0, 0.1),
+    zero_pad=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=458, x0_frac=0.3, sigma_pixels=0.2, noise=0.0, zero_pad=4, seed=0)
+def test_fit_lorentzian_matches_scipy(n, x0_frac, sigma_pixels, noise, zero_pad, seed):
+    profile = localization_profile(n, x0_frac, sigma_pixels, noise, zero_pad, seed)
+    ours = nf.fit_lorentzian(profile)
+    theirs = with_scipy(nf.fit_lorentzian, profile)
+    sd = ours.uncertainties
+    assert abs(ours.center_nm - theirs.center_nm) <= max(1e-5 * PIXEL, STOP_SD * sd["center_nm"])
+    assert abs(ours.fwhm_nm - theirs.fwhm_nm) <= max(2e-4 * theirs.fwhm_nm, STOP_SD * sd["fwhm_nm"])
+    assert ours.residual_norm**2 <= theirs.residual_norm**2 * (1.0 + 1e-8)
+    # scipy's covariance uses a finite-difference Jacobian one step back
+    assert ours.uncertainties == pytest.approx(theirs.uncertainties, rel=1e-2)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(20, 120),
+    span_ma=st.floats(0.5, 10.0),
+    periods_frac=st.floats(0.0, 1.0),
+    amplitude=st.floats(0.05, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+    offset=st.floats(-0.5, 0.5),
+    noise_frac=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    n=60, span_ma=0.6, periods_frac=0.1, amplitude=0.08, phase=0.0, offset=0.9, noise_frac=0.0, seed=0
+)
+def test_fit_cosine_matches_scipy(
+    n, span_ma, periods_frac, amplitude, phase, offset, noise_frac, seed
+):
+    # from one period across the sweep up to 0.45 cycles per step (Nyquist: 0.5)
+    periods = 1.0 + periods_frac * (0.45 * (n - 1) - 1.0)
+    currents = np.linspace(0.0, span_ma, n)
+    signals = amplitude * np.cos(2.0 * math.pi * periods / span_ma * currents + phase) + offset
+    signals = signals + noise_frac * amplitude * np.random.default_rng(seed).standard_normal(n)
+    record = record_of(signals, currents, COSINE_METADATA)
+    ours = nf.fit_cosine(record)
+    try:
+        theirs = with_scipy(nf.fit_cosine, record)
+    except DegenerateFitError:
+        # scipy's covariance of a nearly exact fit (residual just above
+        # _EXACT_FIT_RTOL) can be infinite; there is nothing to compare
+        return
+    freq_sd = ours.uncertainties["frequency_per_ma"]
+    assert abs(ours.frequency_per_ma - theirs.frequency_per_ma) <= max(
+        1e-6 * theirs.frequency_per_ma, STOP_SD * freq_sd
+    )
+    # an exact fit leaves only rounding, which no relative bound can compare
+    rounding = (1e-9 * float(np.linalg.norm(signals - signals.mean()))) ** 2
+    assert ours.residual_norm**2 <= theirs.residual_norm**2 * (1.0 + 1e-8) + rounding
+
+
+def test_starved_solver_raises(monkeypatch):
+    profile = localization_profile(458, 0.3, 0.2, 0.01, 4, 0)
+    nf.fit_lorentzian(profile)
+    monkeypatch.setattr(reconstruction, "_LM_MAX_STEPS", 2)
+    with pytest.raises(FitConvergenceError):
+        nf.fit_lorentzian(profile)
