@@ -118,3 +118,22 @@ def midpoint_phase_oracle(x_nm, peak_gradient, seq, wf, n_steps=400_000):
     sign = np.where(mids < seq.pi_pulse_time_us, 1.0, -1.0)
     integral = float(np.sum(sign * g) * h)
     return 2.0 * np.pi * 2.8 * (x_nm * 1e-3) * peak_gradient * integral
+
+
+def minimal_config_dict(**overrides):
+    data = {
+        "nv": {
+            # n_points=120 gives a ~26 nm field of view; keep the NV inside it
+            "position_um": [0.012, 0.0, 0.0],
+            "t2_us": 1200.0,
+            "contrast_alpha": 0.08,
+            "yield_beta": 0.02,
+        },
+        "nv_axis": [0.0, 0.0, -1.0],
+        "gradient_per_ma_g_per_um": 0.326,
+        "sequence": {"total_time_us": 500.0},
+        "plan": {"i_max_ma": 10.0, "n_points": 120},
+        "imaging": {"origin_um": [0.0, 0.0, 0.0], "axis": [1.0, 0.0, 0.0]},
+    }
+    data.update(overrides)
+    return data

@@ -8,27 +8,10 @@ from nvfourier.cli import Manifest, main
 from nvfourier.config import load_config
 from nvfourier.errors import ConfigError, ConfigParseError
 
+from helpers import minimal_config_dict
+
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
-
-
-def minimal_config_dict(**overrides):
-    data = {
-        "nv": {
-            # n_points=120 gives a ~26 nm field of view; keep the NV inside it
-            "position_um": [0.012, 0.0, 0.0],
-            "t2_us": 1200.0,
-            "contrast_alpha": 0.08,
-            "yield_beta": 0.02,
-        },
-        "nv_axis": [0.0, 0.0, -1.0],
-        "gradient_per_ma_g_per_um": 0.326,
-        "sequence": {"total_time_us": 500.0},
-        "plan": {"i_max_ma": 10.0, "n_points": 120},
-        "imaging": {"origin_um": [0.0, 0.0, 0.0], "axis": [1.0, 0.0, 0.0]},
-    }
-    data.update(overrides)
-    return data
 
 
 def write_config(tmp_path, data, name="run.yaml"):

@@ -1,11 +1,15 @@
-"""Pinned SHA-256 digests of saved records.
+"""Pinned SHA-256 digests of saved records, config hashes and run-all outputs.
 
-Each case builds a plan from the shipped reference config, runs the sweep,
+Each record case builds a plan from the shipped reference config, runs the sweep,
 writes the record with ``save_record`` and hashes the CSV and the sidecar
 bytes.  Together the cases cover noiseless and shot-noise sweeps, full,
 stride and blocks masks, every drift term under the wire geometry with
 modulated and white current noise, and a dense sweep.  A change that moves
 any record byte must re-pin these digests and say so in CHANGES.md.
+
+The config hashes pin the canonical config of the minimal test config and of
+the shipped reference config, and the run-all digests pin every data file
+the reference run writes (the manifest holds timings and is left out).
 """
 
 import hashlib
@@ -13,9 +17,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 import nvfourier as nf
-from nvfourier.config import load_config
+from nvfourier.cli import main
+from nvfourier.config import build_config, load_config
+
+from helpers import minimal_config_dict
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
@@ -120,3 +128,39 @@ def record_digests(name, tmp_path):
 def test_record_digest(name, tmp_path):
     _, csv_digest, sidecar_digest = CASES[name]
     assert record_digests(name, tmp_path) == (csv_digest, sidecar_digest)
+
+
+CONFIG_HASHES = {
+    "minimal": "20a8998fc6c64292da19d04f4288b5516ff606f0509b7e10f36758ce63c4a5af",
+    "default_run": "8e5feee3d75c1de3d1a147f7ab8b8ba4e4234bf6981493e746e8866b6d94fc54",
+}
+
+RUN_ALL_DIGESTS = {
+    "calibration_report.json": "14e4c94d04f220108c7bc1052b0f6442f912a716509cc2bac03d1cabe5bd79b8",
+    "peak_fit.json": "4c57bec1395d56d5f81de071cef5bc83e550d5a628cad74c0e84596a5fd75d51",
+    "sensitivity.json": "93497aca41e94fa1a62aa839de00282d39c22aabaeb0949c902a38d3db66778d",
+    "profile.csv": "791f0e03a9ad47fa2f2e533867f1a00cc879fdbb3eaa8a9eb254a913979f1d1b",
+    "gradient_curve.csv": "babb29e6e81b4e6b2479de79d93abe4ba2983c88b7540b7c53ca2cbf8cd3823e",
+    "plots/plot_spec.json": "6fe7be8483d59f3ed34dfa83c86895b79a04a6e676fe47aec7e5c6dedc30889b",
+    "plots/kspace_signal.csv": "f58ad23274c226f5f0523393de5703764631cefe44d1a2c7e97ac1267b67f042",
+    "record.csv": CASES["reference"][1],
+    "record.meta.json": CASES["reference"][2],
+}
+
+
+def test_config_hash_of_minimal_config():
+    assert build_config(minimal_config_dict()).config_hash == CONFIG_HASHES["minimal"]
+
+
+def test_config_hash_of_default_config():
+    data = yaml.safe_load(DEFAULT_CONFIG.read_text())
+    assert build_config(data).config_hash == CONFIG_HASHES["default_run"]
+
+
+def test_run_all_output_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run-all", "--config", str(DEFAULT_CONFIG), "--out", str(out), "--quiet"]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RUN_ALL_DIGESTS
+    }
+    assert digests == RUN_ALL_DIGESTS
