@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,8 @@ from .errors import (
     MissingCalibrationError,
     ValidationError,
 )
-from .field_model import MicrowireModel, NvAxis, _unit3, _vec3, gradient_at
+from .field_model import MicrowireModel, NvAxis, _check_finite, _unit3, _vec3, gradient_at
+from .serialize import to_plain, write_json
 from .spin_dynamics import (
     EchoSequence,
     GradientWaveform,
@@ -168,9 +169,9 @@ class DriftModel:
     temperature_coupling_nm_per_k: float = 0.0
     temperature_amplitude_k: float = 0.25
     temperature_period_hours: float = 24.0
-    seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, *(f.name for f in fields(self)))
         for name in (
             "random_walk_sigma_nm_per_sqrt_hour",
             "temperature_coupling_nm_per_k",
@@ -196,13 +197,11 @@ def ambient_temperature_delta(drift: DriftModel, t_hours: float):
     )
 
 
-def drift_trajectory(drift: DriftModel, times_hours, seed=None) -> np.ndarray:
+def drift_trajectory(drift: DriftModel, times_hours, seed: int = 0) -> np.ndarray:
     """Offsets (nm) at increasing times, with a consistent random walk."""
     t = np.asarray(times_hours, dtype=float)
     if t.size and (np.any(np.diff(t) < 0) or t[0] < 0):
         raise ValidationError("times must be nonnegative and nondecreasing")
-    if seed is None:
-        seed = drift.seed
     offsets = drift.linear_rate_nm_per_hour * t
     if drift.random_walk_sigma_nm_per_sqrt_hour > 0.0 and t.size:
         rng = np.random.default_rng([int(seed), _STREAM_DRIFT])
@@ -225,7 +224,9 @@ class CurrentNoiseModel:
     white_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("relative_amplitude", "modulation_frequency_cycles", "white_sigma"):
+        names = [f.name for f in fields(self)]
+        _check_finite(self, *names)
+        for name in names:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -240,8 +241,8 @@ class AcquisitionPlan:
     waveform_template: GradientWaveform
     mask: tuple = ()
     shots_per_point: int = 1_000_000
-    shot_noise: bool = True
-    seed: int = 0
+    shot_noise: bool = False
+    seed: int = 20240901
     drift: DriftModel = field(default_factory=DriftModel)
     current_noise: CurrentNoiseModel = field(default_factory=CurrentNoiseModel)
     origin_um: np.ndarray = (0.0, 0.0, 0.0)
@@ -363,14 +364,19 @@ def _resolve_gradient_per_ma(
     wire: MicrowireModel | None,
     axis: NvAxis | None,
     gradient_per_ma: float | None,
-    offsets_nm,
+    offsets_nm=0.0,
 ):
-    """Per-mA gradient at the NV, and at the NV displaced by each drift offset."""
+    """Per-mA gradient at the NV, and at the NV displaced by each drift offset.
+
+    A given ``gradient_per_ma`` (a calibration) wins; otherwise the gradient
+    comes from the wire geometry projected on ``axis``.
+    """
     if gradient_per_ma is not None:
         return float(gradient_per_ma), float(gradient_per_ma)
     if wire is None:
         raise MissingCalibrationError(
-            "run_sweep needs either gradient_per_ma or a wire model with an NV axis"
+            "no gradient calibration: give a gradient per mA "
+            "(gradient_per_ma_g_per_um, or the calibrate stage) or a wire model"
         )
     if axis is None:
         raise ValidationError("an NvAxis is required when computing gradients from a wire")
@@ -461,47 +467,21 @@ def run_sweep(
 
     k_sampled = k_of_current(plan, sampled, g0)
     delta_k = float(k_of_current(plan, currents[1], g0))
-    metadata = {
-        "total_time_us": plan.sequence.total_time_us,
-        "tau_us": plan.sequence.tau_us,
-        "sync_offset_us": plan.sequence.sync_offset_us,
-        "gradient_per_ma_g_per_um": g0,
-        "waveform_efficiency": w,
-        "waveform": {
-            "shape": plan.waveform_template.shape,
-            "period_us": plan.waveform_template.period_us,
-            "active_fraction": plan.waveform_template.active_fraction,
-            "antisymmetric": plan.waveform_template.antisymmetric,
-        },
-        "i_max_ma": plan.i_max_ma,
-        "n_points": plan.n_points,
-        "mask": list(plan.mask),
-        "shots_per_point": plan.shots_per_point,
-        "shot_noise": plan.shot_noise,
-        "seed": plan.seed,
-        "origin_um": [float(v) for v in plan.origin_um],
-        "imaging_axis": [float(v) for v in plan.imaging_axis],
-        "delta_k_per_nm": delta_k,
-        "k_max_per_nm": float(k_sampled[-1]),
-        "drift": {
-            "linear_rate_nm_per_hour": plan.drift.linear_rate_nm_per_hour,
-            "random_walk_sigma_nm_per_sqrt_hour": plan.drift.random_walk_sigma_nm_per_sqrt_hour,
-            "temperature_coupling_nm_per_k": plan.drift.temperature_coupling_nm_per_k,
-            "temperature_amplitude_k": plan.drift.temperature_amplitude_k,
-            "temperature_period_hours": plan.drift.temperature_period_hours,
-        },
-        "current_noise": {
-            "relative_amplitude": plan.current_noise.relative_amplitude,
-            "modulation_frequency_cycles": plan.current_noise.modulation_frequency_cycles,
-            "white_sigma": plan.current_noise.white_sigma,
-        },
-        "nv": {
-            "t2_us": nv.t2_us,
-            "stretch_p": nv.stretch_p,
-            "contrast_alpha": nv.contrast_alpha,
-            "yield_beta": nv.yield_beta,
-        },
-    }
+    metadata = to_plain(plan)
+    sequence = metadata.pop("sequence")
+    nv_doc = to_plain(nv)
+    del nv_doc["position_um"]  # the sidecar keeps the NV's readout constants, not its position
+    metadata.update(
+        waveform=metadata.pop("waveform_template"),
+        nv=nv_doc,
+        total_time_us=sequence["total_time_us"],
+        sync_offset_us=sequence["sync_offset_us"],
+        tau_us=plan.sequence.tau_us,
+        gradient_per_ma_g_per_um=g0,
+        waveform_efficiency=w,
+        delta_k_per_nm=delta_k,
+        k_max_per_nm=float(k_sampled[-1]),
+    )
     return KSpaceRecord(
         k_values=k_sampled,
         currents=sampled,
@@ -535,7 +515,7 @@ def save_record(record: KSpaceRecord, csv_path) -> Path:
         lines.append(",".join(repr(float(v)) for v in row))
     p.write_text("\n".join(lines) + "\n")
     side = sidecar_path(p)
-    side.write_text(json.dumps(record.metadata, indent=2, sort_keys=True) + "\n")
+    write_json(side, record.metadata)
     return side
 
 

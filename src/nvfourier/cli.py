@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
 import time
@@ -31,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquisition import load_record, run_sweep, save_record
-from .config import RunConfig, load_config
+from .acquisition import _resolve_gradient_per_ma, load_record, run_sweep, save_record
+from .config import RunConfig, load_config, section_doc
 from .errors import MissingCalibrationError, NvFourierError
 from .field_model import calibrate_wire, gradient_at, load_calibration_csv, sample_field
 from .metrology import empirical_resolution, full_sensitivity_report, pixel_resolution
@@ -43,6 +42,7 @@ from .reconstruction import (
     save_fit_json,
     save_profile_csv,
 )
+from .serialize import to_plain, write_json
 
 ENV_OUTPUT_DIR = "NVFOURIER_OUT"
 
@@ -70,7 +70,6 @@ def _load_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.plan = replace(cfg.plan, seed=int(args.seed))
-        cfg.resolved["plan"]["seed"] = int(args.seed)
     return cfg
 
 
@@ -116,22 +115,7 @@ class Manifest:
             "derived": self.derived,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _resolve_gradient(cfg: RunConfig, calibrated: float | None = None) -> float:
-    """Gradient per mA at the NV: calibrated value, direct config value, or wire."""
-    if calibrated is not None:
-        return calibrated
-    if cfg.gradient_per_ma is not None:
-        return cfg.gradient_per_ma
-    if cfg.wire is not None:
-        unit_wire = replace(cfg.wire, current_ma=1.0)
-        return gradient_at(unit_wire, cfg.nv.position_um, cfg.nv_axis, cfg.plan.imaging_axis)
-    raise MissingCalibrationError(
-        "no gradient calibration: provide gradient_per_ma_g_per_um, a wire block, "
-        "or run the calibrate stage"
-    )
+        write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +132,11 @@ def stage_calibrate(cfg: RunConfig, samples_path, out: Path, manifest: Manifest,
     unit_wire = replace(fitted, current_ma=fitted.current_ma / cfg.wire.current_ma)
     gradient = gradient_at(unit_wire, cfg.nv.position_um, cfg.nv_axis, cfg.plan.imaging_axis)
 
-    report_doc = report.to_dict()
-    report_doc["fitted_wire"] = {
-        "anchor_um": [float(v) for v in fitted.anchor_point_um],
-        "direction": [float(v) for v in fitted.direction],
-        "current_ma": fitted.current_ma,
-        "polarity": fitted.polarity,
-    }
+    report_doc = to_plain(report)
+    report_doc["fitted_wire"] = section_doc("wire", fitted)
     report_doc["gradient_per_ma_g_per_um_at_nv"] = float(gradient)
     report_path = out / "calibration_report.json"
-    report_path.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
+    write_json(report_path, report_doc)
     manifest.add_output(report_path)
 
     # predicted field/gradient curve along the imaging axis through the samples
@@ -193,7 +172,15 @@ def stage_calibrate(cfg: RunConfig, samples_path, out: Path, manifest: Manifest,
     return float(gradient)
 
 
-def stage_simulate(cfg: RunConfig, gradient: float, out: Path, manifest: Manifest, args) -> Path:
+def stage_simulate(
+    cfg: RunConfig, calibrated: float | None, out: Path, manifest: Manifest, args
+) -> Path:
+    """Run the sweep at the gradient per mA at the NV: the calibrated value,
+    else the config's gradient_per_ma_g_per_um, else the wire's."""
+    gradient, _ = _resolve_gradient_per_ma(
+        cfg.nv, cfg.plan, cfg.wire, cfg.nv_axis,
+        cfg.gradient_per_ma if calibrated is None else calibrated,
+    )
     record = run_sweep(cfg.plan, cfg.nv, gradient_per_ma=gradient)
     record_path = out / "record.csv"
     sidecar = save_record(record, record_path)
@@ -236,32 +223,28 @@ def stage_reconstruct(
         for kv, sv in zip(record.k_values, record.signals):
             writer.writerow([repr(float(kv)), repr(float(sv))])
     spec_path = plots / "plot_spec.json"
-    spec_path.write_text(
-        json.dumps(
-            {
-                "plots": [
-                    {
-                        "file": kspace_plot.name,
-                        "x": "k_per_nm",
-                        "y": "signal",
-                        "xlabel": "K (1/nm)",
-                        "ylabel": "normalized echo signal",
-                        "title": "K-space record",
-                    },
-                    {
-                        "file": f"../{profile_path.name}",
-                        "x": "x_nm",
-                        "y": "amplitude",
-                        "xlabel": "x (nm)",
-                        "ylabel": "amplitude",
-                        "title": "real-space localization",
-                    },
-                ]
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    write_json(
+        spec_path,
+        {
+            "plots": [
+                {
+                    "file": kspace_plot.name,
+                    "x": "k_per_nm",
+                    "y": "signal",
+                    "xlabel": "K (1/nm)",
+                    "ylabel": "normalized echo signal",
+                    "title": "K-space record",
+                },
+                {
+                    "file": f"../{profile_path.name}",
+                    "x": "x_nm",
+                    "y": "amplitude",
+                    "xlabel": "x (nm)",
+                    "ylabel": "amplitude",
+                    "title": "real-space localization",
+                },
+            ]
+        },
     )
     for p in (kspace_plot, spec_path):
         manifest.add_output(p)
@@ -296,8 +279,9 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args, **ove
     report = full_sensitivity_report(
         alpha, beta, sigma_s, evolution, n_averages, cfg.time_convention
     )
+    doc = to_plain(report)
     path = out / "sensitivity.json"
-    path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     manifest.add_output(path)
     manifest.derived["sensitivity"] = {
         "eta_ut_per_sqrt_hz": report.eta_ut_per_sqrt_hz,
@@ -308,7 +292,7 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args, **ove
         f"eta = {report.eta_ut_per_sqrt_hz:.4f} uT/sqrt(Hz), "
         f"deviation after {n_averages} averages = {report.deviation_nt:.3f} nT",
     )
-    return report.to_dict()
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +318,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, cfg)
     manifest = Manifest(cfg)
     with manifest.stage("simulate"):
-        gradient = _resolve_gradient(cfg)
-        stage_simulate(cfg, gradient, out, manifest, args)
+        stage_simulate(cfg, None, out, manifest, args)
     manifest.write(out / "manifest.json")
     return 0
 
@@ -404,8 +387,7 @@ def cmd_run_all(args) -> int:
         with manifest.stage("calibrate"):
             calibrated = stage_calibrate(cfg, cfg.calibration_csv, out, manifest, args)
     with manifest.stage("simulate"):
-        gradient = _resolve_gradient(cfg, calibrated)
-        record_path = stage_simulate(cfg, gradient, out, manifest, args)
+        record_path = stage_simulate(cfg, calibrated, out, manifest, args)
     with manifest.stage("reconstruct"):
         stage_reconstruct(cfg, record_path, out, manifest, args)
     with manifest.stage("sensitivity"):

@@ -1,19 +1,28 @@
 """Run configuration: YAML loading, validation and canonical form.
 
 The config file is a nested YAML mapping (see configs/default_run.yaml for
-the annotated example).  Loading validates every value through the domain
-types, fills documented defaults, rejects unknown keys with their full path,
-and produces a canonical dict whose SHA-256 is the run's config hash.
+the annotated example).  Each section fills the fields of one dataclass,
+named in ``_SECTIONS`` with any key renames; the accepted keys, which of
+them are required, their defaults and their types are read from that
+dataclass's declaration.  Loading rejects unknown keys with their full path,
+holds every leaf to its declared type (``_convert``), and lets the domain
+types check their own invariants.  The canonical form of a loaded config
+(``RunConfig.resolved``) is serialized from the typed objects, and its
+SHA-256 is the run's config hash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
-import math
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .acquisition import (
@@ -22,143 +31,59 @@ from .acquisition import (
     DriftModel,
     make_undersampling_mask,
 )
-from .errors import ConfigError, ConfigParseError, NvFourierError, ValidationError
+from .errors import ConfigError, ConfigParseError, ValidationError
 from .field_model import MicrowireModel, NvAxis
+from .metrology import TIME_CONVENTIONS
+from .reconstruction import WINDOWS
+from .serialize import to_plain
 from .spin_dynamics import EchoSequence, GradientWaveform, NvCenter
-
-# the reference demonstration: 2tau = 500 us sweep to K_max = 2.2834 1/nm
-# with a calibrated single-lobe sine drive (efficiency w = 2a/pi = 0.50031)
-DEFAULT_SINE_ACTIVE_FRACTION = 0.78587993
-
-_SCHEMA = {
-    "nv": {
-        "position_um": list,
-        "t2_us": float,
-        "stretch_p": float,
-        "contrast_alpha": float,
-        "yield_beta": float,
-    },
-    "nv_axis": list,
-    "wire": {
-        "anchor_um": list,
-        "direction": list,
-        "current_ma": float,
-        "polarity": int,
-    },
-    "gradient_per_ma_g_per_um": float,
-    "calibration_csv": str,
-    "sequence": {
-        "total_time_us": float,
-        "pi_pulse_time_us": float,
-        "sync_offset_us": float,
-        "pi_fidelity": float,
-    },
-    "waveform": {
-        "shape": str,
-        "period_us": float,
-        "active_fraction": float,
-        "antisymmetric": bool,
-    },
-    "plan": {
-        "i_max_ma": float,
-        "n_points": int,
-        "shots_per_point": int,
-        "shot_noise": bool,
-        "seed": int,
-        "mask": {
-            "strategy": str,
-            "stride": int,
-            "blocks": int,
-            "block_width": int,
-        },
-    },
-    "drift": {
-        "linear_rate_nm_per_hour": float,
-        "random_walk_sigma_nm_per_sqrt_hour": float,
-        "temperature_coupling_nm_per_k": float,
-        "temperature_amplitude_k": float,
-        "temperature_period_hours": float,
-    },
-    "current_noise": {
-        "relative_amplitude": float,
-        "modulation_frequency_cycles": float,
-        "white_sigma": float,
-    },
-    "imaging": {
-        "origin_um": list,
-        "axis": list,
-    },
-    "reconstruction": {
-        "window": str,
-        "zero_pad_factor": int,
-    },
-    "sensitivity": {
-        "sigma_s": float,
-        "time_convention": str,
-    },
-    "output_dir": str,
-}
-
-_DEFAULTS = {
-    "nv": {"stretch_p": 1.0},
-    "sequence": {"pi_pulse_time_us": None, "sync_offset_us": 0.0, "pi_fidelity": 1.0},
-    "waveform": {
-        "shape": "sine",
-        "period_us": None,
-        "active_fraction": DEFAULT_SINE_ACTIVE_FRACTION,
-        "antisymmetric": True,
-    },
-    "plan": {
-        "shots_per_point": 1_000_000,
-        "shot_noise": False,
-        "seed": 20240901,
-        "mask": {"strategy": "full"},
-    },
-    "drift": {},
-    "current_noise": {},
-    "imaging": {"axis": [1.0, 0.0, 0.0]},
-    "reconstruction": {"window": "none", "zero_pad_factor": 4},
-    "sensitivity": {"sigma_s": 0.06, "time_convention": "total"},
-    "output_dir": "out",
-}
-
-
-def _check_unknown_keys(data: dict, schema: dict, path: str = "") -> None:
-    for key, value in data.items():
-        here = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown key '{key}' at {here}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"expected a mapping at {here}")
-            _check_unknown_keys(value, sub, here)
-
-
-def _merged(section: str, data: dict) -> dict:
-    out = dict(_DEFAULTS.get(section, {}))
-    out.update(data.get(section) or {})
-    return out
 
 
 @dataclass(eq=False)
 class RunConfig:
-    """Fully validated, default-filled run configuration."""
+    """Fully validated, default-filled run configuration.
+
+    ``calibration_csv`` is the path to open: relative paths in a config file
+    are resolved against the file's directory.  The canonical form keeps
+    ``calibration_csv_as_written``, so the hash does not depend on where the
+    config file sits.
+    """
 
     nv: NvCenter
     nv_axis: NvAxis
-    wire: MicrowireModel | None
-    gradient_per_ma: float | None
-    calibration_csv: str | None
     plan: AcquisitionPlan
-    recon_window: str
-    zero_pad_factor: int
-    sigma_s: float
-    time_convention: str
-    output_dir: str
-    resolved: dict
+    wire: MicrowireModel | None = None
+    gradient_per_ma: float | None = None
+    calibration_csv_as_written: str | None = None
+    calibration_csv: str | None = None
+    recon_window: str = "none"
+    zero_pad_factor: int = 4
+    sigma_s: float = 0.06
+    time_convention: str = "total"
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        if self.gradient_per_ma is not None and not self.gradient_per_ma > 0:
+            raise ConfigError("gradient_per_ma_g_per_um: must be > 0")
+        if self.recon_window not in WINDOWS:
+            raise ConfigError(f"reconstruction: window must be one of {WINDOWS}")
+        if self.zero_pad_factor < 1:
+            raise ConfigError("reconstruction: zero_pad_factor must be >= 1")
+        if not self.sigma_s > 0:
+            raise ConfigError("sensitivity: sigma_s must be > 0")
+        if self.time_convention not in TIME_CONVENTIONS:
+            raise ConfigError(f"sensitivity: time_convention must be one of {TIME_CONVENTIONS}")
+
+    @property
+    def resolved(self) -> dict:
+        """Canonical form: each top-level YAML key with its resolved value."""
+        doc = {}
+        for section, (_, path, _) in _SECTIONS.items():
+            if "." in section:
+                continue  # the mask settings are input only: plan's "mask" echoes the indices
+            obj = functools.reduce(getattr, path.split("."), self) if path else self
+            doc[section] = section_doc(section, obj)
+        return doc
 
     @property
     def config_hash(self) -> str:
@@ -167,226 +92,212 @@ class RunConfig:
         ).hexdigest()
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section or section[key] is None:
-        raise ConfigError(f"missing required key {where}.{key}")
-    return section[key]
+# YAML section -> (the dataclass or function it fills, the attribute path of
+# the built object on RunConfig, {YAML key: field}).  None takes every field
+# under its own name; a single field name means the top-level YAML value is
+# that field.  "plan.mask" is the mapping under plan's "mask" key.
+_SECTIONS = {
+    "nv": (NvCenter, "nv", None),
+    "nv_axis": (NvAxis, "nv_axis", "orientation"),
+    "wire": (
+        MicrowireModel,
+        "wire",
+        {"anchor_um": "anchor_point_um", "direction": "direction",
+         "current_ma": "current_ma", "polarity": "polarity"},
+    ),
+    "gradient_per_ma_g_per_um": (RunConfig, "", "gradient_per_ma"),
+    "calibration_csv": (RunConfig, "", "calibration_csv_as_written"),
+    "sequence": (EchoSequence, "plan.sequence", None),
+    "waveform": (GradientWaveform, "plan.waveform_template", None),
+    "plan": (
+        AcquisitionPlan,
+        "plan",
+        {key: key for key in ("i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed", "mask")},
+    ),
+    "plan.mask": (
+        make_undersampling_mask,
+        None,
+        {key: key for key in ("strategy", "stride", "blocks", "block_width")},
+    ),
+    "drift": (DriftModel, "plan.drift", None),
+    "current_noise": (CurrentNoiseModel, "plan.current_noise", None),
+    "imaging": (AcquisitionPlan, "plan", {"origin_um": "origin_um", "axis": "imaging_axis"}),
+    "reconstruction": (
+        RunConfig, "", {"window": "recon_window", "zero_pad_factor": "zero_pad_factor"}
+    ),
+    "sensitivity": (RunConfig, "", {"sigma_s": "sigma_s", "time_convention": "time_convention"}),
+    "output_dir": (RunConfig, "", "output_dir"),
+}
+
+_REQUIRED = inspect.Parameter.empty
+_MAX_FLOAT = sys.float_info.max
+
+
+@functools.cache
+def _declared(builder) -> dict:
+    """Field name -> (type, default) of a dataclass or function; a required
+    field's default is ``_REQUIRED``."""
+    hints = typing.get_type_hints(builder)
+    return {
+        name: (hints[name], param.default)
+        for name, param in inspect.signature(builder).parameters.items()
+    }
+
+
+def _keys(section: str) -> dict:
+    """YAML key -> field name of a mapping section."""
+    builder, _, keys = _SECTIONS[section]
+    return {name: name for name in _declared(builder)} if keys is None else keys
+
+
+def key_tree(section: str | None = None) -> dict:
+    """The accepted YAML keys: each maps to its own key tree, or None for a leaf."""
+    if section is None:
+        names = [name for name in _SECTIONS if "." not in name]
+        return {name: None if isinstance(_SECTIONS[name][2], str) else key_tree(name) for name in names}
+    return {
+        key: key_tree(f"{section}.{key}") if f"{section}.{key}" in _SECTIONS else None
+        for key in _keys(section)
+    }
+
+
+def _check_keys(data: dict, tree: dict, path: str = "") -> None:
+    for key, value in data.items():
+        here = f"{path}.{key}" if path else str(key)
+        if key not in tree:
+            raise ConfigError(f"unknown key '{key}' at {here}")
+        if tree[key] is not None and value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{here}: expected a mapping")
+            _check_keys(value, tree[key], here)
+
+
+def section_doc(section: str, obj):
+    """The YAML form of ``obj``, the object a section builds (None stays None)."""
+    keys = _SECTIONS[section][2]
+    if obj is None:
+        return None
+    if isinstance(keys, str):
+        return to_plain(getattr(obj, keys))
+    return {key: to_plain(getattr(obj, name)) for key, name in _keys(section).items()}
+
+
+def _finite_real(value) -> bool:
+    # the bound compares exactly, so a huge int cannot overflow and NaN fails
+    return type(value) in (int, float) and -_MAX_FLOAT <= value <= _MAX_FLOAT
+
+
+def _convert(label: str, value, hint):
+    """``value`` held to a field's declared type.
+
+    float: a finite real number, not a bool; int: an integral finite number,
+    not a bool; bool: a YAML bool; str: a string; a 3-vector (np.ndarray): a
+    list of three finite real numbers, which the dataclass turns into its
+    array; ``X | None`` also takes null.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    if hint is float and _finite_real(value):
+        return float(value)
+    if hint is int and _finite_real(value) and (type(value) is int or value.is_integer()):
+        return int(value)
+    if hint is bool and type(value) is bool or hint is str and isinstance(value, str):
+        return value
+    if hint is np.ndarray and isinstance(value, list) and len(value) == 3:
+        if all(_finite_real(v) for v in value):
+            return [float(v) for v in value]
+    kind = {
+        float: "a finite number",
+        int: "an integer",
+        bool: "true or false",
+        str: "a string",
+        np.ndarray: "a list of 3 finite numbers",
+    }[hint]
+    raise ConfigError(f"{label} must be {kind}, got {value!r}")
+
+
+def _values(data: dict, section: str, derived=()) -> dict:
+    """Field values of one section, typed, with defaults for absent keys.
+
+    Fields named in ``derived`` may be absent or null (None) whatever their
+    declared type: the caller works them out from the other values.  A key
+    that is a section of its own is left to that section.
+    """
+    builder, _, keys = _SECTIONS[section]
+    if isinstance(keys, str):  # a top-level leaf
+        raw, keys = ({section: data[section]} if section in data else {}), {section: keys}
+    else:
+        raw = data
+        for part in section.split("."):
+            raw = raw.get(part) or {}
+        keys = {key: name for key, name in _keys(section).items() if f"{section}.{key}" not in _SECTIONS}
+    declared = _declared(builder)
+    values = {}
+    for key, name in keys.items():  # every given value is checked before a missing key
+        if key in raw:
+            hint = declared[name][0] | None if name in derived else declared[name][0]
+            label = f"{section}:" if key == section else f"{section}: {key}"
+            values[name] = _convert(label, raw[key], hint)
+    for key, name in keys.items():
+        if name not in values:
+            default = None if name in derived else declared[name][1]
+            if default is _REQUIRED:
+                raise ConfigError(f"{section}: missing required key {key}")
+            values[name] = default
+    return values
+
+
+def _build(section: str, values: dict):
+    """Construct a section's object, naming the section in a domain error."""
+    try:
+        return _SECTIONS[section][0](**values)
+    except ValidationError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     """Validate a raw config mapping and construct the typed RunConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _check_unknown_keys(data, _SCHEMA)
+    _check_keys(data, key_tree())
 
-    def wrap(section: str, fn):
-        try:
-            return fn()
-        except ValidationError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-        except NvFourierError:
-            raise
-        except (ValueError, TypeError) as exc:  # e.g. float('abc') on a leaf value
-            raise ConfigError(f"{section}: {exc}") from exc
-
-    nv_raw = _merged("nv", data)
-    nv = wrap(
-        "nv",
-        lambda: NvCenter(
-            position_um=_require(nv_raw, "position_um", "nv"),
-            t2_us=float(_require(nv_raw, "t2_us", "nv")),
-            contrast_alpha=float(_require(nv_raw, "contrast_alpha", "nv")),
-            yield_beta=float(_require(nv_raw, "yield_beta", "nv")),
-            stretch_p=float(nv_raw.get("stretch_p", 1.0)),
-        ),
+    nv = _build("nv", _values(data, "nv"))
+    nv_axis = _build("nv_axis", _values(data, "nv_axis"))
+    wire = None if data.get("wire") is None else _build("wire", _values(data, "wire"))
+    sequence = _build("sequence", _values(data, "sequence"))
+    waveform = _values(data, "waveform", derived=("period_us",))
+    if waveform["period_us"] is None:
+        # one half-sine lobe filling the active window of each echo half
+        waveform["period_us"] = waveform["active_fraction"] * sequence.total_time_us
+    plan = _values(data, "plan")
+    mask = _build("plan.mask", {"n_points": plan["n_points"], **_values(data, "plan.mask")})
+    plan = _build(
+        "plan",
+        {
+            **plan,
+            **_values(data, "imaging"),
+            "sequence": sequence,
+            "waveform_template": _build("waveform", waveform),
+            "mask": mask,
+            "drift": _build("drift", _values(data, "drift")),
+            "current_noise": _build("current_noise", _values(data, "current_noise")),
+        },
     )
-    if "nv_axis" not in data or data["nv_axis"] is None:
-        raise ConfigError("missing required key nv_axis")
-    nv_axis = wrap("nv_axis", lambda: NvAxis(orientation=data["nv_axis"]))
 
-    wire = None
-    if data.get("wire") is not None:
-        w = data["wire"]
-        wire = wrap(
-            "wire",
-            lambda: MicrowireModel(
-                anchor_point_um=_require(w, "anchor_um", "wire"),
-                direction=_require(w, "direction", "wire"),
-                current_ma=float(_require(w, "current_ma", "wire")),
-                polarity=int(w.get("polarity", 1)),
-            ),
-        )
-
-    gradient_per_ma = data.get("gradient_per_ma_g_per_um")
-    if gradient_per_ma is not None:
-        gradient_per_ma = wrap("gradient_per_ma_g_per_um", lambda: float(gradient_per_ma))
-        if not (math.isfinite(gradient_per_ma) and gradient_per_ma > 0):
-            raise ConfigError("gradient_per_ma_g_per_um: must be finite and > 0")
-
-    calibration_csv = data.get("calibration_csv")
+    settings = {}
+    for section, (builder, _, _) in _SECTIONS.items():
+        if builder is RunConfig:
+            settings.update(_values(data, section))
+    calibration_csv = settings["calibration_csv_as_written"]
     if calibration_csv is not None and base_dir is not None:
         p = Path(calibration_csv)
         if not p.is_absolute():
             calibration_csv = str((base_dir / p).resolve())
-
-    seq_raw = _merged("sequence", data)
-    pi_t = seq_raw.get("pi_pulse_time_us")
-    sequence = wrap(
-        "sequence",
-        lambda: EchoSequence(
-            total_time_us=float(_require(seq_raw, "total_time_us", "sequence")),
-            pi_pulse_time_us=None if pi_t is None else float(pi_t),
-            sync_offset_us=float(seq_raw.get("sync_offset_us", 0.0)),
-            pi_fidelity=float(seq_raw.get("pi_fidelity", 1.0)),
-        ),
-    )
-
-    wf_raw = _merged("waveform", data)
-    active_fraction = wrap(
-        "waveform", lambda: float(wf_raw.get("active_fraction", DEFAULT_SINE_ACTIVE_FRACTION))
-    )
-    period = wf_raw.get("period_us")
-    if period is None:
-        # one half-sine lobe filling the active window of each echo half
-        period = active_fraction * sequence.total_time_us
-    waveform = wrap(
-        "waveform",
-        lambda: GradientWaveform(
-            shape=str(wf_raw.get("shape", "sine")),
-            period_us=float(period),
-            active_fraction=active_fraction,
-            antisymmetric=bool(wf_raw.get("antisymmetric", True)),
-        ),
-    )
-
-    plan_raw = _merged("plan", data)
-    mask_raw = dict(_DEFAULTS["plan"]["mask"])
-    mask_raw.update(plan_raw.get("mask") or {})
-    n_points = wrap("plan", lambda: int(_require(plan_raw, "n_points", "plan")))
-    mask = wrap(
-        "plan.mask",
-        lambda: make_undersampling_mask(
-            n_points,
-            strategy=str(mask_raw.get("strategy", "full")),
-            stride=mask_raw.get("stride"),
-            blocks=mask_raw.get("blocks"),
-            block_width=mask_raw.get("block_width"),
-        ),
-    )
-
-    drift = wrap("drift", lambda: DriftModel(**_merged("drift", data)))
-    current_noise = wrap("current_noise", lambda: CurrentNoiseModel(**_merged("current_noise", data)))
-
-    imaging_raw = _merged("imaging", data)
-    plan = wrap(
-        "plan",
-        lambda: AcquisitionPlan(
-            i_max_ma=float(_require(plan_raw, "i_max_ma", "plan")),
-            n_points=n_points,
-            sequence=sequence,
-            waveform_template=waveform,
-            mask=mask,
-            shots_per_point=int(plan_raw.get("shots_per_point", 1_000_000)),
-            shot_noise=bool(plan_raw.get("shot_noise", False)),
-            seed=int(plan_raw.get("seed", 0)),
-            drift=drift,
-            current_noise=current_noise,
-            origin_um=_require(imaging_raw, "origin_um", "imaging"),
-            imaging_axis=imaging_raw.get("axis", [1.0, 0.0, 0.0]),
-        ),
-    )
-
-    recon_raw = _merged("reconstruction", data)
-    recon_window = str(recon_raw.get("window", "none"))
-    if recon_window not in ("none", "hann"):
-        raise ConfigError("reconstruction.window must be 'none' or 'hann'")
-    zero_pad = wrap("reconstruction", lambda: int(recon_raw.get("zero_pad_factor", 4)))
-    if zero_pad < 1:
-        raise ConfigError("reconstruction.zero_pad_factor must be >= 1")
-
-    sens_raw = _merged("sensitivity", data)
-    sigma_s = wrap("sensitivity", lambda: float(sens_raw.get("sigma_s", 0.06)))
-    if not (math.isfinite(sigma_s) and sigma_s > 0):
-        raise ConfigError("sensitivity: sigma_s must be finite and > 0")
-    time_convention = str(sens_raw.get("time_convention", "total"))
-    if time_convention not in ("total", "half"):
-        raise ConfigError("sensitivity.time_convention must be 'total' or 'half'")
-
-    output_dir = str(data.get("output_dir", _DEFAULTS["output_dir"]))
-
-    resolved = {
-        "nv": {
-            "position_um": [float(v) for v in nv.position_um],
-            "t2_us": nv.t2_us,
-            "stretch_p": nv.stretch_p,
-            "contrast_alpha": nv.contrast_alpha,
-            "yield_beta": nv.yield_beta,
-        },
-        "nv_axis": [float(v) for v in nv_axis.orientation],
-        "wire": None
-        if wire is None
-        else {
-            "anchor_um": [float(v) for v in wire.anchor_point_um],
-            "direction": [float(v) for v in wire.direction],
-            "current_ma": wire.current_ma,
-            "polarity": wire.polarity,
-        },
-        "gradient_per_ma_g_per_um": gradient_per_ma,
-        "calibration_csv": calibration_csv,
-        "sequence": {
-            "total_time_us": sequence.total_time_us,
-            "pi_pulse_time_us": sequence.pi_pulse_time_us,
-            "sync_offset_us": sequence.sync_offset_us,
-            "pi_fidelity": sequence.pi_fidelity,
-        },
-        "waveform": {
-            "shape": waveform.shape,
-            "period_us": waveform.period_us,
-            "active_fraction": waveform.active_fraction,
-            "antisymmetric": waveform.antisymmetric,
-        },
-        "plan": {
-            "i_max_ma": plan.i_max_ma,
-            "n_points": plan.n_points,
-            "shots_per_point": plan.shots_per_point,
-            "shot_noise": plan.shot_noise,
-            "seed": plan.seed,
-            "mask": list(plan.mask),
-        },
-        "drift": {
-            "linear_rate_nm_per_hour": drift.linear_rate_nm_per_hour,
-            "random_walk_sigma_nm_per_sqrt_hour": drift.random_walk_sigma_nm_per_sqrt_hour,
-            "temperature_coupling_nm_per_k": drift.temperature_coupling_nm_per_k,
-            "temperature_amplitude_k": drift.temperature_amplitude_k,
-            "temperature_period_hours": drift.temperature_period_hours,
-        },
-        "current_noise": {
-            "relative_amplitude": current_noise.relative_amplitude,
-            "modulation_frequency_cycles": current_noise.modulation_frequency_cycles,
-            "white_sigma": current_noise.white_sigma,
-        },
-        "imaging": {
-            "origin_um": [float(v) for v in plan.origin_um],
-            "axis": [float(v) for v in plan.imaging_axis],
-        },
-        "reconstruction": {"window": recon_window, "zero_pad_factor": zero_pad},
-        "sensitivity": {"sigma_s": sigma_s, "time_convention": time_convention},
-        "output_dir": output_dir,
-    }
-
     return RunConfig(
-        nv=nv,
-        nv_axis=nv_axis,
-        wire=wire,
-        gradient_per_ma=gradient_per_ma,
-        calibration_csv=calibration_csv,
-        plan=plan,
-        recon_window=recon_window,
-        zero_pad_factor=zero_pad,
-        sigma_s=sigma_s,
-        time_convention=time_convention,
-        output_dir=output_dir,
-        resolved=resolved,
+        nv=nv, nv_axis=nv_axis, plan=plan, wire=wire, calibration_csv=calibration_csv, **settings
     )
 
 

@@ -50,6 +50,13 @@ def _vec3(v, name: str, stack: bool = False) -> np.ndarray:
     return arr
 
 
+def _check_finite(obj, *names: str) -> None:
+    """Raise ValidationError for the first named field of ``obj`` that is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValidationError(f"{name} must be finite")
+
+
 def _unit3(v, name: str) -> np.ndarray:
     arr = _vec3(v, name)
     norm = float(np.linalg.norm(arr))
@@ -217,19 +224,6 @@ class WireFitReport:
     iterations: int = 0
     converged: bool = False
     message: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "standoff_shift_um": self.standoff_shift_um,
-            "current_scale": self.current_scale,
-            "standoff_axis": [float(v) for v in self.standoff_axis],
-            "uncertainties": dict(self.uncertainties),
-            "residuals_mhz": [float(r) for r in self.residuals_mhz],
-            "rss": self.rss,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "message": self.message,
-        }
 
 
 def _standoff_axis(guess: MicrowireModel, positions: list[np.ndarray]) -> np.ndarray:

@@ -40,20 +40,6 @@ class SensitivityReport:
     total_time_s: float | None = None
     deviation_nt: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "slope_inverse_g": self.slope_inverse_g,
-            "eta_ut_per_sqrt_hz": self.eta_ut_per_sqrt_hz,
-            "sigma_s": self.sigma_s,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "evolution_time_us": self.evolution_time_us,
-            "time_convention": self.time_convention,
-            "n_averages": self.n_averages,
-            "total_time_s": self.total_time_s,
-            "deviation_nt": self.deviation_nt,
-        }
-
 
 def pixel_resolution(k_max_per_nm: float) -> float:
     """Real-space pixel (nm) set by the largest acquired K: 1/(2*K_max)."""

@@ -23,10 +23,10 @@ that ``disambiguate_alias`` unfolds against a coarse full prescan.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     NonUniformKError,
     ValidationError,
 )
+from .serialize import to_plain, write_json
 
 WINDOWS = ("none", "hann")
 
@@ -93,6 +94,8 @@ class RealSpaceProfile:
 class PeakFit:
     """Lorentzian peak parameters: A*w^2/((x-x0)^2+w^2) + c, fwhm = 2w."""
 
+    model: ClassVar[str] = "lorentzian"
+
     center_nm: float
     fwhm_nm: float
     amplitude: float
@@ -100,21 +103,12 @@ class PeakFit:
     uncertainties: dict = field(default_factory=dict)
     residual_norm: float = float("nan")
 
-    def to_dict(self) -> dict:
-        return {
-            "model": "lorentzian",
-            "center_nm": self.center_nm,
-            "fwhm_nm": self.fwhm_nm,
-            "amplitude": self.amplitude,
-            "offset": self.offset,
-            "uncertainties": dict(self.uncertainties),
-            "residual_norm": self.residual_norm,
-        }
-
 
 @dataclass
 class CosineFit:
     """Cosine fit of a raw K sweep: A*cos(2*pi*f*I + phi) + c in current."""
+
+    model: ClassVar[str] = "cosine"
 
     frequency_per_ma: float
     phase_rad: float
@@ -123,18 +117,6 @@ class CosineFit:
     implied_position_nm: float
     uncertainties: dict = field(default_factory=dict)
     residual_norm: float = float("nan")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": "cosine",
-            "frequency_per_ma": self.frequency_per_ma,
-            "phase_rad": self.phase_rad,
-            "amplitude": self.amplitude,
-            "offset": self.offset,
-            "implied_position_nm": self.implied_position_nm,
-            "uncertainties": dict(self.uncertainties),
-            "residual_norm": self.residual_norm,
-        }
 
 
 def curve_fit(model, xdata, ydata, p0, jac):
@@ -265,8 +247,10 @@ def fourier_reconstruct(
 ) -> RealSpaceProfile:
     """Cosine-transform magnitude profile of a K-space record.
 
-    ``window`` tapers the K aperture ('hann' suppresses transform sidelobes
-    at the cost of a wider main lobe -- useful for sideband hunting);
+    ``window`` tapers the K aperture ('hann' suppresses the far transform
+    sidelobes -- useful for sideband hunting -- but, with no quadrature
+    channel, leaves nulls at +-1 pixel and shoulders of half the peak height
+    at +-1.5-2 pixels around the peak rather than a wider main lobe);
     ``zero_pad_factor`` refines the output grid by that integer factor
     without changing the underlying resolution.
     """
@@ -586,4 +570,4 @@ def save_profile_csv(profile: RealSpaceProfile, path) -> None:
 def save_fit_json(fit, path) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(p, {"model": fit.model, **to_plain(fit)})

@@ -30,15 +30,19 @@ accumulated rounding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import GAMMA_CYC_MHZ_PER_G, NM_TO_UM
 from .errors import ValidationError
-from .field_model import _unit3, _vec3
+from .field_model import _check_finite, _unit3, _vec3
 
 WAVEFORM_SHAPES = ("sine", "rectangular")
+
+# the reference demonstration: 2tau = 500 us sweep to K_max = 2.2834 1/nm
+# with a calibrated single-lobe sine drive (efficiency w = 2a/pi = 0.50031)
+DEFAULT_SINE_ACTIVE_FRACTION = 0.78587993
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,24 +73,23 @@ class GradientWaveform:
 
     active_fraction is the fraction of each echo half occupied by the drive;
     the remainder is a gap.  period_us is the sine period (ignored for
-    rectangular).  amplitude_current_ma sets the physical drive amplitude.
+    rectangular).  The defaults are the reference antisymmetric single-lobe
+    sine drive.
     """
 
-    shape: str
-    period_us: float
-    active_fraction: float = 1.0
-    amplitude_current_ma: float = 1.0
+    shape: str = "sine"
+    period_us: float = field(kw_only=True)
+    active_fraction: float = DEFAULT_SINE_ACTIVE_FRACTION
     antisymmetric: bool = True
 
     def __post_init__(self):
         if self.shape not in WAVEFORM_SHAPES:
             raise ValidationError(f"shape must be one of {WAVEFORM_SHAPES}, got {self.shape!r}")
+        _check_finite(self, "period_us")
         if not self.period_us > 0:
             raise ValidationError("period_us must be > 0")
         if not 0.0 < self.active_fraction <= 1.0:
             raise ValidationError("active_fraction must be in (0, 1]")
-        if self.amplitude_current_ma < 0:
-            raise ValidationError("amplitude_current_ma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,7 @@ class EchoSequence:
     pi_fidelity: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "total_time_us", "sync_offset_us")
         if not self.total_time_us > 0:
             raise ValidationError("total_time_us must be > 0")
         if self.pi_pulse_time_us is None:

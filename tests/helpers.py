@@ -9,7 +9,7 @@ deliberately different code path from the FFT-based implementation.
 import numpy as np
 
 import nvfourier as nf
-from nvfourier.config import DEFAULT_SINE_ACTIVE_FRACTION
+from nvfourier.spin_dynamics import DEFAULT_SINE_ACTIVE_FRACTION
 
 REF_TOTAL_TIME_US = 500.0
 REF_I_MAX_MA = 10.0

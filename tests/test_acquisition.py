@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,20 @@ class TestDrift:
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValidationError):
             nf.drift_trajectory(nf.DriftModel(), [-1.0])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(nf.DriftModel)])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            nf.DriftModel(**{name: value})
+
+
+class TestCurrentNoise:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(nf.CurrentNoiseModel)])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            nf.CurrentNoiseModel(**{name: value})
 
 
 class TestRunSweep:

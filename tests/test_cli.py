@@ -1,17 +1,74 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
 import yaml
 
+from nvfourier import errors
 from nvfourier.cli import Manifest, main
-from nvfourier.config import load_config
+from nvfourier.config import key_tree, load_config
 from nvfourier.errors import ConfigError, ConfigParseError
 
 from helpers import minimal_config_dict
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
+
+KNOWN_CODES = {
+    cls.code
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.NvFourierError)
+} | {"file-not-found"}
+
+# the keys the config accepted before the schema was derived from the dataclasses
+ACCEPTED_KEYS = {
+    "nv": dict.fromkeys(["position_um", "t2_us", "stretch_p", "contrast_alpha", "yield_beta"]),
+    "nv_axis": None,
+    "wire": dict.fromkeys(["anchor_um", "direction", "current_ma", "polarity"]),
+    "gradient_per_ma_g_per_um": None,
+    "calibration_csv": None,
+    "sequence": dict.fromkeys(["total_time_us", "pi_pulse_time_us", "sync_offset_us", "pi_fidelity"]),
+    "waveform": dict.fromkeys(["shape", "period_us", "active_fraction", "antisymmetric"]),
+    "plan": {
+        **dict.fromkeys(["i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed"]),
+        "mask": dict.fromkeys(["strategy", "stride", "blocks", "block_width"]),
+    },
+    "drift": dict.fromkeys([
+        "linear_rate_nm_per_hour", "random_walk_sigma_nm_per_sqrt_hour",
+        "temperature_coupling_nm_per_k", "temperature_amplitude_k", "temperature_period_hours",
+    ]),
+    "current_noise": dict.fromkeys(["relative_amplitude", "modulation_frequency_cycles", "white_sigma"]),
+    "imaging": dict.fromkeys(["origin_um", "axis"]),
+    "reconstruction": dict.fromkeys(["window", "zero_pad_factor"]),
+    "sensitivity": dict.fromkeys(["sigma_s", "time_convention"]),
+    "output_dir": None,
+}
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+DEFAULT_DATA = yaml.safe_load(DEFAULT_CONFIG.read_text())
+DEFAULT_LEAVES = dict(_leaves(DEFAULT_DATA))
+# YAML text of each bad value
+BAD_VALUES = ["abc", "true", "1.5", "[1, 2]", ".nan", ".inf", "-.inf", "null"]
+
+
+def _well_typed(reference, value) -> bool:
+    """Whether ``value`` has the type of a numeric or bool leaf whose value in
+    default_run.yaml is ``reference`` (null there stands for an optional float)."""
+    if isinstance(reference, list):
+        return isinstance(value, list) and len(value) == 3
+    if reference is None:
+        return value is None or type(value) is float and math.isfinite(value)
+    return type(value) is type(reference) and (type(value) is not float or math.isfinite(value))
 
 
 def write_config(tmp_path, data, name="run.yaml"):
@@ -66,6 +123,14 @@ class TestLoadConfig:
         assert cfg.wire is not None
         assert cfg.calibration_csv.endswith("calibration_samples.csv")
 
+    def test_accepted_keys_unchanged(self):
+        assert key_tree() == ACCEPTED_KEYS
+
+    def test_calibration_csv_opens_absolute_and_hashes_as_written(self, tmp_path):
+        cfg = load_config(DEFAULT_CONFIG)
+        assert cfg.calibration_csv == str(REPO / "configs" / "calibration_samples.csv")
+        assert cfg.resolved["calibration_csv"] == "calibration_samples.csv"
+
     def test_period_defaults_to_single_lobe(self, tmp_path):
         cfg = load_config(write_config(tmp_path, minimal_config_dict()))
         wf = cfg.plan.waveform_template
@@ -108,6 +173,21 @@ class TestCliCommands:
         main(["simulate", "--config", str(config), "--out", str(out1), "--quiet"])
         main(["simulate", "--config", str(config), "--out", str(out2), "--seed", "99", "--quiet"])
         assert (out1 / "record.csv").read_bytes() != (out2 / "record.csv").read_bytes()
+
+    def test_seed_flag_equals_seed_in_file(self, tmp_path):
+        flagged = write_config(tmp_path, minimal_config_dict(), "flagged.yaml")
+        data = minimal_config_dict()
+        data["plan"]["seed"] = 99
+        in_file = write_config(tmp_path, data, "in_file.yaml")
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["sensitivity", "--config", str(flagged), "--out", str(out1),
+                     "--seed", "99", "--quiet"]) == 0
+        assert main(["sensitivity", "--config", str(in_file), "--out", str(out2), "--quiet"]) == 0
+        m1 = json.loads((out1 / "manifest.json").read_text())
+        m2 = json.loads((out2 / "manifest.json").read_text())
+        assert m1["seed"] == m2["seed"] == 99
+        assert m1["config"] == m2["config"]
+        assert m1["config_hash"] == m2["config_hash"]
 
     def test_negative_seed_override_is_one_line(self, tmp_path, capsys):
         data = minimal_config_dict()
@@ -182,6 +262,26 @@ class TestCliCommands:
             (None, "gradient_per_ma_g_per_um", float("inf")),
             (None, "gradient_per_ma_g_per_um", float("nan")),
             ("plan", "seed", -1),
+            pytest.param("plan", "n_points", float("inf"), id="overflow-n_points"),
+            pytest.param("plan", "shots_per_point", float("inf"), id="overflow-shots_per_point"),
+            pytest.param("plan", "seed", float("inf"), id="overflow-seed"),
+            pytest.param("reconstruction", "zero_pad_factor", float("inf"), id="overflow-zero_pad"),
+            pytest.param("wire", "polarity", float("inf"), id="overflow-polarity"),
+            pytest.param(None, "calibration_csv", 5, id="type-calibration_csv-int"),
+            pytest.param("drift", "linear_rate_nm_per_hour", "abc", id="ufunc-drift-abc"),
+            pytest.param("plan", "shot_noise", "false", id="silent-shot_noise-string"),
+            pytest.param("waveform", "antisymmetric", "no", id="silent-antisymmetric-string"),
+            pytest.param("plan", "n_points", 100.9, id="silent-n_points-fraction"),
+            pytest.param("plan", "seed", 1.5, id="silent-seed-fraction"),
+            pytest.param("plan", "i_max_ma", True, id="silent-i_max_ma-bool"),
+            pytest.param("drift", "linear_rate_nm_per_hour", float("nan"), id="silent-drift-nan"),
+            pytest.param("drift", "random_walk_sigma_nm_per_sqrt_hour", float("nan"),
+                         id="silent-random_walk-nan"),
+            pytest.param("current_noise", "relative_amplitude", float("nan"),
+                         id="silent-current_noise-nan"),
+            pytest.param("sequence", "sync_offset_us", float("nan"), id="silent-sync_offset-nan"),
+            pytest.param("waveform", "period_us", float("inf"), id="silent-period-inf"),
+            pytest.param("current_noise", "white_sigma", float("inf"), id="silent-white_sigma-inf"),
         ],
     )
     def test_non_numeric_or_infinite_value_is_one_config_line(
@@ -194,7 +294,37 @@ class TestCliCommands:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config-validation: {section or key}:")
+        assert key in err[0]
         assert not (tmp_path / "o" / "record.csv").exists()
+
+    @pytest.mark.parametrize("leaf", list(DEFAULT_LEAVES), ids=".".join)
+    def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys, leaf):
+        """Each bad value on this leaf of default_run.yaml: exit 0, or exit 1
+        with one known ``code: message`` line; a wrong-typed or non-finite
+        value on a numeric or bool leaf is a config-validation of its section."""
+        *sections, key = leaf
+        section = ".".join(sections) or key
+        reference = DEFAULT_LEAVES[leaf]
+        data = copy.deepcopy(DEFAULT_DATA)
+        parent = data
+        for part in sections:
+            parent = parent[part]
+        parent[key] = "@value"
+        # JSON is YAML: the bad value goes in as YAML text in place of the marker
+        template = json.dumps(data)
+        config = tmp_path / "run.yaml"
+        outcomes = {}
+        for text in BAD_VALUES:
+            config.write_text(template.replace('"@value"', text))
+            rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+            outcomes[text] = (rc, capsys.readouterr().err.splitlines())
+        for text, (rc, err) in outcomes.items():
+            assert rc == 0 and err == [] or rc == 1 and len(err) == 1, (text, err)
+            if rc == 1:
+                assert err[0].split(":")[0] in KNOWN_CODES, (text, err)
+            value = yaml.safe_load(text)
+            if not isinstance(reference, str) and not _well_typed(reference, value):
+                assert rc == 1 and err[0].startswith(f"config-validation: {section}:"), (text, err)
 
     def test_missing_config_flag(self, capsys):
         rc = main(["simulate"])
@@ -250,6 +380,8 @@ class TestRunAll:
         assert stage_names == ["calibrate", "simulate", "reconstruct", "sensitivity"]
         inventory = {o["path"] for o in manifest["outputs"]}
         assert any(p.endswith("record.csv") for p in inventory)
+        # the config block echoes the calibration path as written in the file
+        assert manifest["config"]["calibration_csv"] == "calibration_samples.csv"
 
     def test_data_files_bit_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -13,6 +13,7 @@ the reference run writes (the manifest holds timings and is left out).
 """
 
 import hashlib
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,6 +156,17 @@ def test_config_hash_of_minimal_config():
 def test_config_hash_of_default_config():
     data = yaml.safe_load(DEFAULT_CONFIG.read_text())
     assert build_config(data).config_hash == CONFIG_HASHES["default_run"]
+
+
+def test_config_hash_independent_of_checkout_path(tmp_path):
+    hashes = []
+    for checkout in ("a", "b/c"):
+        configs = tmp_path / checkout / "configs"
+        shutil.copytree(DEFAULT_CONFIG.parent, configs)
+        cfg = load_config(configs / DEFAULT_CONFIG.name)
+        assert cfg.calibration_csv == str((configs / "calibration_samples.csv").resolve())
+        hashes.append(cfg.config_hash)
+    assert hashes == [CONFIG_HASHES["default_run"]] * 2
 
 
 def test_run_all_output_digests(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 import nvfourier as nf
 from nvfourier.errors import ValidationError
+from nvfourier.serialize import to_plain
 
 from helpers import simulate
 
@@ -111,7 +112,7 @@ class TestFullReport:
         assert report.deviation_nt == pytest.approx(
             report.eta_ut_per_sqrt_hz * 1000.0 / math.sqrt(report.total_time_s), rel=1e-12
         )
-        doc = report.to_dict()
+        doc = to_plain(report)
         assert set(doc) >= {"eta_ut_per_sqrt_hz", "deviation_nt", "time_convention"}
 
 

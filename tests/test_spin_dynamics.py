@@ -73,6 +73,11 @@ class TestWaveform:
         with pytest.raises(ValidationError):
             nf.GradientWaveform("sine", period_us=1.0, active_fraction=1.5)
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf")])
+    def test_non_finite_period_rejected(self, period):
+        with pytest.raises(ValidationError, match="period_us must be finite"):
+            nf.GradientWaveform("sine", period_us=period)
+
 
 class TestEchoPhase:
     def test_zero_at_origin(self):
@@ -273,6 +278,16 @@ class TestSequenceValidation:
     def test_sync_offset_bound(self):
         with pytest.raises(ValidationError):
             nf.EchoSequence(total_time_us=100.0, sync_offset_us=30.0)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("sync_offset_us", float("nan")), ("sync_offset_us", float("inf")),
+         ("total_time_us", float("inf"))],
+    )
+    def test_non_finite_timing_rejected(self, field, value):
+        kwargs = {"total_time_us": 100.0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            nf.EchoSequence(**kwargs)
 
     def test_nv_validation(self):
         with pytest.raises(ValidationError):
