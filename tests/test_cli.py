@@ -126,7 +126,7 @@ class TestLoadConfig:
     def test_accepted_keys_unchanged(self):
         assert key_tree() == ACCEPTED_KEYS
 
-    def test_calibration_csv_opens_absolute_and_hashes_as_written(self, tmp_path):
+    def test_calibration_csv_opens_absolute_and_hashes_as_written(self):
         cfg = load_config(DEFAULT_CONFIG)
         assert cfg.calibration_csv == str(REPO / "configs" / "calibration_samples.csv")
         assert cfg.resolved["calibration_csv"] == "calibration_samples.csv"
