@@ -36,14 +36,13 @@ import numpy as np
 
 from .constants import GAMMA_CYC_MHZ_PER_G, NM_TO_UM
 from .errors import (
-    DataFormatError,
     EmptyMaskError,
     MetadataError,
     MissingCalibrationError,
     ValidationError,
 )
 from .field_model import MicrowireModel, NvAxis, _check_finite, _unit3, _vec3, gradient_at
-from .serialize import to_plain, write_json
+from .serialize import read_csv, to_plain, write_csv, write_json
 from .spin_dynamics import (
     EchoSequence,
     GradientWaveform,
@@ -505,15 +504,14 @@ def sidecar_path(csv_path) -> Path:
 def save_record(record: KSpaceRecord, csv_path) -> Path:
     """Write record CSV plus metadata sidecar; returns the sidecar path.
 
-    Floats are serialized with repr so that loading reproduces the arrays
-    bit-exactly.
+    The CSV reads back bit-exactly (see ``serialize.write_csv``).
     """
     p = Path(csv_path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(RECORD_CSV_COLUMNS)]
-    for row in zip(record.k_values, record.currents, record.signals, record.errors, record.t_hours):
-        lines.append(",".join(repr(float(v)) for v in row))
-    p.write_text("\n".join(lines) + "\n")
+    write_csv(
+        p, RECORD_CSV_COLUMNS,
+        record.k_values, record.currents, record.signals, record.errors, record.t_hours,
+    )
     side = sidecar_path(p)
     write_json(side, record.metadata)
     return side
@@ -530,27 +528,4 @@ def load_record(csv_path) -> KSpaceRecord:
         metadata = json.loads(side.read_text())
     except json.JSONDecodeError as exc:
         raise MetadataError(f"{side}: {exc}") from exc
-    rows = p.read_text().strip().splitlines()
-    if not rows:
-        raise DataFormatError(f"{p}: empty file")
-    header = [c.strip() for c in rows[0].split(",")]
-    if header != RECORD_CSV_COLUMNS:
-        raise DataFormatError(f"{p}: unexpected header {header}")
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != len(RECORD_CSV_COLUMNS):
-            raise DataFormatError(f"{p}: row {lineno}: expected {len(RECORD_CSV_COLUMNS)} fields")
-        try:
-            data.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise DataFormatError(f"{p}: row {lineno}: {exc}") from exc
-    arr = np.asarray(data, dtype=float)
-    return KSpaceRecord(
-        k_values=arr[:, 0],
-        currents=arr[:, 1],
-        signals=arr[:, 2],
-        errors=arr[:, 3],
-        t_hours=arr[:, 4],
-        metadata=metadata,
-    )
+    return KSpaceRecord(*read_csv(p, RECORD_CSV_COLUMNS).T, metadata=metadata)

@@ -17,7 +17,6 @@ Errors exit nonzero and print a single machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -42,7 +41,7 @@ from .reconstruction import (
     save_fit_json,
     save_profile_csv,
 )
-from .serialize import to_plain, write_json
+from .serialize import to_plain, write_csv, write_json
 
 ENV_OUTPUT_DIR = "NVFOURIER_OUT"
 
@@ -144,22 +143,16 @@ def stage_calibrate(cfg: RunConfig, samples_path, out: Path, manifest: Manifest,
     proj = [float(np.dot(s.position_um, e)) for s in samples]
     centroid = np.mean([s.position_um for s in samples], axis=0)
     base = centroid - float(np.dot(centroid, e)) * e
-    grid = np.linspace(min(proj), max(proj), 101)
+    points = base + np.linspace(min(proj), max(proj), 101)[:, None] * e
+    curve = [sample_field(fitted, p, cfg.nv_axis, e) for p in points]
     curve_path = out / "gradient_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_um", "y_um", "z_um", "b_G", "gradient_G_per_um", "delta_f_MHz"])
-        for t in grid:
-            p = base + t * e
-            fs = sample_field(fitted, p, cfg.nv_axis, e)
-            writer.writerow(
-                [repr(float(v)) for v in p]
-                + [
-                    repr(fs.b_projected_g),
-                    repr(fs.gradient_projected_g_per_um),
-                    repr(fs.delta_f_mhz),
-                ]
-            )
+    write_csv(
+        curve_path, ["x_um", "y_um", "z_um", "b_G", "gradient_G_per_um", "delta_f_MHz"],
+        *points.T,
+        [fs.b_projected_g for fs in curve],
+        [fs.gradient_projected_g_per_um for fs in curve],
+        [fs.delta_f_mhz for fs in curve],
+    )
     manifest.add_output(curve_path)
 
     residual_rms = float(np.sqrt(report.rss / len(samples)))
@@ -217,11 +210,7 @@ def stage_reconstruct(
     plots = out / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     kspace_plot = plots / "kspace_signal.csv"
-    with open(kspace_plot, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k_per_nm", "signal"])
-        for kv, sv in zip(record.k_values, record.signals):
-            writer.writerow([repr(float(kv)), repr(float(sv))])
+    write_csv(kspace_plot, ["k_per_nm", "signal"], record.k_values, record.signals)
     spec_path = plots / "plot_spec.json"
     write_json(
         spec_path,

@@ -13,25 +13,21 @@ projection of this field onto the NV quantum axis.
 Calibration follows the multi-NV workflow: measure the ODMR frequency shift
 of several NV centers around the wire, then least-squares fit the wire's
 standoff (along one transverse axis) and a current-scale factor so the
-predicted shifts match.  The fit is a damped Gauss-Newton (Levenberg-
-Marquardt style) iteration with an analytic Jacobian of the 1/r model.
+predicted shifts match.  The fit is the package's one Levenberg-Marquardt
+solver, ``lsq.curve_fit``, with an analytic Jacobian of the 1/r model.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import GAMMA_CYC_MHZ_PER_G, MU0_OVER_2PI_G_UM_PER_MA
-from .errors import (
-    DataFormatError,
-    GeometryError,
-    UnderDeterminedError,
-    ValidationError,
-)
+from .errors import GeometryError, UnderDeterminedError, ValidationError
+from .lsq import curve_fit
+from .serialize import read_csv, write_csv
 
 # below this perpendicular distance (um) the 1/r law is considered degenerate
 MIN_WIRE_DISTANCE_UM = 1e-6
@@ -207,6 +203,7 @@ class CalibrationSample:
 
     def __post_init__(self):
         object.__setattr__(self, "position_um", _vec3(self.position_um, "position_um"))
+        _check_finite(self, "delta_f_mhz", "sigma_mhz")
         if self.sigma_mhz <= 0.0:
             raise ValidationError("sigma_mhz must be > 0")
 
@@ -221,9 +218,8 @@ class WireFitReport:
     uncertainties: dict = field(default_factory=dict)
     residuals_mhz: list = field(default_factory=list)
     rss: float = float("nan")
-    iterations: int = 0
+    iterations: int = 0  # model evaluations of the solver
     converged: bool = False
-    message: str = ""
 
 
 def _standoff_axis(guess: MicrowireModel, positions: list[np.ndarray]) -> np.ndarray:
@@ -246,20 +242,16 @@ def calibrate_wire(
     samples: list[CalibrationSample],
     initial_guess: MicrowireModel,
     axis: NvAxis,
-    max_iterations: int = 50,
-    step_tolerance: float = 1e-10,
 ) -> tuple[MicrowireModel, WireFitReport]:
     """Fit wire standoff and current scale to measured ODMR shifts.
 
     Parameters are theta = (standoff_shift, current_scale): the anchor moves
     by ``shift`` along the transverse axis toward the sample centroid and all
-    predicted shifts scale by ``current_scale``.  Weighted least squares with
-    analytic Jacobian; damped Gauss-Newton steps; convergence when the
-    relative step drops below ``step_tolerance``.
+    predicted shifts scale by ``current_scale``.  Weighted least squares
+    (weights 1/sigma) through ``lsq.curve_fit`` with the analytic Jacobian,
+    from theta = (0, 1); non-convergence raises FitConvergenceError.
 
-    Returns the fitted wire and a report.  Non-convergence within
-    ``max_iterations`` is flagged in the report (best parameters are still
-    returned), not raised.
+    Returns the fitted wire and a report.
     """
     if len(samples) < 3:
         raise UnderDeterminedError(
@@ -281,78 +273,31 @@ def calibrate_wire(
     def model_and_jacobian(theta):
         shift, scale = theta
         w = wire_for(shift)
-        b = np.empty(len(samples))
-        dbds = np.empty(len(samples))
-        for i, p in enumerate(positions):
-            b[i] = project_on_axis(field_at(w, p), axis)
-            # moving the anchor by +ds along nhat shifts rho by -ds*nhat
-            dbds[i] = -gradient_at(w, p, axis, nhat)
+        b = np.array([project_on_axis(field_at(w, p), axis) for p in positions])
+        # moving the anchor by +ds along nhat shifts rho by -ds*nhat
+        dbds = -gradient_at(w, np.array(positions), axis, nhat)
         pred = GAMMA_CYC_MHZ_PER_G * scale * b
         jac = np.column_stack(
             [GAMMA_CYC_MHZ_PER_G * scale * dbds, GAMMA_CYC_MHZ_PER_G * b]
         )
         return pred, jac
 
-    theta = np.array([0.0, 1.0])
-    pred, jac = model_and_jacobian(theta)
+    evaluations = 0
+
+    def weighted_model(_, *theta):
+        nonlocal evaluations
+        evaluations += 1
+        return weights * model_and_jacobian(theta)[0]
+
+    def weighted_jacobian(_, *theta):
+        return weights[:, None] * model_and_jacobian(theta)[1]
+
+    theta, cov = curve_fit(
+        weighted_model, np.arange(len(samples)), weights * df_obs, [0.0, 1.0], weighted_jacobian
+    )
+    sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    pred = model_and_jacobian(theta)[0]
     resid = (pred - df_obs) * weights
-    rss = float(np.dot(resid, resid))
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    message = ""
-
-    for iterations in range(1, max_iterations + 1):
-        jw = jac * weights[:, None]
-        jtj = jw.T @ jw
-        jtr = jw.T @ resid
-        stepped = False
-        for _ in range(25):
-            damped = jtj + lam * np.diag(np.diag(jtj))
-            try:
-                delta = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + delta
-            pred_t, jac_t = model_and_jacobian(trial)
-            resid_t = (pred_t - df_obs) * weights
-            rss_t = float(np.dot(resid_t, resid_t))
-            if rss_t <= rss:
-                rel_step = float(np.max(np.abs(delta) / np.maximum(np.abs(trial), 1.0)))
-                theta, pred, jac, resid, rss = trial, pred_t, jac_t, resid_t, rss_t
-                lam = max(lam / 3.0, 1e-12)
-                stepped = True
-                if rel_step < step_tolerance:
-                    converged = True
-                break
-            lam *= 10.0
-        if converged:
-            message = f"converged in {iterations} iterations"
-            break
-        if not stepped:
-            message = "no descent step found; returning best parameters"
-            break
-    if not converged and not message:
-        message = (
-            f"residual decrease below tolerance not reached within {max_iterations} "
-            "iterations; best-so-far parameters returned"
-        )
-
-    # covariance from the weighted normal equations at the solution
-    uncertainties: dict[str, float] = {}
-    try:
-        jw = jac * weights[:, None]
-        cov = np.linalg.inv(jw.T @ jw)
-        dof = len(samples) - 2
-        s2 = rss / dof if dof > 0 else float("nan")
-        sig = np.sqrt(np.maximum(np.diag(cov) * s2, 0.0))
-        uncertainties = {
-            "standoff_shift_um": float(sig[0]),
-            "current_scale": float(sig[1]),
-        }
-    except np.linalg.LinAlgError:
-        uncertainties = {"standoff_shift_um": float("nan"), "current_scale": float("nan")}
 
     shift, scale = float(theta[0]), float(theta[1])
     fitted = wire_for(shift)
@@ -366,12 +311,11 @@ def calibrate_wire(
         standoff_shift_um=shift,
         current_scale=scale,
         standoff_axis=nhat,
-        uncertainties=uncertainties,
+        uncertainties={"standoff_shift_um": float(sig[0]), "current_scale": float(sig[1])},
         residuals_mhz=list(pred - df_obs),
-        rss=rss,
-        iterations=iterations,
-        converged=converged,
-        message=message,
+        rss=float(np.dot(resid, resid)),
+        iterations=evaluations,
+        converged=True,
     )
     return fitted, report
 
@@ -383,33 +327,15 @@ def calibrate_wire(
 
 def load_calibration_csv(path) -> list[CalibrationSample]:
     """Read calibration samples; columns x_um,y_um,z_um,delta_f_MHz,sigma_MHz."""
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file")
-        names = [n.strip() for n in reader.fieldnames]
-        missing = [c for c in CALIBRATION_CSV_COLUMNS if c not in names]
-        if missing:
-            raise DataFormatError(f"{path}: missing columns {missing}")
-        for rownum, row in enumerate(reader, start=2):
-            clean = {k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
-            try:
-                pos = [float(clean["x_um"]), float(clean["y_um"]), float(clean["z_um"])]
-                df = float(clean["delta_f_MHz"])
-                sigma = float(clean["sigma_MHz"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: row {rownum}: {exc}") from exc
-            samples.append(CalibrationSample(position_um=pos, delta_f_mhz=df, sigma_mhz=sigma))
-    return samples
+    return [
+        CalibrationSample(position_um=[x, y, z], delta_f_mhz=df, sigma_mhz=sigma)
+        for x, y, z, df, sigma in read_csv(path, CALIBRATION_CSV_COLUMNS).tolist()
+    ]
 
 
 def save_calibration_csv(path, samples: list[CalibrationSample]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CALIBRATION_CSV_COLUMNS)
-        for s in samples:
-            writer.writerow(
-                [repr(float(v)) for v in s.position_um]
-                + [repr(float(s.delta_f_mhz)), repr(float(s.sigma_mhz))]
-            )
+    positions = np.array([s.position_um for s in samples]).reshape(-1, 3)
+    write_csv(
+        path, CALIBRATION_CSV_COLUMNS, *positions.T,
+        [s.delta_f_mhz for s in samples], [s.sigma_mhz for s in samples],
+    )

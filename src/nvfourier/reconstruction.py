@@ -22,7 +22,6 @@ that ``disambiguate_alias`` unfolds against a coarse full prescan.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,29 +35,21 @@ from .errors import (
     AliasAmbiguityError,
     DegenerateFitError,
     EmptyRecordError,
-    FitConvergenceError,
     InsufficientSpanError,
     MetadataError,
     NoPeakError,
     NonUniformKError,
     ValidationError,
 )
-from .serialize import to_plain, write_json
+# both fits look curve_fit up on this module at call time, so a wrapper set
+# on reconstruction.curve_fit sees every evaluation of their models
+from .lsq import curve_fit
+from .serialize import to_plain, write_csv, write_json
 
 WINDOWS = ("none", "hann")
 
 # relative tolerance for the uniform-K-grid check
 _GRID_RTOL = 1e-9
-
-# Levenberg-Marquardt constants of curve_fit: initial damping, MINPACK's
-# default stopping tolerances, and the budget of trial steps.  A resolved
-# peak takes about ten steps; a peak narrower than the grid step (zero-pad 1,
-# or a hann profile split by its nulls at +-1 pixel) has no minimum, and the
-# fit then crawls towards a spike for hundreds of steps or more
-_LM_LAMBDA0 = 1e-3
-_LM_FTOL = 1.5e-8
-_LM_XTOL = 1.5e-8
-_LM_MAX_STEPS = 20000
 
 # residual norm, relative to the mean-subtracted signal, at or below which a
 # cosine fit counts as exact; noiseless 60-point sweeps (0.6-1.0 mA, NV at
@@ -117,74 +108,6 @@ class CosineFit:
     implied_position_nm: float
     uncertainties: dict = field(default_factory=dict)
     residual_norm: float = float("nan")
-
-
-def curve_fit(model, xdata, ydata, p0, jac):
-    """Levenberg-Marquardt least squares of ``model(xdata, *p)`` to ``ydata``.
-
-    ``jac(xdata, *p)`` is the model's (m, n) Jacobian.  Each step solves the
-    normal equations with the diagonal of JᵀJ scaled by (1 + λ); λ starts at
-    1e-3 and is divided by 10 when a step lowers the residual sum of squares
-    and multiplied by 10 when it does not.  The fit stops on MINPACK's tests:
-    an accepted step lowers the sum of squares by at most ``_LM_FTOL`` of it,
-    or a step is at most ``_LM_XTOL`` of the parameters, with step and
-    parameters both scaled by the column norms of J.  Returns ``(popt, pcov)`` with
-    pcov = inv(JᵀJ)·RSS/(m - n), infinite when m <= n or JᵀJ is singular;
-    raises FitConvergenceError when ``_LM_MAX_STEPS`` trial steps do not
-    reach a stop.
-
-    The model is called for every evaluation and both fits look this name
-    up on the module at call time, so a wrapper installed on
-    ``reconstruction.curve_fit`` sees every fit and can count evaluations.
-    """
-    x = np.asarray(xdata, dtype=float)
-    y = np.asarray(ydata, dtype=float)
-    p = np.asarray(p0, dtype=float)
-    resid = y - model(x, *p.tolist())
-    rss = float(resid @ resid)
-    lam = _LM_LAMBDA0
-    jtj = None
-    for _ in range(_LM_MAX_STEPS):
-        if jtj is None:
-            j = jac(x, *p.tolist())
-            jtj, grad = j.T @ j, j.T @ resid
-            diag = np.diag(jtj.diagonal())
-            scale = np.sqrt(jtj.diagonal())
-            scaled_p = scale * p
-            xtol_bound = _LM_XTOL**2 * (scaled_p @ scaled_p)
-        damped = jtj + lam * diag
-        try:
-            step = np.linalg.solve(damped, grad)
-        except np.linalg.LinAlgError as exc:
-            raise FitConvergenceError(f"fit normal equations are singular: {exc}") from exc
-        scaled_step = scale * step
-        small_step = scaled_step @ scaled_step <= xtol_bound
-        trial = p + step
-        trial_resid = y - model(x, *trial.tolist())
-        trial_rss = float(trial_resid @ trial_resid)
-        if trial_rss < rss:
-            small_decrease = rss - trial_rss <= _LM_FTOL * rss
-            p, resid, rss = trial, trial_resid, trial_rss
-            if small_decrease or small_step:
-                return p, _covariance(jac(x, *p.tolist()), rss)
-            lam /= 10.0
-            jtj = None
-        elif small_step:
-            return p, _covariance(j, rss)
-        else:
-            lam *= 10.0
-    raise FitConvergenceError(f"least-squares fit did not converge in {_LM_MAX_STEPS} steps")
-
-
-def _covariance(j: np.ndarray, rss: float) -> np.ndarray:
-    """inv(JᵀJ)·RSS/(m - n); infinite when m <= n or JᵀJ is singular."""
-    m, n = j.shape
-    if m > n:
-        try:
-            return np.linalg.inv(j.T @ j) * (rss / (m - n))
-        except np.linalg.LinAlgError:
-            pass
-    return np.full((n, n), np.inf)
 
 
 def lorentzian(x, amplitude, center, half_width, offset):
@@ -560,11 +483,7 @@ def sideband_analysis(
 def save_profile_csv(profile: RealSpaceProfile, path) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_nm", "amplitude"])
-        for xv, av in zip(profile.x_grid_nm, profile.amplitude):
-            writer.writerow([repr(float(xv)), repr(float(av))])
+    write_csv(p, ["x_nm", "amplitude"], profile.x_grid_nm, profile.amplitude)
 
 
 def save_fit_json(fit, path) -> None:

@@ -15,6 +15,7 @@ from helpers import minimal_config_dict
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
+CALIBRATION_CSV = REPO / "configs" / "calibration_samples.csv"
 
 KNOWN_CODES = {
     cls.code
@@ -363,6 +364,44 @@ class TestCalibrateCommand:
                    "--samples", str(short), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("under-determined:")
+
+
+# (subcommand, file, file line to change or None to keep only the header,
+# column, new cell)
+MALFORMED_INPUTS = {
+    "record-header-only": ("reconstruct", "record", None, None, None),
+    "record-nan-k": ("reconstruct", "record", 5, "k_per_nm", "nan"),
+    "record-nan-signal": ("fit-cosine", "record", 5, "signal", "nan"),
+    "calibration-nan-shift": ("calibrate", "samples", 3, "delta_f_MHz", "nan"),
+    "calibration-inf-sigma": ("calibrate", "samples", 4, "sigma_MHz", "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_one_data_format_line(tmp_path, capsys, case):
+    command, kind, line, column, cell = MALFORMED_INPUTS[case]
+    out = tmp_path / "out"
+    extra = []
+    if kind == "record":
+        assert main(["simulate", "--config", str(DEFAULT_CONFIG), "--out", str(out), "--quiet"]) == 0
+        path = out / "record.csv"
+    else:
+        path = tmp_path / "samples.csv"
+        path.write_text(CALIBRATION_CSV.read_text())
+        extra = ["--samples", str(path)]
+    lines = path.read_text().splitlines()
+    if line is None:
+        lines = lines[:1]
+    else:
+        cells = lines[line - 1].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main([command, "--config", str(DEFAULT_CONFIG), "--out", str(out), *extra, "--quiet"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"data-format: {path}: row {line or 2}: "), err
 
 
 class TestRunAll:

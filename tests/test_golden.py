@@ -137,13 +137,13 @@ CONFIG_HASHES = {
 }
 
 RUN_ALL_DIGESTS = {
-    "calibration_report.json": "14e4c94d04f220108c7bc1052b0f6442f912a716509cc2bac03d1cabe5bd79b8",
+    "calibration_report.json": "4d7b57e0d41dad23845c47eddc4e21f477e769c7100922888a856cceb616b96d",
     "peak_fit.json": "4c57bec1395d56d5f81de071cef5bc83e550d5a628cad74c0e84596a5fd75d51",
     "sensitivity.json": "93497aca41e94fa1a62aa839de00282d39c22aabaeb0949c902a38d3db66778d",
-    "profile.csv": "791f0e03a9ad47fa2f2e533867f1a00cc879fdbb3eaa8a9eb254a913979f1d1b",
-    "gradient_curve.csv": "babb29e6e81b4e6b2479de79d93abe4ba2983c88b7540b7c53ca2cbf8cd3823e",
+    "profile.csv": "cda11afe8afc451184395f629d69af6ba69e4b9cd3cd90f1317797eb6eb9c99f",
+    "gradient_curve.csv": "93fad828a1cf08d546102e62d3e121cd4b4869a1fad26a652c6df5ec13a24c98",
     "plots/plot_spec.json": "6fe7be8483d59f3ed34dfa83c86895b79a04a6e676fe47aec7e5c6dedc30889b",
-    "plots/kspace_signal.csv": "f58ad23274c226f5f0523393de5703764631cefe44d1a2c7e97ac1267b67f042",
+    "plots/kspace_signal.csv": "ed7a3cce2ea0a7e18a5d207355bbc51a897af43b078a05cb2d352de83b264508",
     "record.csv": CASES["reference"][1],
     "record.meta.json": CASES["reference"][2],
 }

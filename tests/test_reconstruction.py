@@ -12,6 +12,7 @@ from nvfourier.errors import (
     InsufficientSpanError,
     NoPeakError,
     NonUniformKError,
+    ValidationError,
 )
 from nvfourier.reconstruction import lorentzian
 
@@ -195,6 +196,29 @@ class TestCosineFit:
         })
         with pytest.raises(DegenerateFitError):
             nf.fit_cosine(record)
+
+    def test_nan_signal_fails_at_the_first_evaluation(self, monkeypatch):
+        # a record built by hand with a NaN sample: the solver refuses it at
+        # once instead of spending its step budget on a NaN residual
+        signals = np.cos(np.linspace(0.0, 6.0 * np.pi, 50))
+        signals[7] = np.nan
+        record = synthetic_record(signals, metadata={
+            "waveform_efficiency": 0.5, "tau_us": 250.0, "gradient_per_ma_g_per_um": 0.326,
+        })
+        evaluations = []
+        fit_with = reconstruction.curve_fit
+
+        def counting(model, *args, **kwargs):
+            def counted(*a, **k):
+                evaluations.append(1)
+                return model(*a, **k)
+
+            return fit_with(counted, *args, **kwargs)
+
+        monkeypatch.setattr(reconstruction, "curve_fit", counting)
+        with pytest.raises(ValidationError, match="non-finite residual"):
+            nf.fit_cosine(record)
+        assert len(evaluations) <= 1
 
     def test_exact_record_is_not_degenerate(self, monkeypatch):
         # noiseless 60-point sweep to 0.6 mA: the fit is exact; its covariance

@@ -2,9 +2,10 @@
 
 ``fourier_reconstruct`` computes its DCT-I as the real FFT of the even
 extension; numpy and scipy share pocketfft, so the profile must equal
-``scipy.fft.dct(type=1)`` bit for bit.  ``reconstruction.curve_fit`` is an
-in-house Levenberg-Marquardt solver; both fits must land where scipy's
-MINPACK ``curve_fit`` lands, with no more residual.
+``scipy.fft.dct(type=1)`` bit for bit.  ``lsq.curve_fit`` is an in-house
+Levenberg-Marquardt solver; both peak fits must land where scipy's MINPACK
+``curve_fit`` lands, with no more residual, and the wire calibration where
+scipy's fit to the same weighted model lands when run to convergence.
 
 The Lorentzian comparison runs on unwindowed profiles at zero-pad 2 and
 above, where the main lobe spans several grid steps and the fit has a
@@ -15,6 +16,8 @@ different points along that valley.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +27,12 @@ from scipy.fft import dct
 from scipy.optimize import curve_fit as scipy_curve_fit
 
 import nvfourier as nf
-from nvfourier import reconstruction
+from nvfourier import lsq, reconstruction
+from nvfourier.config import load_config
 from nvfourier.errors import DegenerateFitError, FitConvergenceError
+from nvfourier.field_model import load_calibration_csv
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_run.yaml"
 
 K_MAX = 2.0
 PIXEL = 1.0 / (2.0 * K_MAX)
@@ -148,9 +155,42 @@ def test_fit_cosine_matches_scipy(
     assert ours.residual_norm**2 <= theirs.residual_norm**2 * (1.0 + 1e-8) + rounding
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_calibrate_wire_matches_scipy(seed):
+    # the shipped samples with 0.02 MHz of Gaussian noise on each shift
+    cfg = load_config(DEFAULT_CONFIG)
+    rng = np.random.default_rng(seed)
+    samples = [
+        replace(s, delta_f_mhz=s.delta_f_mhz + 0.02 * rng.standard_normal())
+        for s in load_calibration_csv(cfg.calibration_csv)
+    ]
+    _, report = nf.calibrate_wire(samples, cfg.wire, cfg.nv_axis)
+
+    def shifts(_, shift, scale):
+        anchor = cfg.wire.anchor_point_um + shift * report.standoff_axis
+        wire = replace(cfg.wire, anchor_point_um=anchor)
+        b = [nf.project_on_axis(nf.field_at(wire, s.position_um), cfg.nv_axis) for s in samples]
+        return scale * nf.odmr_shift(1.0) * np.array(b)
+
+    # scipy's trust-region solver with a central-difference Jacobian, run to
+    # the minimum; its covariance is the same inv(JᵀJ)·RSS/(m - n) of the
+    # weighted problem
+    popt, pcov = scipy_curve_fit(
+        shifts, np.arange(len(samples)), [s.delta_f_mhz for s in samples], p0=[0.0, 1.0],
+        sigma=[s.sigma_mhz for s in samples], method="trf", jac="3-point",
+        ftol=1e-14, xtol=1e-14, gtol=1e-14,
+    )
+    ours = [report.standoff_shift_um, report.current_scale]
+    sd = [report.uncertainties["standoff_shift_um"], report.uncertainties["current_scale"]]
+    # the shift lies near zero, so its stop is bounded in standard errors
+    for value, theirs, error in zip(ours, popt, sd):
+        assert abs(value - theirs) <= max(1e-8 * abs(theirs), STOP_SD * error)
+    assert sd == pytest.approx(np.sqrt(np.diag(pcov)), rel=1e-6)
+
+
 def test_starved_solver_raises(monkeypatch):
     profile = localization_profile(458, 0.3, 0.2, 0.01, 4, 0)
     nf.fit_lorentzian(profile)
-    monkeypatch.setattr(reconstruction, "_LM_MAX_STEPS", 2)
+    monkeypatch.setattr(lsq, "_LM_MAX_STEPS", 2)
     with pytest.raises(FitConvergenceError):
         nf.fit_lorentzian(profile)
