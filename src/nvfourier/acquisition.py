@@ -7,10 +7,11 @@ a K value
     K = w * 2 * gamma_cyc * tau * G(I)      (nm^-1)
 
 where w is the waveform's phase-efficiency factor and G(I) the calibrated
-projected gradient, linear in I.  An undersampling mask selects which points
-are actually acquired; each acquired point is stamped with the wall-clock
-time at which it starts (points * shots * sequence time), which is the
-schedule on which platform drift acts.
+projected gradient, linear in I.  An undersampling mask, an increasing int64
+array of sweep indices that indexes the sweep's arrays directly, selects
+which points are actually acquired; each acquired point is stamped with the
+wall-clock time at which it starts (points * shots * sequence time), which
+is the schedule on which platform drift acts.
 
 The sweep is evaluated as arrays: the ramp, the current modulation, the
 drifted positions, the gradient, the echo phase and the expected signal are
@@ -35,12 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import GAMMA_CYC_MHZ_PER_G, NM_TO_UM
-from .errors import (
-    EmptyMaskError,
-    MetadataError,
-    MissingCalibrationError,
-    ValidationError,
-)
+from .errors import MetadataError, MissingCalibrationError, ValidationError
 from .field_model import MicrowireModel, NvAxis, _check_finite, _unit3, _vec3, gradient_at
 from .serialize import read_csv, to_plain, write_csv, write_json
 from .spin_dynamics import (
@@ -61,6 +57,10 @@ _STREAM_SHOTS = 2
 _STREAM_CURRENT = 3
 
 RECORD_CSV_COLUMNS = ["k_per_nm", "current_mA", "signal", "sigma", "t_hours"]
+
+# 10**6 points at the shipped 10**6 shots of 500 us each is about 16 years of
+# acquisition, so a larger sweep is a typo, not an experiment
+MAX_N_POINTS = 1_000_000
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words) and PCG64's
 # 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
@@ -230,6 +230,14 @@ class CurrentNoiseModel:
                 raise ValidationError(f"{name} must be >= 0")
 
 
+def check_n_points(n_points: int, minimum: int = 2) -> None:
+    """Raise ValidationError unless minimum <= n_points <= MAX_N_POINTS."""
+    if n_points < minimum:
+        raise ValidationError(f"n_points must be >= {minimum}")
+    if n_points > MAX_N_POINTS:
+        raise ValidationError(f"n_points must be <= {MAX_N_POINTS}")
+
+
 @dataclass(frozen=True, eq=False)
 class AcquisitionPlan:
     """Everything needed to run (and re-run, bit-exactly) one K sweep."""
@@ -238,7 +246,7 @@ class AcquisitionPlan:
     n_points: int
     sequence: EchoSequence
     waveform_template: GradientWaveform
-    mask: tuple = ()
+    mask: np.ndarray = ()  # acquired sweep indices, kept as a read-only int64 copy; empty: all
     shots_per_point: int = 1_000_000
     shot_noise: bool = False
     seed: int = 20240901
@@ -250,19 +258,19 @@ class AcquisitionPlan:
     def __post_init__(self):
         if not (math.isfinite(self.i_max_ma) and self.i_max_ma > 0):
             raise ValidationError("i_max_ma must be finite and > 0")
-        if self.n_points < 2:
-            raise ValidationError("n_points must be >= 2")
+        check_n_points(self.n_points)
         if self.shots_per_point < 1:
             raise ValidationError("shots_per_point must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         # an empty mask means the whole sweep, and n_points >= 2 keeps it non-empty
-        mask = np.asarray(self.mask, dtype=np.int64) if len(self.mask) else np.arange(self.n_points)
+        mask = np.array(self.mask, dtype=np.int64) if len(self.mask) else np.arange(self.n_points)
         if np.any(mask[1:] <= mask[:-1]):
             raise ValidationError("mask indices must be strictly increasing")
         if mask[0] < 0 or mask[-1] >= self.n_points:
             raise ValidationError("mask indices must lie in [0, n_points)")
-        object.__setattr__(self, "mask", tuple(mask.tolist()))
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "origin_um", _vec3(self.origin_um, "origin_um"))
         object.__setattr__(self, "imaging_axis", _unit3(self.imaging_axis, "imaging_axis"))
 
@@ -273,31 +281,26 @@ def make_undersampling_mask(
     stride: int | None = None,
     blocks: int | None = None,
     block_width: int | None = None,
-) -> tuple:
-    """Index mask for a sweep: 'full', 'stride' (every stride-th point) or
-    'blocks' (``blocks`` evenly spaced contiguous runs of ``block_width``)."""
-    if n_points < 1:
-        raise ValidationError("n_points must be >= 1")
+) -> np.ndarray:
+    """Increasing int64 sweep indices: 'full', 'stride' (every stride-th
+    point) or 'blocks' (``blocks`` evenly spaced contiguous runs of
+    ``block_width``).  Every strategy keeps index 0."""
+    check_n_points(n_points, minimum=1)
     if strategy == "full":
-        idx = range(n_points)
-    elif strategy == "stride":
+        return np.arange(n_points)
+    if strategy == "stride":
         if stride is None or stride < 1:
             raise ValidationError("stride strategy needs stride >= 1")
-        idx = range(0, n_points, stride)
-    elif strategy == "blocks":
+        return np.arange(0, n_points, stride)
+    if strategy == "blocks":
         if not blocks or not block_width or blocks < 1 or block_width < 1:
             raise ValidationError("blocks strategy needs blocks >= 1 and block_width >= 1")
-        chosen = set()
-        for b in range(blocks):
-            start = int(round(b * n_points / blocks))
-            chosen.update(range(start, min(start + block_width, n_points)))
-        idx = sorted(chosen)
-    else:
-        raise ValidationError(f"unknown mask strategy {strategy!r}")
-    mask = tuple(idx)
-    if not mask:
-        raise EmptyMaskError(f"strategy {strategy!r} selected no points")
-    return mask
+        # block b starts at round(b * n / blocks); an index is kept when the
+        # last block start at or before it lies within block_width of it
+        starts = np.round(np.arange(blocks) * n_points / blocks).astype(np.int64)
+        idx = np.arange(n_points)
+        return idx[idx - starts[np.searchsorted(starts, idx, side="right") - 1] < block_width]
+    raise ValidationError(f"unknown mask strategy {strategy!r}")
 
 
 def sweep_currents(plan: AcquisitionPlan) -> np.ndarray:
@@ -345,6 +348,8 @@ class KSpaceRecord:
         n = len(arrays[0])
         if any(len(a) != n for a in arrays):
             raise ValidationError("record arrays must have equal length")
+        if not np.all(np.isfinite(arrays[0])):
+            raise ValidationError("k_values must be finite")
         if n and (arrays[0][0] < 0 or np.any(np.diff(arrays[0]) <= 0)):
             raise ValidationError("k_values must be nonnegative and increasing")
         self.k_values, self.currents, self.signals, self.errors, self.t_hours = arrays
@@ -457,12 +462,8 @@ def run_sweep(
 
     x0_nm = imaging_coordinate_nm(nv, plan.origin_um, plan.imaging_axis)
     currents = sweep_currents(plan)
-    # a strictly increasing mask as long as the sweep is the whole ramp, so
-    # np.arange stands in for converting its index tuple point by point
-    full = len(plan.mask) == plan.n_points
-    mask = np.arange(plan.n_points) if full else np.asarray(plan.mask, dtype=int)
-    sampled = currents[mask]
-    signals, errors = acquire_points(plan, nv, mask, sampled, x0_nm + offsets, g_per_ma)
+    sampled = currents[plan.mask]
+    signals, errors = acquire_points(plan, nv, plan.mask, sampled, x0_nm + offsets, g_per_ma)
 
     k_sampled = k_of_current(plan, sampled, g0)
     delta_k = float(k_of_current(plan, currents[1], g0))

@@ -140,18 +140,16 @@ def stage_calibrate(cfg: RunConfig, samples_path, out: Path, manifest: Manifest,
 
     # predicted field/gradient curve along the imaging axis through the samples
     e = cfg.plan.imaging_axis
-    proj = [float(np.dot(s.position_um, e)) for s in samples]
-    centroid = np.mean([s.position_um for s in samples], axis=0)
+    positions = np.array([s.position_um for s in samples])
+    proj = np.vecdot(positions, e)
+    centroid = np.mean(positions, axis=0)
     base = centroid - float(np.dot(centroid, e)) * e
-    points = base + np.linspace(min(proj), max(proj), 101)[:, None] * e
-    curve = [sample_field(fitted, p, cfg.nv_axis, e) for p in points]
+    points = base + np.linspace(proj.min(), proj.max(), 101)[:, None] * e
+    curve = sample_field(fitted, points, cfg.nv_axis, e)
     curve_path = out / "gradient_curve.csv"
     write_csv(
         curve_path, ["x_um", "y_um", "z_um", "b_G", "gradient_G_per_um", "delta_f_MHz"],
-        *points.T,
-        [fs.b_projected_g for fs in curve],
-        [fs.gradient_projected_g_per_um for fs in curve],
-        [fs.delta_f_mhz for fs in curve],
+        *points.T, curve.b_projected_g, curve.gradient_projected_g_per_um, curve.delta_f_mhz,
     )
     manifest.add_output(curve_path)
 

@@ -29,6 +29,7 @@ from .acquisition import (
     AcquisitionPlan,
     CurrentNoiseModel,
     DriftModel,
+    check_n_points,
     make_undersampling_mask,
 )
 from .errors import ConfigError, ConfigParseError, ValidationError
@@ -250,10 +251,11 @@ def _values(data: dict, section: str, derived=()) -> dict:
     return values
 
 
-def _build(section: str, values: dict):
-    """Construct a section's object, naming the section in a domain error."""
+def _build(section: str, values: dict, builder=None):
+    """Construct a section's object (or call ``builder`` on the section's
+    values), naming the section in a domain error."""
     try:
-        return _SECTIONS[section][0](**values)
+        return (builder or _SECTIONS[section][0])(**values)
     except ValidationError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -273,6 +275,7 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         # one half-sine lobe filling the active window of each echo half
         waveform["period_us"] = waveform["active_fraction"] * sequence.total_time_us
     plan = _values(data, "plan")
+    _build("plan", {"n_points": plan["n_points"]}, check_n_points)  # before the mask's arrays
     mask = _build("plan.mask", {"n_points": plan["n_points"], **_values(data, "plan.mask")})
     plan = _build(
         "plan",

@@ -31,10 +31,6 @@ class MissingCalibrationError(NvFourierError):
     code = "missing-calibration"
 
 
-class EmptyMaskError(NvFourierError, ValueError):
-    code = "empty-mask"
-
-
 class EmptyRecordError(NvFourierError, ValueError):
     code = "empty-record"
 

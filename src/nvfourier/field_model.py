@@ -8,13 +8,16 @@ distance r from the axis the field magnitude is
 
 with azimuthal direction given by the right-hand rule times the wire
 polarity.  Everything downstream (ODMR shift, gradients, calibration) is a
-projection of this field onto the NV quantum axis.
+projection of this field onto the NV quantum axis.  Each field function takes
+one point, giving floats, or an (n, 3) stack of points, giving arrays whose
+entries are bitwise equal to the per-point calls.
 
 Calibration follows the multi-NV workflow: measure the ODMR frequency shift
 of several NV centers around the wire, then least-squares fit the wire's
 standoff (along one transverse axis) and a current-scale factor so the
 predicted shifts match.  The fit is the package's one Levenberg-Marquardt
-solver, ``lsq.curve_fit``, with an analytic Jacobian of the 1/r model.
+solver, ``lsq.curve_fit``, with an analytic Jacobian of the 1/r model; each
+model evaluation computes the field once on the stack of sample positions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import GAMMA_CYC_MHZ_PER_G, MU0_OVER_2PI_G_UM_PER_MA
-from .errors import GeometryError, UnderDeterminedError, ValidationError
+from .errors import DataFormatError, GeometryError, UnderDeterminedError, ValidationError
 from .lsq import curve_fit
 from .serialize import read_csv, write_csv
 
@@ -99,7 +102,8 @@ class NvAxis:
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """Field quantities evaluated at one point, projected on the NV axis."""
+    """Field quantities at one point, projected on the NV axis; arrays of
+    them, one entry per row, for an (n, 3) stack of points."""
 
     position_um: np.ndarray
     b_projected_g: float
@@ -113,30 +117,33 @@ def _perp_displacement(wire: MicrowireModel, points_um: np.ndarray) -> np.ndarra
 
 
 def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
-    """Magnetic field vector (G) of the wire at a point (um).
+    """Magnetic field vector (G) of the wire at a point (um), or an (n, 3)
+    stack of them at an (n, 3) stack of points.
 
-    Raises GeometryError when the point lies within MIN_WIRE_DISTANCE_UM of
+    Raises GeometryError when any point lies within MIN_WIRE_DISTANCE_UM of
     the wire axis, where the 1/r law diverges.
     """
-    rho = _perp_displacement(wire, _vec3(point_um, "point_um"))
-    r2 = float(np.dot(rho, rho))
-    if r2 <= MIN_WIRE_DISTANCE_UM**2:
+    rho = _perp_displacement(wire, _vec3(point_um, "point_um", stack=True))
+    r2 = np.vecdot(rho, rho)
+    if np.any(r2 <= MIN_WIRE_DISTANCE_UM**2):
         raise GeometryError(
-            f"point is {math.sqrt(r2):.3e} um from the wire axis "
+            f"point is {math.sqrt(np.min(r2)):.3e} um from the wire axis "
             f"(minimum {MIN_WIRE_DISTANCE_UM:g} um)"
         )
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma / r2
-    return pref * np.cross(wire.direction, rho)
+    return pref[..., np.newaxis] * np.cross(wire.direction, rho)
 
 
-def project_on_axis(b_g, axis: NvAxis) -> float:
-    """Signed projection of a field vector (G) on the NV axis."""
-    return float(np.dot(_vec3(b_g, "b_g"), axis.orientation))
+def project_on_axis(b_g, axis: NvAxis):
+    """Signed projection of a field vector (G), or of each row of a stack, on the NV axis."""
+    b = np.vecdot(_vec3(b_g, "b_g", stack=True), axis.orientation)
+    return b if b.ndim else float(b)
 
 
-def odmr_shift(b_projected_g: float) -> float:
-    """ODMR frequency shift (MHz) of the m_S=0 -> +1 line for a projected field (G)."""
-    return GAMMA_CYC_MHZ_PER_G * float(b_projected_g)
+def odmr_shift(b_projected_g):
+    """ODMR frequency shift (MHz) of the m_S=0 -> +1 line for projected fields (G)."""
+    shift = GAMMA_CYC_MHZ_PER_G * np.asarray(b_projected_g, dtype=float)
+    return shift if shift.ndim else float(shift)
 
 
 def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis):
@@ -173,17 +180,17 @@ def numeric_gradient_at(
     """Central-difference cross-check for gradient_at (step 1e-4 um)."""
     e = _unit3(imaging_axis, "imaging_axis")
     p = _vec3(point_um, "point_um")
-    bp = project_on_axis(field_at(wire, p + step_um * e), axis)
-    bm = project_on_axis(field_at(wire, p - step_um * e), axis)
+    bp, bm = project_on_axis(field_at(wire, [p + step_um * e, p - step_um * e]), axis)
     return (bp - bm) / (2.0 * step_um)
 
 
 def sample_field(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis) -> FieldSample:
-    """Evaluate projected field, gradient and ODMR shift at one point."""
+    """Evaluate projected field, gradient and ODMR shift at one point, or as
+    arrays over an (n, 3) stack of points."""
     b = project_on_axis(field_at(wire, point_um), axis)
     g = gradient_at(wire, point_um, axis, imaging_axis)
     return FieldSample(
-        position_um=_vec3(point_um, "point_um"),
+        position_um=_vec3(point_um, "point_um", stack=True),
         b_projected_g=b,
         gradient_projected_g_per_um=g,
         delta_f_mhz=odmr_shift(b),
@@ -222,14 +229,14 @@ class WireFitReport:
     converged: bool = False
 
 
-def _standoff_axis(guess: MicrowireModel, positions: list[np.ndarray]) -> np.ndarray:
+def _standoff_axis(guess: MicrowireModel, positions) -> np.ndarray:
     """Transverse unit vector from the wire toward the sample centroid.
 
     This is the direction along which the wire standoff is adjusted; with
     samples all on one side of the wire it captures the dominant geometric
     uncertainty.
     """
-    centroid = np.mean(np.asarray(positions, dtype=float), axis=0)
+    centroid = np.mean(positions, axis=0)
     rel = centroid - guess.anchor_point_um
     perp = rel - np.dot(rel, guess.direction) * guess.direction
     norm = float(np.linalg.norm(perp))
@@ -257,11 +264,10 @@ def calibrate_wire(
         raise UnderDeterminedError(
             f"calibration needs >= 3 samples at distinct positions, got {len(samples)}"
         )
-    positions = [s.position_um for s in samples]
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            if np.allclose(positions[i], positions[j], atol=1e-12):
-                raise UnderDeterminedError("calibration sample positions must be distinct")
+    positions = np.array([s.position_um for s in samples])
+    close = np.isclose(positions[:, np.newaxis], positions, atol=1e-12).all(axis=2)
+    if np.triu(close, k=1).any():
+        raise UnderDeterminedError("calibration sample positions must be distinct")
 
     nhat = _standoff_axis(initial_guess, positions)
     df_obs = np.array([s.delta_f_mhz for s in samples])
@@ -270,33 +276,29 @@ def calibrate_wire(
     def wire_for(shift: float) -> MicrowireModel:
         return replace(initial_guess, anchor_point_um=initial_guess.anchor_point_um + shift * nhat)
 
-    def model_and_jacobian(theta):
-        shift, scale = theta
-        w = wire_for(shift)
-        b = np.array([project_on_axis(field_at(w, p), axis) for p in positions])
-        # moving the anchor by +ds along nhat shifts rho by -ds*nhat
-        dbds = -gradient_at(w, np.array(positions), axis, nhat)
-        pred = GAMMA_CYC_MHZ_PER_G * scale * b
-        jac = np.column_stack(
-            [GAMMA_CYC_MHZ_PER_G * scale * dbds, GAMMA_CYC_MHZ_PER_G * b]
-        )
-        return pred, jac
+    def predict(shift: float, scale: float) -> np.ndarray:
+        b = project_on_axis(field_at(wire_for(shift), positions), axis)
+        return GAMMA_CYC_MHZ_PER_G * scale * b
 
     evaluations = 0
 
-    def weighted_model(_, *theta):
+    def weighted_model(_, shift, scale):
         nonlocal evaluations
         evaluations += 1
-        return weights * model_and_jacobian(theta)[0]
+        return weights * predict(shift, scale)
 
-    def weighted_jacobian(_, *theta):
-        return weights[:, None] * model_and_jacobian(theta)[1]
+    def weighted_jacobian(_, shift, scale):
+        # moving the anchor by +ds along nhat shifts rho by -ds*nhat; the
+        # prediction is linear in scale, so its scale derivative is predict(shift, 1)
+        dbds = -gradient_at(wire_for(shift), positions, axis, nhat)
+        jac = np.column_stack([GAMMA_CYC_MHZ_PER_G * scale * dbds, predict(shift, 1.0)])
+        return weights[:, None] * jac
 
     theta, cov = curve_fit(
         weighted_model, np.arange(len(samples)), weights * df_obs, [0.0, 1.0], weighted_jacobian
     )
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    pred = model_and_jacobian(theta)[0]
+    pred = predict(*theta)
     resid = (pred - df_obs) * weights
 
     shift, scale = float(theta[0]), float(theta[1])
@@ -327,10 +329,14 @@ def calibrate_wire(
 
 def load_calibration_csv(path) -> list[CalibrationSample]:
     """Read calibration samples; columns x_um,y_um,z_um,delta_f_MHz,sigma_MHz."""
-    return [
-        CalibrationSample(position_um=[x, y, z], delta_f_mhz=df, sigma_mhz=sigma)
-        for x, y, z, df, sigma in read_csv(path, CALIBRATION_CSV_COLUMNS).tolist()
-    ]
+    samples = []
+    rows = read_csv(path, CALIBRATION_CSV_COLUMNS).tolist()
+    for number, (x, y, z, df, sigma) in enumerate(rows, start=2):
+        try:
+            samples.append(CalibrationSample(position_um=[x, y, z], delta_f_mhz=df, sigma_mhz=sigma))
+        except ValidationError as exc:
+            raise DataFormatError(f"{path}: row {number}: {exc}") from exc
+    return samples
 
 
 def save_calibration_csv(path, samples: list[CalibrationSample]) -> None:

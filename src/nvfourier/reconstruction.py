@@ -56,6 +56,14 @@ _GRID_RTOL = 1e-9
 # 26-46 nm) fit to at most 1.4e-11
 _EXACT_FIT_RTOL = 1e-6
 
+# sideband_analysis: a satellite must reach this fraction of the main peak;
+# a left/right pair must match in offset within this many grid steps; and
+# the main peak's exclusion zone is the larger of these FWHMs and pixels
+_SIDEBAND_MIN_REL_AMPLITUDE = 0.05
+_SIDEBAND_PAIR_TOLERANCE_STEPS = 2.5
+_SIDEBAND_EXCLUSION_FWHMS = 3.0
+_SIDEBAND_EXCLUSION_PIXELS = 5.0
+
 
 @dataclass(eq=False)
 class RealSpaceProfile:
@@ -417,19 +425,13 @@ def disambiguate_alias(
     return float(best)
 
 
-def sideband_analysis(
-    profile: RealSpaceProfile,
-    main_peak: PeakFit,
-    min_rel_amplitude: float = 0.05,
-    pair_tolerance_nm: float | None = None,
-    exclusion_nm: float | None = None,
-) -> list[tuple[float, float]]:
+def sideband_analysis(profile: RealSpaceProfile, main_peak: PeakFit) -> list[tuple[float, float]]:
     """Symmetric satellite peaks around the main localization peak.
 
     Local maxima outside the main-peak exclusion zone that exceed both the
-    3-MAD noise floor and ``min_rel_amplitude`` of the main peak are paired
-    left/right when their offsets match within ``pair_tolerance_nm`` and
-    their amplitudes within a factor of two.  Returns (offset_nm,
+    3-MAD noise floor and a fixed fraction of the main peak are paired
+    left/right when their offsets match within a few grid steps and their
+    amplitudes within a factor of two.  Returns (offset_nm,
     relative_amplitude) pairs, strongest first; an empty list means no
     stable sidebands.  Run this on a hann-windowed profile: kernel sidelobes
     of an unwindowed transform pair up symmetrically just like real
@@ -437,11 +439,10 @@ def sideband_analysis(
     """
     x = profile.x_grid_nm
     amp = profile.amplitude
-    grid = profile.grid_step_nm
-    if pair_tolerance_nm is None:
-        pair_tolerance_nm = 2.5 * grid
-    if exclusion_nm is None:
-        exclusion_nm = max(3.0 * main_peak.fwhm_nm, 5.0 * profile.pixel_size_nm)
+    exclusion_nm = max(
+        _SIDEBAND_EXCLUSION_FWHMS * main_peak.fwhm_nm,
+        _SIDEBAND_EXCLUSION_PIXELS * profile.pixel_size_nm,
+    )
     center = main_peak.center_nm
     outside = np.abs(x - center) > exclusion_nm
     if int(np.count_nonzero(outside)) < 8:
@@ -449,30 +450,26 @@ def sideband_analysis(
     floor = float(np.median(amp[outside]))
     mad = float(np.median(np.abs(amp[outside] - floor)))
     main_amp = float(amp[int(np.argmin(np.abs(x - center)))])
-    threshold = max(floor + 3.0 * mad, min_rel_amplitude * main_amp)
+    threshold = max(floor + 3.0 * mad, _SIDEBAND_MIN_REL_AMPLITUDE * main_amp)
 
-    maxima = [
-        i
-        for i in range(1, len(amp) - 1)
-        if outside[i] and amp[i] > threshold and amp[i] >= amp[i - 1] and amp[i] > amp[i + 1]
-    ]
-    left = [i for i in maxima if x[i] < center]
-    right = [i for i in maxima if x[i] > center]
-    pairs = []
-    for li in left:
-        d_left = center - x[li]
-        for ri in right:
-            d_right = x[ri] - center
-            if abs(d_left - d_right) > pair_tolerance_nm:
-                continue
-            hi, lo_amp = max(amp[li], amp[ri]), min(amp[li], amp[ri])
-            if lo_amp <= 0 or hi / lo_amp > 2.0:
-                continue
-            pairs.append(
-                (float(0.5 * (d_left + d_right)), float(0.5 * (amp[li] + amp[ri]) / main_amp))
-            )
-    pairs.sort(key=lambda p: -p[1])
-    return pairs
+    inner = amp[1:-1]
+    is_max = outside[1:-1] & (inner > threshold) & (inner >= amp[:-2]) & (inner > amp[2:])
+    maxima = np.flatnonzero(is_max) + 1
+    left, right = maxima[x[maxima] < center], maxima[x[maxima] > center]
+    # every left maximum against every right one, rows left, columns right
+    d_left = (center - x[left])[:, np.newaxis]
+    d_right = x[right] - center
+    a_left, a_right = amp[left][:, np.newaxis], amp[right]
+    hi, lo_amp = np.maximum(a_left, a_right), np.minimum(a_left, a_right)
+    with np.errstate(divide="ignore", invalid="ignore"):  # hi / lo_amp counts only where lo_amp > 0
+        keep = ~(
+            (np.abs(d_left - d_right) > _SIDEBAND_PAIR_TOLERANCE_STEPS * profile.grid_step_nm)
+            | (lo_amp <= 0)
+            | (hi / lo_amp > 2.0)
+        )
+    offsets = (0.5 * (d_left + d_right))[keep]
+    relative = (0.5 * (a_left + a_right) / main_amp)[keep]
+    return sorted(zip(offsets.tolist(), relative.tolist()), key=lambda p: -p[1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,9 @@ import numpy as np
 
 from .errors import DataFormatError
 
-_PLAIN = frozenset({int, float, str, bool, type(None)})
-
 
 def to_plain(obj):
     """Nested dicts, lists and Python scalars holding the same values as ``obj``."""
-    if type(obj) in _PLAIN:  # the common case first: a mask holds one int per point
-        return obj
     if is_dataclass(obj):
         return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -54,12 +55,12 @@ class TestKOfCurrent:
 
 class TestMasks:
     def test_full(self):
-        assert nf.make_undersampling_mask(100, "full") == tuple(range(100))
+        assert nf.make_undersampling_mask(100, "full").tolist() == list(range(100))
 
     def test_stride(self):
         mask = nf.make_undersampling_mask(100, "stride", stride=4)
         assert len(mask) == 25
-        assert mask[:3] == (0, 4, 8)
+        assert mask[:3].tolist() == [0, 4, 8]
 
     def test_blocks(self):
         mask = nf.make_undersampling_mask(1000, "blocks", blocks=5, block_width=20)
@@ -73,6 +74,20 @@ class TestMasks:
             nf.make_undersampling_mask(100, "stride")
         with pytest.raises(ValidationError):
             nf.make_undersampling_mask(100, "bogus")
+
+    def test_mask_is_a_read_only_index_array(self):
+        plan = reference_plan(n_points=40, mask=[0, 3, 7])
+        assert plan.mask.dtype == np.int64 and plan.mask.tolist() == [0, 3, 7]
+        assert not plan.mask.flags.writeable
+        assert reference_plan(n_points=40).mask.tolist() == list(range(40))
+
+    def test_n_points_upper_bound(self):
+        # checked before any array of that length is built
+        with pytest.raises(ValidationError, match="n_points must be <= 1000000"):
+            nf.make_undersampling_mask(10**12)
+        with pytest.raises(ValidationError, match="n_points must be <= 1000000"):
+            reference_plan(n_points=10**12)
+        assert len(nf.make_undersampling_mask(1_000_000)) == 1_000_000
 
     def test_plan_mask_validation(self):
         for mask in ((5, 3), (3, 3), (-1, 2), (0, 9999)):
@@ -319,6 +334,17 @@ class TestRecordSerialization:
         (tmp_path / "record.meta.json").unlink()
         with pytest.raises(nf.errors.MetadataError):
             nf.load_record(path)
+
+    def test_non_finite_k_rejected_without_warning(self):
+        k = np.linspace(0.0, 2.0, 50)
+        k[5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="k_values must be finite"):
+                nf.KSpaceRecord(
+                    k_values=k, currents=np.arange(50.0), signals=np.zeros(50),
+                    errors=np.zeros(50), t_hours=np.zeros(50), metadata={},
+                )
 
     def test_record_invariants(self):
         with pytest.raises(ValidationError):

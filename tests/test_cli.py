@@ -283,6 +283,7 @@ class TestCliCommands:
             pytest.param("sequence", "sync_offset_us", float("nan"), id="silent-sync_offset-nan"),
             pytest.param("waveform", "period_us", float("inf"), id="silent-period-inf"),
             pytest.param("current_noise", "white_sigma", float("inf"), id="silent-white_sigma-inf"),
+            pytest.param("plan", "n_points", 1.0e12, id="huge-n_points"),
         ],
     )
     def test_non_numeric_or_infinite_value_is_one_config_line(
@@ -374,6 +375,7 @@ MALFORMED_INPUTS = {
     "record-nan-signal": ("fit-cosine", "record", 5, "signal", "nan"),
     "calibration-nan-shift": ("calibrate", "samples", 3, "delta_f_MHz", "nan"),
     "calibration-inf-sigma": ("calibrate", "samples", 4, "sigma_MHz", "inf"),
+    "calibration-negative-sigma": ("calibrate", "samples", 3, "sigma_MHz", "-0.02"),
 }
 
 

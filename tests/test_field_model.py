@@ -154,6 +154,16 @@ class TestGradient:
         scalar = np.array([scalar_gradient(wire, p, axis, imaging) for p in points])
         assert batched.shape == (len(points),)
         assert batched.tobytes() == single.tobytes() == scalar.tobytes()
+        fields = nf.field_at(wire, stack)
+        assert fields.shape == (len(points), 3)
+        assert fields.tobytes() == np.array([nf.field_at(wire, p) for p in points]).tobytes()
+        projected = nf.project_on_axis(fields, axis)
+        assert projected.tobytes() == np.array([nf.project_on_axis(f, axis) for f in fields]).tobytes()
+        sampled = nf.sample_field(wire, stack, axis, imaging)
+        singles = [nf.sample_field(wire, p, axis, imaging) for p in points]
+        for name in ("position_um", "b_projected_g", "gradient_projected_g_per_um", "delta_f_mhz"):
+            expected = np.array([getattr(fs, name) for fs in singles])
+            assert getattr(sampled, name).tobytes() == expected.tobytes(), name
 
     def test_dense_stack_matches_scalar_formula(self):
         # pow(r2, 2) and r2 * r2 part in about 7 of 10 000 values, so a dense
@@ -171,6 +181,20 @@ class TestGradient:
     def test_scalar_point_gives_float(self):
         g = nf.gradient_at(wire_y(1.0), [1.0, 0.2, 0.3], AXIS_MZ, [1, 0, 0])
         assert type(g) is float
+
+    def test_single_point_field_functions_give_floats(self):
+        fs = nf.sample_field(wire_y(1.0), [1.0, 0.2, 0.3], AXIS_MZ, [1, 0, 0])
+        assert nf.field_at(wire_y(1.0), [1.0, 0.2, 0.3]).shape == (3,)
+        assert type(nf.project_on_axis([0.0, 0.0, 2.0], AXIS_MZ)) is float
+        assert type(nf.odmr_shift(np.float64(1.0))) is float
+        assert fs.position_um.shape == (3,)
+        for value in (fs.b_projected_g, fs.gradient_projected_g_per_um, fs.delta_f_mhz):
+            assert type(value) is float
+
+    def test_degenerate_point_in_stack_names_smallest_distance(self):
+        stack = [[1.0, 0.0, 0.0], [3e-9, 1.0, 0.0], [0.0, 2.0, 2e-9], [2.0, 0.0, 0.0]]
+        with pytest.raises(GeometryError, match=r"point is 2\.000e-09 um from the wire axis"):
+            nf.field_at(wire_y(1.0), stack)
 
     def test_along_wire_is_flat(self):
         g = nf.gradient_at(wire_y(4.0), [1.0, 0, 0], AXIS_MZ, [0, 1, 0])
@@ -250,6 +274,28 @@ class TestCalibration:
         samples = make_synthetic_samples(true_wire, AXIS_MZ, [2.0, 2.0, 3.0])
         with pytest.raises(UnderDeterminedError):
             nf.calibrate_wire(samples, self.guess, AXIS_MZ)
+
+    def test_only_the_jacobian_calls_gradient_at(self, monkeypatch):
+        counts = {"gradient_at": 0, "jacobian": 0}
+        gradient_at, curve_fit = nf.field_model.gradient_at, nf.field_model.curve_fit
+
+        def counting_gradient_at(*args):
+            counts["gradient_at"] += 1
+            return gradient_at(*args)
+
+        def counting_curve_fit(model, xdata, ydata, p0, jac):
+            def counting_jac(*args):
+                counts["jacobian"] += 1
+                return jac(*args)
+
+            return curve_fit(model, xdata, ydata, p0, counting_jac)
+
+        monkeypatch.setattr(nf.field_model, "gradient_at", counting_gradient_at)
+        monkeypatch.setattr(nf.field_model, "curve_fit", counting_curve_fit)
+        samples = make_synthetic_samples(self.shifted_truth(), AXIS_MZ, self.xs)
+        _, report = nf.calibrate_wire(samples, self.guess, AXIS_MZ)
+        assert report.iterations >= 1 and counts["jacobian"] >= 1
+        assert counts["gradient_at"] == counts["jacobian"]
 
 
 class TestCalibrationCsv:

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvfourier as nf
 from nvfourier import reconstruction
@@ -329,7 +332,93 @@ class TestDriftBroadening:
         assert fwhms[1] / fwhms[0] >= 1.3
 
 
+def reference_sideband_pairs(profile, main_peak):
+    """sideband_analysis as a loop over grid indices and left/right pairs."""
+    x = profile.x_grid_nm
+    amp = profile.amplitude
+    pair_tolerance_nm = 2.5 * profile.grid_step_nm
+    exclusion_nm = max(3.0 * main_peak.fwhm_nm, 5.0 * profile.pixel_size_nm)
+    center = main_peak.center_nm
+    outside = np.abs(x - center) > exclusion_nm
+    if int(np.count_nonzero(outside)) < 8:
+        return []
+    floor = float(np.median(amp[outside]))
+    mad = float(np.median(np.abs(amp[outside] - floor)))
+    main_amp = float(amp[int(np.argmin(np.abs(x - center)))])
+    threshold = max(floor + 3.0 * mad, 0.05 * main_amp)
+    maxima = [
+        i
+        for i in range(1, len(amp) - 1)
+        if outside[i] and amp[i] > threshold and amp[i] >= amp[i - 1] and amp[i] > amp[i + 1]
+    ]
+    pairs = []
+    for li in [i for i in maxima if x[i] < center]:
+        d_left = center - x[li]
+        for ri in [i for i in maxima if x[i] > center]:
+            d_right = x[ri] - center
+            if abs(d_left - d_right) > pair_tolerance_nm:
+                continue
+            hi, lo_amp = max(amp[li], amp[ri]), min(amp[li], amp[ri])
+            if lo_amp <= 0 or hi / lo_amp > 2.0:
+                continue
+            pairs.append(
+                (float(0.5 * (d_left + d_right)), float(0.5 * (amp[li] + amp[ri]) / main_amp))
+            )
+    pairs.sort(key=lambda p: -p[1])
+    return pairs
+
+
+@st.composite
+def sideband_profiles(draw):
+    """A peak with satellite pairs beyond its exclusion zone on a noise floor.
+
+    Amplitudes are rounded to a few levels so that plateaus occur.  Half the
+    profiles are exact: the peak and the satellites sit on grid points with
+    equal heights from a short list and no jitter or noise, so that several
+    pairs tie in strength and their order shows.
+    """
+    n = draw(st.integers(40, 400))
+    step = draw(st.sampled_from([0.01, 0.025, 0.0625]))
+    pixels = draw(st.sampled_from([1, 2, 4]))
+    fwhm_steps = draw(st.floats(0.5, 6.0))
+    exact = draw(st.booleans())
+    x = np.arange(n) * step
+    center = draw(st.floats(0.3, 0.7)) * float(x[-1])
+    if exact:
+        center = float(x[int(center / step)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = 1.0 / (1.0 + ((x - center) / (0.5 * fwhm_steps * step)) ** 2)
+    excluded_steps = max(3.0 * fwhm_steps, 5.0 * pixels)
+    for _ in range(draw(st.integers(0, 4))):
+        if exact:
+            offset = (math.ceil(excluded_steps) + draw(st.integers(1, 12))) * step
+            height, jitter, width = draw(st.sampled_from([0.1, 0.2, 0.4])), 0.0, 0.6 * step
+        else:
+            offset = (excluded_steps + draw(st.floats(0.0, 0.25 * n))) * step
+            height, jitter, width = draw(st.floats(0.02, 0.6)), 0.7 * step, 2.0 * step
+        for side in (-1.0, 1.0):
+            where = center + side * offset + jitter * rng.normal()
+            factor = 1.0 if exact else rng.uniform(0.6, 1.4)
+            amp = amp + height * factor * np.exp(-(((x - where) / width) ** 2))
+    if not exact:
+        amp = amp + draw(st.floats(0.0, 0.05)) * rng.random(n)
+    amp = np.round(amp, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        amp = amp - draw(st.floats(0.0, 0.3))  # a hand-built profile may dip below zero
+    profile = nf.RealSpaceProfile(
+        x_grid_nm=x, amplitude=amp, pixel_size_nm=pixels * step, k_max_per_nm=1.0
+    )
+    fit = nf.PeakFit(center_nm=center, fwhm_nm=fwhm_steps * step, amplitude=1.0, offset=0.0)
+    return profile, fit
+
+
 class TestSidebands:
+    @settings(max_examples=50, deadline=None)
+    @given(case=sideband_profiles())
+    def test_pairs_equal_the_per_index_loop(self, case):
+        profile, fit = case
+        assert nf.sideband_analysis(profile, fit) == reference_sideband_pairs(profile, fit)
+
     def analyze(self, record):
         profile = nf.fourier_reconstruct(record, window="hann", zero_pad_factor=4)
         fit = nf.fit_lorentzian(profile)
