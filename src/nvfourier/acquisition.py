@@ -295,6 +295,8 @@ def make_undersampling_mask(
     if strategy == "blocks":
         if not blocks or not block_width or blocks < 1 or block_width < 1:
             raise ValidationError("blocks strategy needs blocks >= 1 and block_width >= 1")
+        if blocks > n_points:  # before the per-block array is allocated
+            raise ValidationError(f"blocks strategy needs blocks <= n_points ({blocks} > {n_points})")
         # block b starts at round(b * n / blocks); an index is kept when the
         # last block start at or before it lies within block_width of it
         starts = np.round(np.arange(blocks) * n_points / blocks).astype(np.int64)

@@ -74,6 +74,10 @@ class TestMasks:
             nf.make_undersampling_mask(100, "stride")
         with pytest.raises(ValidationError):
             nf.make_undersampling_mask(100, "bogus")
+        with pytest.raises(ValidationError, match=r"blocks <= n_points \(101 > 100\)"):
+            nf.make_undersampling_mask(100, "blocks", blocks=101, block_width=1)
+        every = nf.make_undersampling_mask(100, "blocks", blocks=100, block_width=1)
+        assert every.tolist() == list(range(100))
 
     def test_mask_is_a_read_only_index_array(self):
         plan = reference_plan(n_points=40, mask=[0, 3, 7])

@@ -8,7 +8,7 @@ import yaml
 
 from nvfourier import errors
 from nvfourier.cli import Manifest, main
-from nvfourier.config import key_tree, load_config
+from nvfourier.config import _LOADER, key_tree, load_config
 from nvfourier.errors import ConfigError, ConfigParseError
 
 from helpers import minimal_config_dict
@@ -109,6 +109,25 @@ class TestLoadConfig:
         path.write_text("nv:\n  t2_us: 12\n bad_indent: {\n")
         with pytest.raises(ConfigParseError, match=r"line \d+"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("nv:\n  t2_us: 12\n bad_indent: {\n", "line 3"),
+            ("nv: {t2_us: [1, 2}\n", "line 1"),
+            ("nv:\n  t2_us: \x01\n", "position 13"),
+        ],
+    )
+    def test_yaml_parse_error_is_one_line(self, tmp_path, capsys, text, where):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config-parse:") and where in err[0]
+
+    def test_loader_reads_shipped_config_as_pure_python_yaml(self):
+        assert yaml.load(DEFAULT_CONFIG.read_text(), Loader=_LOADER) == DEFAULT_DATA
 
     def test_config_hash_stable(self, tmp_path):
         a = load_config(write_config(tmp_path, minimal_config_dict(), "a.yaml"))
@@ -298,6 +317,18 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith(f"config-validation: {section or key}:")
         assert key in err[0]
         assert not (tmp_path / "o" / "record.csv").exists()
+
+    def test_more_blocks_than_points_is_one_config_line(self, tmp_path, capsys):
+        data = minimal_config_dict()
+        n_points = data["plan"]["n_points"]
+        data["plan"]["mask"] = {"strategy": "blocks", "blocks": n_points + 1, "block_width": 1}
+        config = write_config(tmp_path, data)
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config-validation: plan.mask: blocks strategy needs blocks <= n_points"
+            f" ({n_points + 1} > {n_points})"
+        ]
 
     @pytest.mark.parametrize("leaf", list(DEFAULT_LEAVES), ids=".".join)
     def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys, leaf):
