@@ -318,7 +318,7 @@ def echo_signal(nv: NvCenter, phase_rad, seq: EchoSequence) -> EchoSignal:
     )
 
 
-def sample_counts(expected_counts: float, shots: int, seed) -> tuple[float, float]:
+def sample_counts(expected_counts, shots: int, seed):
     """Poisson-sampled mean counts per shot and its standard error.
 
     The sum of ``shots`` i.i.d. Poisson draws is itself Poisson with mean
@@ -326,18 +326,22 @@ def sample_counts(expected_counts: float, shots: int, seed) -> tuple[float, floa
     statistically identical to averaging per-shot draws.  ``seed`` is
     anything ``np.random.default_rng`` accepts: an int or int sequence, which
     gives a deterministic draw, or a ``Generator``, which is drawn from
-    directly (the keyed per-point streams of ``acquisition`` pass one).
+    directly.  It may also be a callable that maps the array of Poisson means
+    to totals: ``acquisition`` passes its keyed kernel, which gives every
+    point its own stream.  An array of expected counts gives arrays; a
+    scalar gives floats.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    if expected_counts < 0:
+    counts = np.asarray(expected_counts, dtype=float)
+    if np.any(counts < 0):
         raise ValidationError("expected_counts must be >= 0")
-    if expected_counts == 0.0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    total = rng.poisson(expected_counts * shots)
-    mean = total / shots
-    return float(mean), float(math.sqrt(mean / shots))
+    draw = seed if callable(seed) else np.random.default_rng(seed).poisson
+    # float64 true division: equal to the exact quotient's rounding while the
+    # totals and shots stay below 2**53
+    mean = draw(counts * shots) / shots
+    err = np.sqrt(mean / shots)
+    return (mean, err) if counts.ndim else (float(mean), float(err))
 
 
 def signal_from_counts(mean_counts, counts_error, nv: NvCenter):

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import fields
 
@@ -8,14 +9,39 @@ from hypothesis import strategies as st
 
 import nvfourier as nf
 from nvfourier.acquisition import (
+    POISSON_LAM_MAX,
     acquire_points,
     keyed_generators,
+    keyed_poisson,
     point_times_hours,
     sweep_currents,
 )
 from nvfourier.errors import MissingCalibrationError, ValidationError
 
 from helpers import reference_nv, reference_plan, reference_sequence, rect_waveform, simulate
+
+
+def count_generators(monkeypatch) -> list:
+    """Record every per-point Generator the acquisition module sets up."""
+    built = []
+    generators = nf.acquisition._generators
+
+    def counting(states):
+        for rng in generators(states):
+            built.append(rng)
+            yield rng
+
+    monkeypatch.setattr(nf.acquisition, "_generators", counting)
+    return built
+
+
+def ptrs_first_try_accepts(seed, stream, index, lam) -> bool:
+    """Whether numpy's PTRS Poisson sampler returns on its first iteration,
+    replayed in Python floats on that point's first two doubles."""
+    rng = np.random.default_rng([seed, stream, index])
+    u, v = rng.random() - 0.5, rng.random()
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    return lam >= 10 and 0.5 - abs(u) >= 0.07 and v <= 0.9277 - 3.6224 / (b - 2)
 
 
 class TestKOfCurrent:
@@ -125,6 +151,59 @@ class TestKeyedGenerators:
             next(keyed_generators(1, 2, [3, -1]))
 
 
+class TestKeyedPoisson:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
+        stream=st.integers(0, 2**40),
+        draws=st.lists(
+            st.tuples(
+                st.integers(0, 2**63 - 1) | st.integers(0, 5000),
+                st.just(0.0)
+                | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)
+                | st.floats(10.0, 1e5)
+                | st.floats(10.0, 1e12),
+            ),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_equals_default_rng(self, seed, stream, draws):
+        indices, lam = zip(*draws)
+        totals = keyed_poisson(seed, stream, indices, lam)
+        assert totals.dtype == np.int64
+        assert totals.tolist() == [np.random.default_rng([seed, stream, i]).poisson(x) for i, x in draws]
+
+    def test_fast_path_takes_most_draws(self, monkeypatch):
+        # a kernel that silently sent every point to numpy would pass the
+        # equality property; at the sweep's photon numbers most must not
+        built = count_generators(monkeypatch)
+        totals = keyed_poisson(20240901, 2, np.arange(458), 2.0e4)
+        assert len(built) <= 0.3 * 458
+        assert totals.tolist() == [np.random.default_rng([20240901, 2, i]).poisson(2.0e4) for i in range(458)]
+
+    def test_near_ties_take_the_fallback(self, monkeypatch):
+        # a wider tie margin sends more points to numpy, and every total stays exact
+        built = count_generators(monkeypatch)
+        keyed_poisson(5, 2, np.arange(300), 2.0e4)
+        default_fallbacks = len(built)
+        built.clear()
+        monkeypatch.setattr(nf.acquisition, "_TIE_RTOL", 1e-5)
+        totals = keyed_poisson(5, 2, np.arange(300), 2.0e4)
+        assert len(built) > default_fallbacks + 50
+        assert totals.tolist() == [np.random.default_rng([5, 2, i]).poisson(2.0e4) for i in range(300)]
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, np.nextafter(POISSON_LAM_MAX, np.inf)])
+    def test_refused_mean_raises(self, lam):
+        with pytest.raises(ValidationError, match="expected counts x shots per point"):
+            keyed_poisson(1, 2, [0, 1], [2.0e4, lam])
+
+    def test_limit_is_numpys(self):
+        rng = np.random.default_rng([1, 2, 0])
+        with pytest.raises(ValueError, match="too large"):
+            rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+        assert keyed_poisson(1, 2, [0], POISSON_LAM_MAX).tolist() == [rng.poisson(POISSON_LAM_MAX)]
+
+
 class TestDrift:
     def test_all_zero(self):
         drift = nf.DriftModel()
@@ -218,22 +297,47 @@ class TestRunSweep:
         assert record.errors.tobytes() == errors.tobytes()
 
     def test_noise_streams_built_only_when_noise_is_on(self, monkeypatch):
-        built = []
-        keyed = nf.acquisition.keyed_generators
+        streams, kernel_calls = [], []
+        default_rng, kernel = np.random.default_rng, nf.acquisition.keyed_poisson
 
-        def counting_generators(seed, stream, indices):
-            for rng in keyed(seed, stream, indices):
-                built.append(stream)
-                yield rng
+        def counting_default_rng(seed=None):
+            streams.append(seed)
+            return default_rng(seed)
 
-        monkeypatch.setattr(nf.acquisition, "keyed_generators", counting_generators)
+        def counting_kernel(seed, stream, indices, lam):
+            kernel_calls.append((seed, stream, list(indices), np.array(lam)))
+            return kernel(seed, stream, indices, lam)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        monkeypatch.setattr(nf.acquisition, "keyed_poisson", counting_kernel)
+        built = count_generators(monkeypatch)
         simulate(x_nm=30.0, n_points=40)
-        assert built == []
-        simulate(x_nm=30.0, n_points=40, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
-        assert built == [nf.acquisition._STREAM_CURRENT] * 40
-        built.clear()
-        simulate(x_nm=30.0, n_points=40, shot_noise=True, shots_per_point=100)
-        assert built == [nf.acquisition._STREAM_SHOTS] * 40
+        assert streams == kernel_calls == built == []
+        # white current noise: one stream for the whole sweep
+        simulate(x_nm=30.0, n_points=40, seed=7, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
+        assert streams == [[7, nf.acquisition._STREAM_CURRENT]]
+        assert kernel_calls == built == []
+        streams.clear()
+        # shot noise: one kernel call over the sweep; Generators only where
+        # PTRS's first iteration does not accept
+        simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True, shots_per_point=10**6)
+        assert streams == []
+        [(seed, stream, indices, lam)] = kernel_calls
+        assert (seed, stream, indices) == (7, nf.acquisition._STREAM_SHOTS, list(range(40)))
+        fallbacks = sum(not ptrs_first_try_accepts(seed, stream, i, l) for i, l in zip(indices, lam))
+        assert 0 < len(built) == fallbacks < 40
+
+    def test_noisy_stride_sweep_equals_full_sweep(self):
+        # white and shot noise depend only on the seed, n_points and the
+        # sweep index, so the stride-3 points are bitwise the full sweep's
+        kwargs = dict(
+            n_points=90, shot_noise=True, shots_per_point=10**6, seed=31,
+            current_noise=nf.CurrentNoiseModel(white_sigma=0.01),
+        )
+        full = simulate(x_nm=25.0, **kwargs)
+        strided = simulate(x_nm=25.0, mask=nf.make_undersampling_mask(90, "stride", stride=3), **kwargs)
+        assert strided.signals.tobytes() == full.signals[::3].tobytes()
+        assert strided.errors.tobytes() == full.errors[::3].tobytes()
 
     def test_seed_determinism(self):
         a = simulate(x_nm=30.0, shot_noise=True, shots_per_point=10_000, seed=5)

@@ -218,6 +218,21 @@ class TestCliCommands:
         assert capsys.readouterr().err.splitlines() == ["validation: seed must be >= 0"]
         assert not (out / "record.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("section", "key", "value"), [("nv", "yield_beta", 1.0e14), ("plan", "shots_per_point", 1.0e21)]
+    )
+    def test_poisson_mean_beyond_numpy_limit_is_one_line(self, tmp_path, capsys, section, key, value):
+        data = copy.deepcopy(DEFAULT_DATA)
+        data["plan"]["shot_noise"] = True
+        data[section][key] = value
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation: shot noise needs expected counts x shots per point")
+        assert not (out / "record.csv").exists()
+
     def test_window_option_plumbing(self, tmp_path):
         config = write_config(tmp_path, minimal_config_dict())
         out = tmp_path / "out"

@@ -96,12 +96,12 @@ CASES = {
     ),
     "blocks": (
         _blocks,
-        "638b11ad4c9323184eafd0bd11187ce077eb5ce34db22ba1e1f1cd26c6636653",
+        "8647289885ddf6309ca80859f65cf6b6d13ad0154770396b358247a103102f39",
         "26fad912cd3208ffbc3e00831112c97f009125c02764904af6446e069b4a546f",
     ),
     "drift_wire": (
         _drift_wire,
-        "035fcc66c364b6ed5d80f3153a351a2caaf335fbb9d137b3b0f980966c98fc90",
+        "8df024b4c5d703877450439fff228eaadb493b3482e5225ee1178e73412dc98e",
         "25715ff45fea44af4898650321670d11d294ffcee5dc748649cdf94bdc14feee",
     ),
     "dense_15000": (
