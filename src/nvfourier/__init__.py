@@ -26,7 +26,6 @@ from .field_model import (
     calibrate_wire,
     field_at,
     gradient_at,
-    numeric_gradient_at,
     odmr_shift,
     project_on_axis,
     sample_field,

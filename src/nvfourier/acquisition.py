@@ -17,17 +17,16 @@ The sweep is evaluated as arrays: the ramp, the current modulation, the
 drifted positions, the gradient, the echo phase and the expected signal are
 computed once for all masked points.
 
-Determinism contract: a fixed plan reproduces a record bit-exactly, and a
-point's shot and current noise depend only on the seed, ``n_points`` and its
-sweep index, not on the mask or the evaluation order.  Shot noise is keyed
-per point: the photon total of sweep index i equals
-``np.random.default_rng([seed, _STREAM_SHOTS, i]).poisson(lam_i)``, and
-``keyed_poisson`` draws the totals of a whole sweep in array passes.  White
-current noise and the drift random walk each draw one stream per sweep,
-``np.random.default_rng([seed, stream id])``: the current stream draws
-``n_points`` normals and each point takes the one at its sweep index, and the
-drift stream draws one step per acquired point in acquisition order, so the
-drift a point sees follows the acquisition schedule.
+Determinism contract: a fixed plan reproduces a record bit-exactly.  Each
+noise source draws one stream per sweep, ``np.random.default_rng([seed,
+stream id])``.  Shot noise draws one Poisson total per acquired point, in
+acquisition order, with a single ``poisson`` call on stream
+``_STREAM_SHOTS``, so a point's shot noise depends on the mask.  White
+current noise draws ``n_points`` normals on stream ``_STREAM_CURRENT`` and
+each point takes the one at its sweep index, so it does not depend on the
+mask.  The drift random walk draws one step per acquired point in
+acquisition order on stream ``_STREAM_DRIFT``, so the drift a point sees
+follows the acquisition schedule.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,192 +64,6 @@ RECORD_CSV_COLUMNS = ["k_per_nm", "current_mA", "signal", "sigma", "t_hours"]
 # 10**6 points at the shipped 10**6 shots of 500 us each is about 16 years of
 # acquisition, so a larger sweep is a typo, not an experiment
 MAX_N_POINTS = 1_000_000
-
-# numpy's SeedSequence hash constants (pool of four 32-bit words) and PCG64's
-# 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
-INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
-INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-
-# Poisson means above this make numpy raise (POISSON_LAM_MAX in
-# numpy/random/_common.pyx): the draw would overflow int64
-POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-# relative margin around PTRS's acceptance test and floor: a draw this close to
-# a tie could go the other way in a numpy built with other rounding (FMA
-# contraction) and is drawn through numpy itself instead; above a mean of
-# about 1e11 the margin spans a whole count, so every draw goes through numpy
-_TIE_RTOL = 1e-12
-
-
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    if n < 0:
-        raise ValidationError("seed and stream ids must be non-negative integers")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg64_seeds(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row at once.
-
-    ``entropy`` holds one uint32 column per entropy word.  The hash constants
-    evolve independently of the data, so each step of SeedSequence's pool
-    mixing is one wrapping uint32 array operation over all rows.
-    """
-    hash_const = INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return result ^ (result >> 16)
-
-    with np.errstate(over="ignore"):
-        zero = np.zeros_like(entropy[0])
-        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        hash_const = INIT_B
-        state = []
-        for k in range(8):
-            value = pool[k % 4] ^ np.uint32(hash_const)
-            hash_const = hash_const * MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state.append((value ^ (value >> 16)).astype(np.uint64))
-    return [state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)]
-
-
-def _add128(x, y):
-    """Sum mod 2**128 of (hi, lo) uint64 array pairs."""
-    lo = x[1] + y[1]
-    return x[0] + y[0] + (lo < x[1]), lo
-
-
-def _lcg_step(state, inc):
-    """PCG64's LCG step ``state * MULT + inc`` mod 2**128 on (hi, lo) uint64 arrays.
-
-    The low words' full 128-bit product is assembled from 32-bit halves;
-    every uint64 product wraps, which is the mod 2**64 the high word needs.
-    """
-    hi, lo = state
-    a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG64_MULT_LO & _MASK32, _PCG64_MULT_LO >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI
-    return _add128((hi, lo * _PCG64_MULT_LO), inc)
-
-
-def _next_double(state):
-    """PCG64's XSL-RR output of each (hi, lo) state as numpy's ``next_double``."""
-    hi, lo = state
-    value, rot = hi ^ lo, hi >> 58
-    bits = (value >> rot) | (value << ((64 - rot) & 63))
-    return (bits >> 11) * 2.0**-53
-
-
-def _pcg64_states(seed: int, stream: int, indices) -> np.ndarray:
-    """Seeded PCG64 ``(state_hi, state_lo, inc_hi, inc_lo)`` of
-    ``default_rng([seed, stream, i])`` for every index, as a (4, n) uint64 array.
-
-    The SeedSequence hashing and PCG64's seeding (two LCG steps) run as array
-    passes over all indices.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and idx.min() < 0:
-        raise ValidationError("stream indices must be non-negative")
-    prefix = _uint32_words(int(seed)) + _uint32_words(int(stream))
-    seeds = np.empty((4, idx.size), dtype=np.uint64)
-    for wide in (False, True):  # indices >= 2**32 take a second entropy word
-        rows = (idx > _MASK32) == wide
-        if rows.any():
-            words = [idx[rows] & _MASK32] + ([idx[rows] >> 32] if wide else [])
-            columns = [np.full(rows.sum(), w, dtype=np.uint32) for w in prefix]
-            seeds[:, rows] = _pcg64_seeds(columns + [w.astype(np.uint32) for w in words])
-    s_hi, s_lo, i_hi, i_lo = seeds
-    inc = ((i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1)
-    return np.array([*_lcg_step(_add128((s_hi, s_lo), inc), inc), *inc])
-
-
-def _generators(states: np.ndarray):
-    """Yield one reused Generator set to each column of ``_pcg64_states`` in turn."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in zip(*states.tolist()):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
-
-def keyed_generators(seed: int, stream: int, indices):
-    """Yield one reused Generator set to ``default_rng([seed, stream, i])``'s
-    state for each index ``i`` in turn.
-
-    The states of all indices are derived in one batched pass
-    (``_pcg64_states``); the draws are bit-identical to building each
-    ``default_rng`` separately.  Consume each generator before advancing:
-    the next index resets its state.
-    """
-    return _generators(_pcg64_states(seed, stream, indices))
-
-
-def keyed_poisson(seed: int, stream: int, indices, lam) -> np.ndarray:
-    """``np.random.default_rng([seed, stream, i]).poisson(lam_i)`` for every
-    index, as an int64 array; ``lam`` broadcasts against ``indices``.
-
-    For lam >= 10 numpy draws by PTRS (Hörmann, Insurance: Math. & Econ. 12,
-    39 (1993)), whose first iteration accepts most draws with +, -, *, /,
-    sqrt and floor alone.  That iteration is replayed bit for bit on the
-    first two doubles of every point's PCG64 stream.  Points it rejects,
-    points with 0 < lam < 10 and points within ``_TIE_RTOL`` of a tie are
-    drawn from their keyed Generator instead.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), idx.shape)
-    refused = ~((lam >= 0) & (lam <= POISSON_LAM_MAX))
-    if refused.any():
-        raise ValidationError(
-            "shot noise needs expected counts x shots per point >= 0, finite and "
-            f"<= {POISSON_LAM_MAX:.4g}, got {lam[refused][0]:.4g}"
-        )
-    states = _pcg64_states(seed, stream, idx)
-    inc = (states[2], states[3])
-    first = _lcg_step((states[0], states[1]), inc)
-    u, v = _next_double(first) - 0.5, _next_double(_lcg_step(first, inc))
-    with np.errstate(divide="ignore", invalid="ignore"):  # lam < 10 and us == 0 never accept
-        b = 0.931 + 2.53 * np.sqrt(lam)
-        a = -0.059 + 0.02483 * b
-        vr = 0.9277 - 3.6224 / (b - 2)
-        us = 0.5 - np.abs(u)
-        x = (2 * a / us + b) * u + lam + 0.43
-        k, margin = np.floor(x), _TIE_RTOL * np.abs(x)
-        fast = (
-            (lam >= 10) & (us >= 0.07) & (v <= vr - _TIE_RTOL * vr)
-            & (np.floor(x - margin) == k) & (np.floor(x + margin) == k)
-        )
-    totals = np.where(fast, k, 0.0).astype(np.int64)
-    slow = ~fast & (lam > 0)
-    for rank, rng in zip(np.flatnonzero(slow), _generators(states[:, slow])):
-        totals[rank] = rng.poisson(lam[rank])
-    return totals
 
 
 @dataclass(frozen=True)
@@ -491,44 +303,6 @@ def _resolve_gradient_per_ma(
     return float(g[0]), g[1:]
 
 
-def acquire_points(
-    plan: AcquisitionPlan,
-    nv: NvCenter,
-    indices,
-    currents_ma,
-    x_nm,
-    gradient_per_ma,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signals and errors at the given sweep indices, evaluated as arrays.
-
-    ``currents_ma`` (nominal setpoints), ``x_nm`` (drifted imaging
-    coordinates) and ``gradient_per_ma`` (G/um per mA at the drifted
-    positions) line up with ``indices`` or broadcast against them.  A
-    point's noise depends only on the seed, ``n_points`` and its own sweep
-    index, so any subset of indices, evaluated in any order, gives values
-    bitwise equal to the sweep.
-    """
-    idx = np.asarray(indices, dtype=int)
-    noise = plan.current_noise
-    factor = 1.0
-    if noise.relative_amplitude > 0.0:
-        factor += noise.relative_amplitude * np.sin(
-            2.0 * math.pi * noise.modulation_frequency_cycles * (idx / (plan.n_points - 1))
-        )
-    if noise.white_sigma > 0.0:
-        white = np.random.default_rng([plan.seed, _STREAM_CURRENT]).standard_normal(plan.n_points)
-        factor += noise.white_sigma * white[idx]
-    phase = phase_from_coordinate(
-        x_nm, gradient_per_ma * (currents_ma * factor), plan.sequence, plan.waveform_template
-    )
-    expected = echo_signal(nv, phase, plan.sequence)
-    if not plan.shot_noise:
-        return expected.expected_signal, np.zeros(idx.shape)
-    draw = partial(keyed_poisson, plan.seed, _STREAM_SHOTS, idx)
-    mean, err = sample_counts(expected.expected_counts, plan.shots_per_point, draw)
-    return signal_from_counts(mean, err, nv)
-
-
 def run_sweep(
     plan: AcquisitionPlan,
     nv: NvCenter,
@@ -540,10 +314,10 @@ def run_sweep(
 
     The gradient calibration comes either from ``gradient_per_ma`` directly
     or from the wire geometry (projected on ``axis``, differentiated along
-    the plan's imaging axis, at each drifted NV position).  Signals are
-    sampled with per-point seeded shot noise unless plan.shot_noise is
-    False, in which case the exact expected signal is recorded with zero
-    error.
+    the plan's imaging axis, at each drifted NV position).  With
+    plan.shot_noise the photon totals of all acquired points are drawn in
+    one pass from the sweep's seeded shot stream; without it the exact
+    expected signal is recorded with zero error.
     """
     times = point_times_hours(plan)
     offsets = 0.0 if plan.drift.is_static else drift_trajectory(plan.drift, times, seed=plan.seed)
@@ -563,7 +337,26 @@ def run_sweep(
     x0_nm = imaging_coordinate_nm(nv, plan.origin_um, plan.imaging_axis)
     currents = sweep_currents(plan)
     sampled = currents[plan.mask]
-    signals, errors = acquire_points(plan, nv, plan.mask, sampled, x0_nm + offsets, g_per_ma)
+    noise = plan.current_noise
+    factor = 1.0
+    if noise.relative_amplitude > 0.0:
+        factor += noise.relative_amplitude * np.sin(
+            2.0 * math.pi * noise.modulation_frequency_cycles * (plan.mask / (plan.n_points - 1))
+        )
+    if noise.white_sigma > 0.0:
+        white = np.random.default_rng([plan.seed, _STREAM_CURRENT]).standard_normal(plan.n_points)
+        factor += noise.white_sigma * white[plan.mask]
+    phase = phase_from_coordinate(
+        x0_nm + offsets, g_per_ma * (sampled * factor), plan.sequence, plan.waveform_template
+    )
+    expected = echo_signal(nv, phase, plan.sequence)
+    if plan.shot_noise:
+        mean, err = sample_counts(
+            expected.expected_counts, plan.shots_per_point, [plan.seed, _STREAM_SHOTS]
+        )
+        signals, errors = signal_from_counts(mean, err, nv)
+    else:
+        signals, errors = expected.expected_signal, np.zeros(len(plan.mask))
 
     k_sampled = k_of_current(plan, sampled, g0)
     delta_k = float(k_of_current(plan, currents[1], g0))

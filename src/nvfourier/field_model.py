@@ -30,7 +30,7 @@ import numpy as np
 from .constants import GAMMA_CYC_MHZ_PER_G, MU0_OVER_2PI_G_UM_PER_MA
 from .errors import DataFormatError, GeometryError, UnderDeterminedError, ValidationError
 from .lsq import curve_fit
-from .serialize import read_csv, write_csv
+from .serialize import read_csv
 
 # below this perpendicular distance (um) the 1/r law is considered degenerate
 MIN_WIRE_DISTANCE_UM = 1e-6
@@ -172,16 +172,6 @@ def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis):
     )
     g = pref * (term1 + term2)
     return g if g.ndim else float(g)
-
-
-def numeric_gradient_at(
-    wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis, step_um: float = 1e-4
-) -> float:
-    """Central-difference cross-check for gradient_at (step 1e-4 um)."""
-    e = _unit3(imaging_axis, "imaging_axis")
-    p = _vec3(point_um, "point_um")
-    bp, bm = project_on_axis(field_at(wire, [p + step_um * e, p - step_um * e]), axis)
-    return (bp - bm) / (2.0 * step_um)
 
 
 def sample_field(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis) -> FieldSample:
@@ -337,11 +327,3 @@ def load_calibration_csv(path) -> list[CalibrationSample]:
         except ValidationError as exc:
             raise DataFormatError(f"{path}: row {number}: {exc}") from exc
     return samples
-
-
-def save_calibration_csv(path, samples: list[CalibrationSample]) -> None:
-    positions = np.array([s.position_um for s in samples]).reshape(-1, 3)
-    write_csv(
-        path, CALIBRATION_CSV_COLUMNS, *positions.T,
-        [s.delta_f_mhz for s in samples], [s.sigma_mhz for s in samples],
-    )

@@ -20,11 +20,7 @@ followed by a gap; the second half repeats the first, polarity-inverted when
 Outside [0, 2*tau) the drive is zero; the repetition overhead (laser
 initialization and readout) lives between sequence repetitions.
 
-For the built-in shapes all phase integrals are evaluated in closed form.
-A time->gradient callable can be passed instead, in which case a
-trapezoidal rule with mirror-paired nodes around the pi pulse is used (the
-pairing makes an even waveform cancel to machine zero rather than to
-accumulated rounding).
+All phase integrals are evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -43,6 +39,10 @@ WAVEFORM_SHAPES = ("sine", "rectangular")
 # the reference demonstration: 2tau = 500 us sweep to K_max = 2.2834 1/nm
 # with a calibrated single-lobe sine drive (efficiency w = 2a/pi = 0.50031)
 DEFAULT_SINE_ACTIVE_FRACTION = 0.78587993
+
+# Poisson means above this make numpy raise (POISSON_LAM_MAX in
+# numpy/random/_common.pyx): the draw would overflow int64
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,23 +134,6 @@ class EchoSignal:
 # ---------------------------------------------------------------------------
 
 
-def waveform_value(wf: GradientWaveform, seq: EchoSequence, t_us: float) -> float:
-    """Normalized signed drive g(t); zero outside [0, total_time)."""
-    total = seq.total_time_us
-    half = total / 2.0
-    if t_us < 0.0 or t_us >= total:
-        return 0.0
-    h = 0 if t_us < half else 1
-    u = t_us - h * half
-    window = wf.active_fraction * half
-    if u >= window:
-        return 0.0
-    pol = -1.0 if (h == 1 and wf.antisymmetric) else 1.0
-    if wf.shape == "rectangular":
-        return pol
-    return pol * math.sin(2.0 * math.pi * u / wf.period_us)
-
-
 def waveform_cumulative(wf: GradientWaveform, seq: EchoSequence, t_us: float) -> float:
     """Integral of the normalized drive from 0 to t (closed form)."""
     total = seq.total_time_us
@@ -236,63 +219,22 @@ def phase_from_coordinate(x_nm, peak_gradient_g_per_um, seq: EchoSequence, wf: G
     )
 
 
-def _numeric_half_integrals(gradient_fn, seq: EchoSequence, num_steps: int) -> tuple[float, float]:
-    """Trapezoidal half-integrals of a callable gradient, mirror-paired.
-
-    Nodes for both halves are generated from the same offsets u measured from
-    the pi pulse, so a waveform that is even about t_pi yields bitwise equal
-    sums and the echo difference cancels exactly.
-    """
-    t_pi = seq.pi_pulse_time_us
-    total = seq.total_time_us
-    dt = seq.sync_offset_us
-    h = min(t_pi, total - t_pi)
-    m = max(int(num_steps), 8)
-    u = np.linspace(0.0, h, m + 1)
-    g_before = np.asarray(gradient_fn(t_pi - u - dt), dtype=float)
-    g_after = np.asarray(gradient_fn(t_pi + u - dt), dtype=float)
-    first = float(np.trapezoid(g_before, u))
-    second = float(np.trapezoid(g_after, u))
-    # remainder when the pi pulse is off-center
-    if t_pi > h:
-        t_extra = np.linspace(0.0, t_pi - h, m + 1)
-        first += float(np.trapezoid(np.asarray(gradient_fn(t_extra - dt), dtype=float), t_extra))
-    elif total - t_pi > h:
-        t_extra = np.linspace(t_pi + h, total, m + 1)
-        second += float(np.trapezoid(np.asarray(gradient_fn(t_extra - dt), dtype=float), t_extra))
-    return first, second
-
-
 def echo_phase(
     nv: NvCenter,
-    gradient,
+    gradient: float,
     seq: EchoSequence,
-    wf: GradientWaveform | None = None,
+    wf: GradientWaveform,
     origin_um=(0.0, 0.0, 0.0),
     imaging_axis=(1.0, 0.0, 0.0),
-    num_steps: int | None = None,
 ) -> float:
     """Accumulated spin-echo phase (rad) for one NV.
 
-    ``gradient`` is either the peak projected gradient at the NV position
-    (G/um, scaled by the normalized waveform ``wf``), or a vectorized
-    callable t_us -> G/um giving the full time-dependent gradient directly
-    (``wf`` is then not used and the integral is numeric; step defaults to
-    total_time/2e5, or period/1000 when a waveform is supplied for scale).
+    ``gradient`` is the peak projected gradient at the NV position (G/um),
+    scaled in time by the normalized waveform ``wf``.
     """
-    x_nm = imaging_coordinate_nm(nv, origin_um, imaging_axis)
-    if callable(gradient):
-        if num_steps is None:
-            if wf is not None:
-                num_steps = int(math.ceil(seq.total_time_us / (wf.period_us / 1000.0)))
-            else:
-                num_steps = 200_000
-        first, second = _numeric_half_integrals(gradient, seq, num_steps)
-        return (
-            2.0 * math.pi * GAMMA_CYC_MHZ_PER_G * (x_nm * NM_TO_UM) * (first - second)
-        )
     if wf is None:
-        raise ValidationError("a GradientWaveform is required with a scalar gradient")
+        raise ValidationError("a GradientWaveform is required")
+    x_nm = imaging_coordinate_nm(nv, origin_um, imaging_axis)
     return phase_from_coordinate(x_nm, float(gradient), seq, wf)
 
 
@@ -326,20 +268,24 @@ def sample_counts(expected_counts, shots: int, seed):
     statistically identical to averaging per-shot draws.  ``seed`` is
     anything ``np.random.default_rng`` accepts: an int or int sequence, which
     gives a deterministic draw, or a ``Generator``, which is drawn from
-    directly.  It may also be a callable that maps the array of Poisson means
-    to totals: ``acquisition`` passes its keyed kernel, which gives every
-    point its own stream.  An array of expected counts gives arrays; a
-    scalar gives floats.
+    directly.  An array of expected counts is drawn with one ``poisson``
+    call, element by element in order, and gives arrays; a scalar gives
+    floats.  A Poisson mean (expected counts x shots) that is negative, not
+    finite or above ``POISSON_LAM_MAX`` raises ValidationError.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     counts = np.asarray(expected_counts, dtype=float)
-    if np.any(counts < 0):
-        raise ValidationError("expected_counts must be >= 0")
-    draw = seed if callable(seed) else np.random.default_rng(seed).poisson
+    lam = counts * shots
+    refused = ~((lam >= 0) & (lam <= POISSON_LAM_MAX))
+    if refused.any():
+        raise ValidationError(
+            "shot noise needs expected counts x shots per point >= 0, finite and "
+            f"<= {POISSON_LAM_MAX:.4g}, got {np.extract(refused, lam)[0]:.4g}"
+        )
     # float64 true division: equal to the exact quotient's rounding while the
     # totals and shots stay below 2**53
-    mean = draw(counts * shots) / shots
+    mean = np.random.default_rng(seed).poisson(lam) / shots
     err = np.sqrt(mean / shots)
     return (mean, err) if counts.ndim else (float(mean), float(err))
 

@@ -1,47 +1,14 @@
-import math
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import nvfourier as nf
-from nvfourier.acquisition import (
-    POISSON_LAM_MAX,
-    acquire_points,
-    keyed_generators,
-    keyed_poisson,
-    point_times_hours,
-    sweep_currents,
-)
+from nvfourier.acquisition import point_times_hours, sweep_currents
 from nvfourier.errors import MissingCalibrationError, ValidationError
 
 from helpers import reference_nv, reference_plan, reference_sequence, rect_waveform, simulate
-
-
-def count_generators(monkeypatch) -> list:
-    """Record every per-point Generator the acquisition module sets up."""
-    built = []
-    generators = nf.acquisition._generators
-
-    def counting(states):
-        for rng in generators(states):
-            built.append(rng)
-            yield rng
-
-    monkeypatch.setattr(nf.acquisition, "_generators", counting)
-    return built
-
-
-def ptrs_first_try_accepts(seed, stream, index, lam) -> bool:
-    """Whether numpy's PTRS Poisson sampler returns on its first iteration,
-    replayed in Python floats on that point's first two doubles."""
-    rng = np.random.default_rng([seed, stream, index])
-    u, v = rng.random() - 0.5, rng.random()
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    return lam >= 10 and 0.5 - abs(u) >= 0.07 and v <= 0.9277 - 3.6224 / (b - 2)
 
 
 class TestKOfCurrent:
@@ -125,85 +92,6 @@ class TestMasks:
                 reference_plan(mask=mask)
 
 
-class TestKeyedGenerators:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
-        stream=st.integers(0, 2**40),
-        indices=st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 5000), min_size=1, max_size=40),
-    )
-    def test_states_and_draws_equal_default_rng(self, seed, stream, indices):
-        # a SeedSequence change in a future numpy fails here instead of
-        # silently changing every noisy record
-        for i, rng in zip(indices, keyed_generators(seed, stream, indices), strict=True):
-            ref = np.random.PCG64(np.random.SeedSequence([seed, stream, i]))
-            assert rng.bit_generator.state == ref.state
-            ref_rng = np.random.Generator(ref)
-            assert rng.standard_normal() == ref_rng.standard_normal()
-            assert rng.poisson(2.0e4) == ref_rng.poisson(2.0e4)
-
-    def test_negative_seed_or_index_raises_like_default_rng(self):
-        with pytest.raises(ValueError):
-            np.random.default_rng([-1, 2, 0])
-        with pytest.raises(ValidationError):
-            next(keyed_generators(-1, 2, [0]))
-        with pytest.raises(ValidationError):
-            next(keyed_generators(1, 2, [3, -1]))
-
-
-class TestKeyedPoisson:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
-        stream=st.integers(0, 2**40),
-        draws=st.lists(
-            st.tuples(
-                st.integers(0, 2**63 - 1) | st.integers(0, 5000),
-                st.just(0.0)
-                | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)
-                | st.floats(10.0, 1e5)
-                | st.floats(10.0, 1e12),
-            ),
-            min_size=1, max_size=40,
-        ),
-    )
-    def test_equals_default_rng(self, seed, stream, draws):
-        indices, lam = zip(*draws)
-        totals = keyed_poisson(seed, stream, indices, lam)
-        assert totals.dtype == np.int64
-        assert totals.tolist() == [np.random.default_rng([seed, stream, i]).poisson(x) for i, x in draws]
-
-    def test_fast_path_takes_most_draws(self, monkeypatch):
-        # a kernel that silently sent every point to numpy would pass the
-        # equality property; at the sweep's photon numbers most must not
-        built = count_generators(monkeypatch)
-        totals = keyed_poisson(20240901, 2, np.arange(458), 2.0e4)
-        assert len(built) <= 0.3 * 458
-        assert totals.tolist() == [np.random.default_rng([20240901, 2, i]).poisson(2.0e4) for i in range(458)]
-
-    def test_near_ties_take_the_fallback(self, monkeypatch):
-        # a wider tie margin sends more points to numpy, and every total stays exact
-        built = count_generators(monkeypatch)
-        keyed_poisson(5, 2, np.arange(300), 2.0e4)
-        default_fallbacks = len(built)
-        built.clear()
-        monkeypatch.setattr(nf.acquisition, "_TIE_RTOL", 1e-5)
-        totals = keyed_poisson(5, 2, np.arange(300), 2.0e4)
-        assert len(built) > default_fallbacks + 50
-        assert totals.tolist() == [np.random.default_rng([5, 2, i]).poisson(2.0e4) for i in range(300)]
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, np.nextafter(POISSON_LAM_MAX, np.inf)])
-    def test_refused_mean_raises(self, lam):
-        with pytest.raises(ValidationError, match="expected counts x shots per point"):
-            keyed_poisson(1, 2, [0, 1], [2.0e4, lam])
-
-    def test_limit_is_numpys(self):
-        rng = np.random.default_rng([1, 2, 0])
-        with pytest.raises(ValueError, match="too large"):
-            rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
-        assert keyed_poisson(1, 2, [0], POISSON_LAM_MAX).tolist() == [rng.poisson(POISSON_LAM_MAX)]
-
-
 class TestDrift:
     def test_all_zero(self):
         drift = nf.DriftModel()
@@ -278,66 +166,94 @@ class TestRunSweep:
         np.testing.assert_allclose(record.signals, full.signals[::4], atol=1e-15)
 
     def test_order_independence(self):
-        # the array kernel evaluated one index at a time, in reverse order,
-        # reproduces the sweep bitwise with shot and white current noise on
-        plan = reference_plan(
-            n_points=60, shot_noise=True, shots_per_point=1000, seed=99,
-            mask=nf.make_undersampling_mask(60, "stride", stride=3),
-            current_noise=nf.CurrentNoiseModel(white_sigma=0.01),
-        )
-        nv = reference_nv(25.0)
-        record = nf.run_sweep(plan, nv, gradient_per_ma=0.326)
-        currents = sweep_currents(plan)
-        signals, errors = np.empty(len(plan.mask)), np.empty(len(plan.mask))
-        for rank in reversed(range(len(plan.mask))):
-            idx = plan.mask[rank]
-            sig, err = acquire_points(plan, nv, [idx], currents[[idx]], 25.0, 0.326)
-            signals[rank], errors[rank] = sig[0], err[0]
-        assert record.signals.tobytes() == signals.tobytes()
-        assert record.errors.tobytes() == errors.tobytes()
+        # white current noise is keyed by sweep index: single-point masks,
+        # run in reverse order, reproduce the full sweep bitwise
+        kwargs = dict(n_points=60, seed=99, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
+        full = simulate(x_nm=25.0, **kwargs)
+        for idx in reversed(range(0, 60, 3)):
+            point = simulate(x_nm=25.0, mask=[idx], **kwargs)
+            assert point.signals.tobytes() == full.signals[[idx]].tobytes()
 
     def test_noise_streams_built_only_when_noise_is_on(self, monkeypatch):
-        streams, kernel_calls = [], []
-        default_rng, kernel = np.random.default_rng, nf.acquisition.keyed_poisson
+        streams = []
+        default_rng = np.random.default_rng
 
         def counting_default_rng(seed=None):
             streams.append(seed)
             return default_rng(seed)
 
-        def counting_kernel(seed, stream, indices, lam):
-            kernel_calls.append((seed, stream, list(indices), np.array(lam)))
-            return kernel(seed, stream, indices, lam)
-
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
-        monkeypatch.setattr(nf.acquisition, "keyed_poisson", counting_kernel)
-        built = count_generators(monkeypatch)
         simulate(x_nm=30.0, n_points=40)
-        assert streams == kernel_calls == built == []
+        assert streams == []
         # white current noise: one stream for the whole sweep
         simulate(x_nm=30.0, n_points=40, seed=7, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
         assert streams == [[7, nf.acquisition._STREAM_CURRENT]]
-        assert kernel_calls == built == []
         streams.clear()
-        # shot noise: one kernel call over the sweep; Generators only where
-        # PTRS's first iteration does not accept
+        # shot noise: one stream for the whole sweep, masked or not
         simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True, shots_per_point=10**6)
-        assert streams == []
-        [(seed, stream, indices, lam)] = kernel_calls
-        assert (seed, stream, indices) == (7, nf.acquisition._STREAM_SHOTS, list(range(40)))
-        fallbacks = sum(not ptrs_first_try_accepts(seed, stream, i, l) for i, l in zip(indices, lam))
-        assert 0 < len(built) == fallbacks < 40
+        simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True, mask=[0, 5, 9])
+        assert streams == [[7, nf.acquisition._STREAM_SHOTS]] * 2
 
     def test_noisy_stride_sweep_equals_full_sweep(self):
-        # white and shot noise depend only on the seed, n_points and the
+        # white current noise depends only on the seed, n_points and the
         # sweep index, so the stride-3 points are bitwise the full sweep's
-        kwargs = dict(
-            n_points=90, shot_noise=True, shots_per_point=10**6, seed=31,
-            current_noise=nf.CurrentNoiseModel(white_sigma=0.01),
-        )
+        kwargs = dict(n_points=90, seed=31, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
         full = simulate(x_nm=25.0, **kwargs)
         strided = simulate(x_nm=25.0, mask=nf.make_undersampling_mask(90, "stride", stride=3), **kwargs)
         assert strided.signals.tobytes() == full.signals[::3].tobytes()
-        assert strided.errors.tobytes() == full.errors[::3].tobytes()
+
+    def test_shot_totals_are_one_draw_over_the_acquired_points(self):
+        # the photon totals of a masked sweep are one poisson(lam) call on
+        # the sweep's shot stream, over the acquired points in order
+        shots, mask = 10_000, nf.make_undersampling_mask(60, "stride", stride=4)
+        nv = reference_nv(25.0)
+        a, b = nv.contrast_alpha, nv.yield_beta
+        clean = simulate(x_nm=25.0, n_points=60, shots_per_point=shots, mask=mask)
+        noisy = simulate(x_nm=25.0, n_points=60, shots_per_point=shots, mask=mask,
+                         shot_noise=True, seed=8)
+        lam = b * (1.0 + a * clean.signals) / (1.0 + a) * shots
+        totals = np.random.default_rng([8, nf.acquisition._STREAM_SHOTS]).poisson(lam)
+        np.testing.assert_allclose(noisy.signals, ((1.0 + a) * totals / shots / b - 1.0) / a,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("other_noise", [
+        dict(current_noise=nf.CurrentNoiseModel(white_sigma=0.01)),
+        dict(drift=nf.DriftModel(random_walk_sigma_nm_per_sqrt_hour=0.5)),
+    ], ids=["white_current", "drift_walk"])
+    def test_shot_stream_is_separate_from_other_noise(self, other_noise):
+        # with white current noise or the drift walk on, the shot totals are
+        # still one poisson(lam) draw on the shot stream, lam taken from the
+        # same seed's sweep without shot noise
+        shots, seed = 10_000, 12
+        nv = reference_nv(25.0)
+        a, b = nv.contrast_alpha, nv.yield_beta
+        kwargs = dict(x_nm=25.0, n_points=60, shots_per_point=shots, seed=seed, **other_noise)
+        clean = simulate(**kwargs)
+        assert not np.array_equal(clean.signals, simulate(x_nm=25.0, n_points=60).signals)
+        noisy = simulate(shot_noise=True, **kwargs)
+        lam = b * (1.0 + a * clean.signals) / (1.0 + a) * shots
+        totals = np.random.default_rng([seed, nf.acquisition._STREAM_SHOTS]).poisson(lam)
+        np.testing.assert_allclose(noisy.signals, ((1.0 + a) * totals / shots / b - 1.0) / a,
+                                   rtol=0, atol=1e-12)
+
+    def test_shot_noise_is_poisson_per_point(self):
+        # over 400 consecutive seeds each point's photon total has its own
+        # Poisson mean and variance lam_i: sample mean within 5 sigma of
+        # lam_i, sample variance within 5 sigma of lam_i
+        shots, seeds = 10_000, 400
+        nv = reference_nv(25.0)
+        a, b = nv.contrast_alpha, nv.yield_beta
+        clean = simulate(x_nm=25.0, n_points=40, shots_per_point=shots)
+        lam = b * (1.0 + a * clean.signals) / (1.0 + a) * shots
+        totals = np.array([
+            b * (1.0 + a * simulate(x_nm=25.0, n_points=40, shots_per_point=shots, shot_noise=True,
+                                    seed=seed).signals) / (1.0 + a) * shots
+            for seed in range(seeds)
+        ])
+        np.testing.assert_allclose(totals, np.rint(totals), rtol=0, atol=1e-6)
+        assert np.all(np.abs(totals.mean(axis=0) - lam) < 5.0 * np.sqrt(lam / seeds))
+        rel_var = totals.var(axis=0, ddof=1) / lam
+        assert np.all(np.abs(rel_var - 1.0) < 5.0 * np.sqrt((2.0 + 1.0 / lam) / seeds))
 
     def test_seed_determinism(self):
         a = simulate(x_nm=30.0, shot_noise=True, shots_per_point=10_000, seed=5)

@@ -7,6 +7,8 @@ import nvfourier as nf
 from nvfourier.constants import MU0_OVER_2PI_G_UM_PER_MA
 from nvfourier.errors import DataFormatError, GeometryError, UnderDeterminedError, ValidationError
 
+from helpers import numeric_gradient_at, save_calibration_csv
+
 
 def wire_y(current=1.0, anchor=(0.0, 0.0, 0.0), polarity=1):
     return nf.MicrowireModel(anchor_point_um=anchor, direction=[0, 1, 0],
@@ -129,7 +131,7 @@ class TestGradient:
             if np.linalg.norm(rho) < 0.1:
                 continue
             analytic = nf.gradient_at(wire, point, axis, imaging)
-            numeric = nf.numeric_gradient_at(wire, point, axis, imaging)
+            numeric = numeric_gradient_at(wire, point, axis, imaging)
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -305,7 +307,7 @@ class TestCalibrationCsv:
             nf.CalibrationSample([2.0, 0.0, 0.0], 2.692, 0.02),
         ]
         path = tmp_path / "cal.csv"
-        nf.field_model.save_calibration_csv(path, samples)
+        save_calibration_csv(path, samples)
         loaded = nf.field_model.load_calibration_csv(path)
         assert len(loaded) == 2
         np.testing.assert_array_equal(loaded[0].position_um, samples[0].position_um)

@@ -86,12 +86,12 @@ CASES = {
     ),
     "shot_noise": (
         _shot_noise,
-        "0a0b49868b6e879d06607b6aeda4f47a414006dfa13a89b8f7ca2d207378f817",
+        "1ca94f8a477e0ebb5e294f44809d7d48aad2db4b7dd0961e730d8e8f2eebe01c",
         "168ce4ef43adac4af733b63f9c4e1a683a13400240229e70b8b5476a96972c4a",
     ),
     "stride": (
         _stride,
-        "f1533d48bff50bd0d19eb7c0d26e5ba40bb01f230ebedcdd06cf10c2f4d78cd3",
+        "c0573f4d9053be0404c31e376fda4cb16381cd9e246705e7da039261007d3388",
         "69fcc8fe228e33147281c1312b9beda972e63b7fa83ac63a7872448ccd4d7409",
     ),
     "blocks": (
@@ -101,7 +101,7 @@ CASES = {
     ),
     "drift_wire": (
         _drift_wire,
-        "8df024b4c5d703877450439fff228eaadb493b3482e5225ee1178e73412dc98e",
+        "bd7cbd20ce44a1b0fadc89362659d40e9dd907f2533fa5b5b1986a8e19d4939d",
         "25715ff45fea44af4898650321670d11d294ffcee5dc748649cdf94bdc14feee",
     ),
     "dense_15000": (

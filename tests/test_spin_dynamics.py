@@ -6,14 +6,21 @@ import pytest
 import nvfourier as nf
 from nvfourier.errors import ValidationError
 from nvfourier.spin_dynamics import (
+    POISSON_LAM_MAX,
     phase_from_coordinate,
     signal_from_counts,
     signed_half_integrals,
     waveform_cumulative,
-    waveform_value,
 )
 
-from helpers import midpoint_phase_oracle, reference_sequence, reference_waveform, rect_waveform
+from helpers import (
+    midpoint_phase_oracle,
+    numeric_echo_phase,
+    reference_sequence,
+    reference_waveform,
+    rect_waveform,
+    waveform_value,
+)
 
 
 def nv_at(x_nm, t2_us=1e12):
@@ -119,7 +126,7 @@ class TestEchoPhase:
             def gradient(t, knots=knots, values=values):
                 return np.interp(np.abs(np.asarray(t) - t_pi), knots, values)
 
-            phi = nf.echo_phase(nv_at(x), gradient, seq, num_steps=20_000)
+            phi = numeric_echo_phase(nv_at(x), gradient, seq, num_steps=20_000)
             assert abs(phi) < 1e-10
 
     def test_linearity_in_x_and_gradient(self):
@@ -142,7 +149,7 @@ class TestEchoPhase:
         def gradient(t, wf=wf, seq=seq):
             return 1.7 * np.array([waveform_value(wf, seq, tv) for tv in np.atleast_1d(t)])
 
-        numeric = nf.echo_phase(nv, gradient, seq, num_steps=100_000)
+        numeric = numeric_echo_phase(nv, gradient, seq, num_steps=100_000)
         assert numeric == pytest.approx(analytic, rel=1e-4)
 
     def test_scalar_gradient_requires_waveform(self):
@@ -220,6 +227,36 @@ class TestSampleCounts:
     def test_shots_validation(self):
         with pytest.raises(ValidationError):
             nf.sample_counts(0.02, 0, 1)
+
+    def test_array_is_one_draw_in_order(self):
+        # an array of expected counts is one poisson call on default_rng(seed),
+        # element by element; the pair comes back as arrays
+        counts, shots = np.array([0.02, 0.0, 0.015, 0.03]), 10**4
+        mean, err = nf.sample_counts(counts, shots, [3, 2])
+        totals = np.random.default_rng([3, 2]).poisson(counts * shots)
+        assert isinstance(mean, np.ndarray) and isinstance(err, np.ndarray)
+        np.testing.assert_array_equal(mean, totals / shots)
+        np.testing.assert_array_equal(err, np.sqrt(totals / shots / shots))
+
+    def test_generator_is_drawn_from_directly(self):
+        # a Generator seed is advanced, so two calls on it draw different totals
+        rng = np.random.default_rng(9)
+        first, second = nf.sample_counts(0.02, 10**6, rng), nf.sample_counts(0.02, 10**6, rng)
+        ref = np.random.default_rng(9)
+        assert first[0] == ref.poisson(0.02 * 10**6) / 10**6
+        assert second[0] == ref.poisson(0.02 * 10**6) / 10**6
+        assert first != second
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, np.nextafter(POISSON_LAM_MAX, np.inf)])
+    def test_refused_mean_raises(self, lam):
+        with pytest.raises(ValidationError, match="expected counts x shots per point"):
+            nf.sample_counts([2.0e4, lam], 1, 1)
+
+    def test_limit_is_numpys(self):
+        with pytest.raises(ValueError, match="too large"):
+            np.random.default_rng(1).poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+        mean, _ = nf.sample_counts(POISSON_LAM_MAX, 1, 1)
+        assert mean == float(np.random.default_rng(1).poisson(POISSON_LAM_MAX))
 
     def test_convergence_slope(self):
         # |mean - lambda| averaged over seeds scales as shots^(-1/2)
