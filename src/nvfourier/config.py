@@ -35,7 +35,7 @@ from .acquisition import (
 from .errors import ConfigError, ConfigParseError, ValidationError
 from .field_model import MicrowireModel, NvAxis
 from .metrology import TIME_CONVENTIONS
-from .reconstruction import WINDOWS
+from .reconstruction import WINDOWS, profile_length
 from .serialize import to_plain
 from .spin_dynamics import EchoSequence, GradientWaveform, NvCenter
 
@@ -68,8 +68,10 @@ class RunConfig:
             raise ConfigError("gradient_per_ma_g_per_um: must be > 0")
         if self.recon_window not in WINDOWS:
             raise ConfigError(f"reconstruction: window must be one of {WINDOWS}")
-        if self.zero_pad_factor < 1:
-            raise ConfigError("reconstruction: zero_pad_factor must be >= 1")
+        try:
+            profile_length(self.plan.n_points, self.zero_pad_factor)
+        except ValidationError as exc:
+            raise ConfigError(f"reconstruction: {exc}") from exc
         if not self.sigma_s > 0:
             raise ConfigError("sensitivity: sigma_s must be > 0")
         if self.time_convention not in TIME_CONVENTIONS:

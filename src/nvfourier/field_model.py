@@ -116,6 +116,16 @@ def _perp_displacement(wire: MicrowireModel, points_um: np.ndarray) -> np.ndarra
     return rel - np.vecdot(rel, wire.direction)[..., np.newaxis] * wire.direction
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v of a 3-vector u with a 3-vector or an (n, 3) stack v.
+
+    The products and differences are np.cross's own, so the result is
+    bitwise equal to it, without np.cross's per-call set-up.
+    """
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u[1] * v2 - u[2] * v1, u[2] * v0 - u[0] * v2, u[0] * v1 - u[1] * v0], axis=-1)
+
+
 def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
     """Magnetic field vector (G) of the wire at a point (um), or an (n, 3)
     stack of them at an (n, 3) stack of points.
@@ -131,7 +141,7 @@ def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
             f"(minimum {MIN_WIRE_DISTANCE_UM:g} um)"
         )
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma / r2
-    return pref[..., np.newaxis] * np.cross(wire.direction, rho)
+    return pref[..., np.newaxis] * _cross(wire.direction, rho)
 
 
 def project_on_axis(b_g, axis: NvAxis):
@@ -166,9 +176,9 @@ def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis):
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma
     # d/ds [ a . (d x (rho + s*e_perp)) / |rho + s*e_perp|^2 ] at s = 0;
     # float_power keeps r2**2 equal to the scalar float power
-    term1 = float(np.dot(a, np.cross(d, e_perp))) / r2
+    term1 = float(np.dot(a, _cross(d, e_perp))) / r2
     term2 = (
-        -2.0 * np.vecdot(a, np.cross(d, rho)) * np.vecdot(rho, e_perp) / np.float_power(r2, 2.0)
+        -2.0 * np.vecdot(a, _cross(d, rho)) * np.vecdot(rho, e_perp) / np.float_power(r2, 2.0)
     )
     g = pref * (term1 + term2)
     return g if g.ndim else float(g)

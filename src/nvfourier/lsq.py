@@ -55,11 +55,11 @@ def curve_fit(model, xdata, ydata, p0, jac):
         if jtj is None:
             j = jac(x, *p.tolist())
             jtj, grad = j.T @ j, j.T @ resid
-            diag = np.diag(jtj.diagonal())
             scale = np.sqrt(jtj.diagonal())
             scaled_p = scale * p
             xtol_bound = _LM_XTOL**2 * (scaled_p @ scaled_p)
-        damped = jtj + lam * diag
+        damped = jtj.copy()
+        damped.flat[:: len(p) + 1] += lam * jtj.diagonal()
         try:
             step = np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError as exc:

@@ -2,17 +2,32 @@
 
 The measured signal at each K is cos(2*pi*K*x0) (times envelope and noise),
 so the real-space localization is a one-sided cosine transform evaluated on
-a uniform x grid:
+a uniform x grid.  The n samples s_m on the K grid, zero-padded to
+M + 1 = (n-1)*z + 1 points by the zero-pad factor z, give
 
-    A(x_i) = [ s_0 + (-1)^i s_{M-1} + 2 * sum_{0<j<M-1} s_j cos(pi j i / (M-1)) ] / (N-1)
+    A(x_j) = [ sum_{0<=m<n} c_m cos(pi m j / M) ] / (n-1),   j = 0..M,
 
-i.e. an unnormalized DCT-I of the (windowed, zero-padded) signal divided by
-N-1, where N is the number of K samples before padding.  The DCT-I is the
-real part of the real FFT of the signal's even extension.  With this scale a
+with c_0 = s_0, c_{n-1} = s_{n-1} when z = 1 (the last sample is then also
+the last padded one), and c_m = 2 s_m otherwise: an unnormalized DCT-I of
+the (windowed, zero-padded) signal divided by n-1.  With this scale a
 unit-amplitude cosine reconstructs to a peak of height ~1.  The grid spans
-x in [0, 1/(2*dK)] with spacing pixel/zero_pad_factor, pixel = 1/(2*K_max).
-The profile stores |A|; with no quadrature channel the position sign is
-unresolvable and the field of view is defined as x >= 0.
+x in [0, 1/(2*dK)] with spacing pixel/z, pixel = 1/(2*K_max).  The profile
+stores |A|; with no quadrature channel the position sign is unresolvable and
+the field of view is defined as x >= 0.
+
+The sum is a chirp-z transform (Bluestein, IEEE Trans. Audio Electroacoust.
+18, 451 (1970)).  With w_k = exp(-i pi k^2 / (2M)), the identity
+m*j = (m^2 + j^2 - (j-m)^2) / 2 gives
+
+    sum_m c_m cos(pi m j / M) = Re[ w_j sum_m (c_m w_m) conj(w_{j-m}) ],
+
+a convolution of n samples with a chirp of n + M taps, done by complex FFTs
+of the smallest 2^a 3^b 5^c length >= n + M.  Its cost therefore does not
+depend on the prime factors of 2M: the shipped 458-point sweep at zero-pad 4
+has 2M = 8*457, on which a real FFT of the even extension runs 457-point
+prime passes.  The chirp and the chirp filter's spectrum depend on (n, z)
+alone and are cached per grid.  The result equals the DCT-I to round-off,
+not bit for bit with a real FFT of the even extension.
 
 Undersampling: block-masked records are zero-filled onto the full K grid
 (using the sidecar mask) before transforming; stride-masked records are
@@ -22,6 +37,7 @@ that ``disambiguate_alias`` unfolds against a coarse full prescan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +63,18 @@ from .lsq import curve_fit
 from .serialize import to_plain, write_csv, write_json
 
 WINDOWS = ("none", "hann")
+
+# Longest profile, (n-1)*z + 1 points, that fourier_reconstruct builds.  It
+# admits the longest sweep a config accepts (acquisition.MAX_N_POINTS = 10**6)
+# at the default zero-pad 4, 3 999 997 points, and it refuses a mistyped
+# zero-pad factor before anything of that length is allocated.  It also caps
+# the plan cache: a plan at the bound holds at most 16*(2**22 + 2**23) bytes
+# (192 MiB), so the cache holds at most _PLAN_CACHE_SIZE times that.
+MAX_PROFILE_POINTS = 2**22
+
+# K grids whose DCT-I plan stays cached: analysing one run takes up to three
+# (the full sweep, a stride-undersampled sweep and its coarse prescan)
+_PLAN_CACHE_SIZE = 4
 
 # relative tolerance for the uniform-K-grid check
 _GRID_RTOL = 1e-9
@@ -132,15 +160,15 @@ def _lorentzian_jac(x, amplitude, center, half_width, offset):
     return np.array([shape, d_center, d_width, np.ones(x.shape)]).T
 
 
-def _expand_to_full_grid(record: KSpaceRecord) -> tuple[np.ndarray, float]:
-    """Signal on the uniform K grid starting at K=0, zero-filling gaps.
+def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
+    """Where the record's samples sit on the uniform K grid from K = 0:
+    their positions on it, its length and its spacing.
 
     A record whose own K values are uniform is used as-is (stride masks land
     here: a compact grid with larger dK).  Otherwise the sidecar mask and
-    full-grid spacing expand it; without that metadata the grid is rejected.
+    full-grid spacing place it; without that metadata the grid is rejected.
     """
     k = record.k_values
-    s = record.signals
     if len(k) == 0:
         raise EmptyRecordError("record has no samples")
     if len(k) == 1:
@@ -152,8 +180,7 @@ def _expand_to_full_grid(record: KSpaceRecord) -> tuple[np.ndarray, float]:
         lead = int(round(k[0] / dk))
         if abs(k[0] - lead * dk) > dk * 1e-6:
             raise NonUniformKError("K grid does not extend to K = 0 on its own spacing")
-        full = np.concatenate([np.zeros(lead), s])
-        return full, dk
+        return slice(lead, None), lead + len(k), dk
     meta = record.metadata or {}
     mask = meta.get("mask")
     n_points = meta.get("n_points")
@@ -163,14 +190,75 @@ def _expand_to_full_grid(record: KSpaceRecord) -> tuple[np.ndarray, float]:
             "K values are not on a uniform grid and the sidecar metadata "
             "(mask, n_points, delta_k_per_nm) is unavailable for zero-filling"
         )
-    if len(mask) != len(s):
+    if len(mask) != len(k):
         raise MetadataError("sidecar mask length does not match record length")
     expected = np.asarray(mask, dtype=float) * float(dk_full)
     if not np.allclose(k, expected, rtol=1e-6, atol=float(dk_full) * 1e-6):
         raise MetadataError("record K values are inconsistent with the sidecar mask")
-    full = np.zeros(int(n_points))
-    full[np.asarray(mask, dtype=int)] = s
-    return full, float(dk_full)
+    index = np.asarray(mask, dtype=int)  # increasing, as the record's K values are
+    if index[-1] >= n_points:
+        raise MetadataError(f"sidecar mask reaches index {index[-1]}, past n_points = {n_points}")
+    return index, int(n_points), float(dk_full)
+
+
+def profile_length(n: int, zero_pad_factor) -> int:
+    """Points of the profile of an n-point K grid zero-padded by the factor
+    z: (n-1)*z + 1.
+
+    Raises ValidationError unless z is an integer >= 1 and the profile has
+    at most MAX_PROFILE_POINTS points.
+    """
+    # // 1 keeps an integral value and turns inf and nan into nan
+    if zero_pad_factor // 1 != zero_pad_factor or zero_pad_factor < 1:
+        raise ValidationError("zero_pad_factor must be an integer >= 1")
+    length = (n - 1) * int(zero_pad_factor) + 1
+    if length > MAX_PROFILE_POINTS:
+        raise ValidationError(
+            f"zero_pad_factor {zero_pad_factor} makes a profile of {length} points "
+            f"from {n} K points; at most {MAX_PROFILE_POINTS} are allowed"
+        )
+    return length
+
+
+def _fast_length(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target: a length pocketfft runs in radix-2,
+    -3, -4 and -5 passes only."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _dct1_plan(n: int, zero_pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp-z plan of the DCT-I of n samples zero-padded to M + 1 points,
+    M = (n-1)*z.
+
+    Returns the chirp w_k = exp(-i pi k^2 / (2M)) for k = 0..M, and the FFT
+    of the conjugate chirp conj(w_k), k = -(n-1)..M, laid out circularly on
+    L = _fast_length(n + M) points (w is even in k, so the negative taps are
+    the first n-1 mirrored).  The phase k^2 is reduced mod 4M in integers
+    first, so every angle lies in [0, 2 pi) and is exact to round-off at any
+    M.  Both arrays are complex128 and read-only: 16*(M + 1 + L) bytes, 66 128
+    at the shipped grid (n = 458, z = 4: M = 1828, L = 2304).
+    """
+    m = (n - 1) * zero_pad_factor
+    k = np.arange(m + 1)
+    chirp = np.exp((-0.5j * np.pi / m) * (k * k % (4 * m)))
+    length = _fast_length(n + m)
+    taps = np.zeros(length, dtype=complex)
+    taps[: m + 1] = chirp.conj()
+    taps[length - n + 1 :] = taps[n - 1 : 0 : -1]
+    spectrum = np.fft.fft(taps)
+    chirp.flags.writeable = False
+    spectrum.flags.writeable = False
+    return chirp, spectrum
 
 
 def fourier_reconstruct(
@@ -183,27 +271,34 @@ def fourier_reconstruct(
     channel, leaves nulls at +-1 pixel and shoulders of half the peak height
     at +-1.5-2 pixels around the peak rather than a wider main lobe);
     ``zero_pad_factor`` refines the output grid by that integer factor
-    without changing the underlying resolution.
+    without changing the underlying resolution.  A profile longer than
+    MAX_PROFILE_POINTS is refused before it is allocated.
     """
     if window not in WINDOWS:
         raise ValidationError(f"window must be one of {WINDOWS}")
-    if int(zero_pad_factor) != zero_pad_factor or zero_pad_factor < 1:
-        raise ValidationError("zero_pad_factor must be an integer >= 1")
-    zero_pad_factor = int(zero_pad_factor)
-
-    signal, dk = _expand_to_full_grid(record)
-    n = len(signal)
+    where, n, dk = _full_grid(record)
     if n < 2:
         raise EmptyRecordError("need at least two points on the K grid")
+    length = profile_length(n, zero_pad_factor)
+    zero_pad_factor = int(zero_pad_factor)
+
+    signal = np.zeros(n)
+    signal[where] = record.signals
     if window == "hann":
         signal = signal * np.hanning(n)
-    padded = np.concatenate([signal, np.zeros((n - 1) * (zero_pad_factor - 1))])
-    # DCT-I: the real part of the real FFT of the even extension
-    amplitude = np.abs(np.fft.rfft(np.concatenate([padded, padded[-2:0:-1]])).real) / (n - 1)
+    # DCT-I end weights: the first sample once, the last once only when it
+    # is also the last of the padded signal, every other sample twice
+    weighted = 2.0 * signal
+    weighted[0] = signal[0]
+    if zero_pad_factor == 1:
+        weighted[-1] = signal[-1]
+    chirp, spectrum = _dct1_plan(n, zero_pad_factor)
+    conv = np.fft.ifft(np.fft.fft(weighted * chirp[:n], len(spectrum)) * spectrum)
+    amplitude = np.abs((chirp * conv[:length]).real) / (n - 1)
 
     k_max = (n - 1) * dk
     pixel = 1.0 / (2.0 * k_max)
-    x_grid = np.arange(len(amplitude)) * (pixel / zero_pad_factor)
+    x_grid = np.arange(length) * (pixel / zero_pad_factor)
     return RealSpaceProfile(
         x_grid_nm=x_grid,
         amplitude=amplitude,

@@ -28,7 +28,9 @@ def dct_oracle(signal, zero_pad_factor=1):
     """Brute-force one-sided cosine transform magnitude, O(N*M).
 
     A_i = |s_0 + (-1)^i s_{M-1} + 2 sum_{0<j<M-1} s_j cos(pi j i/(M-1))| / (N-1)
-    with the signal zero-padded from N to M = (N-1)*Z + 1 samples.
+    with the signal zero-padded from N to M = (N-1)*Z + 1 samples.  Each
+    angle is reduced mod 2 pi in integers first, so the oracle's round-off
+    does not grow with M.
     """
     s = np.asarray(signal, dtype=float)
     n = len(s)
@@ -40,7 +42,7 @@ def dct_oracle(signal, zero_pad_factor=1):
     out = np.empty(m)
     j = np.arange(m)
     for i in range(m):
-        out[i] = 2.0 * np.sum(weights * padded * np.cos(np.pi * j * i / (m - 1)))
+        out[i] = 2.0 * np.sum(weights * padded * np.cos(np.pi * (j * i % (2 * (m - 1))) / (m - 1)))
     return np.abs(out) / (n - 1)
 
 

@@ -246,6 +246,17 @@ class TestCliCommands:
         assert hann_manifest["derived"]["reconstruction"]["window"] == "hann"
         assert none_manifest["derived"]["reconstruction"]["window"] == "none"
 
+    def test_huge_zero_pad_flag_is_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, minimal_config_dict())
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        rc = main(["reconstruct", "--config", str(config), "--out", str(out),
+                   "--zero-pad", "1000000000000", "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation: zero_pad_factor 1000000000000 ")
+        assert not (out / "profile.csv").exists()
+
     def test_reconstruct_missing_sidecar(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_config_dict())
         out = tmp_path / "out"
@@ -318,6 +329,7 @@ class TestCliCommands:
             pytest.param("waveform", "period_us", float("inf"), id="silent-period-inf"),
             pytest.param("current_noise", "white_sigma", float("inf"), id="silent-white_sigma-inf"),
             pytest.param("plan", "n_points", 1.0e12, id="huge-n_points"),
+            pytest.param("reconstruction", "zero_pad_factor", 1.0e12, id="huge-zero_pad"),
         ],
     )
     def test_non_numeric_or_infinite_value_is_one_config_line(

@@ -138,9 +138,9 @@ CONFIG_HASHES = {
 
 RUN_ALL_DIGESTS = {
     "calibration_report.json": "4d7b57e0d41dad23845c47eddc4e21f477e769c7100922888a856cceb616b96d",
-    "peak_fit.json": "4c57bec1395d56d5f81de071cef5bc83e550d5a628cad74c0e84596a5fd75d51",
+    "peak_fit.json": "26d0b9f1c8822d941ce10d588aaa20740c150be0ef107a15589b964150e2f8a9",
     "sensitivity.json": "93497aca41e94fa1a62aa839de00282d39c22aabaeb0949c902a38d3db66778d",
-    "profile.csv": "cda11afe8afc451184395f629d69af6ba69e4b9cd3cd90f1317797eb6eb9c99f",
+    "profile.csv": "40cfe2f78fe0f57ede88a2929a30c317c5d0300a793b821c897dc28af105fed4",
     "gradient_curve.csv": "93fad828a1cf08d546102e62d3e121cd4b4869a1fad26a652c6df5ec13a24c98",
     "plots/plot_spec.json": "6fe7be8483d59f3ed34dfa83c86895b79a04a6e676fe47aec7e5c6dedc30889b",
     "plots/kspace_signal.csv": "ed7a3cce2ea0a7e18a5d207355bbc51a897af43b078a05cb2d352de83b264508",

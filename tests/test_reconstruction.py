@@ -13,6 +13,7 @@ from nvfourier.errors import (
     DegenerateFitError,
     EmptyRecordError,
     InsufficientSpanError,
+    MetadataError,
     NoPeakError,
     NonUniformKError,
     ValidationError,
@@ -128,12 +129,41 @@ class TestFourierReconstruct:
         fit = nf.fit_lorentzian(profile)
         assert abs(fit.center_nm - 30.0) <= profile.pixel_size_nm / 2
 
+    def test_cold_and_warm_plans_give_identical_profiles(self):
+        record = simulate(x_nm=30.0)
+        reconstruction._dct1_plan.cache_clear()
+        cold = nf.fourier_reconstruct(record, zero_pad_factor=4).amplitude.tobytes()
+        warm = nf.fourier_reconstruct(record, zero_pad_factor=4).amplitude.tobytes()
+        assert reconstruction._dct1_plan.cache_info().hits == 1
+        assert cold == warm
+        for cached in reconstruction._dct1_plan(len(record), 4):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+    def test_profile_length_bound(self):
+        # checked in integers: nothing of the refused length is allocated
+        bound = reconstruction.MAX_PROFILE_POINTS
+        assert reconstruction.profile_length(2, bound - 1) == bound
+        with pytest.raises(ValidationError, match="at most"):
+            reconstruction.profile_length(2, bound)
+        with pytest.raises(ValidationError, match="at most"):
+            nf.fourier_reconstruct(simulate(x_nm=30.0, n_points=16), zero_pad_factor=10**12)
+
+    def test_mask_past_sidecar_n_points_rejected(self):
+        mask = nf.make_undersampling_mask(458, "blocks", blocks=5, block_width=31)
+        record = simulate(x_nm=30.0, mask=mask)
+        record.metadata["n_points"] = 300
+        with pytest.raises(MetadataError, match="past n_points = 300"):
+            nf.fourier_reconstruct(record)
+
     def test_window_validation(self):
         record = simulate(x_nm=30.0, n_points=16)
         with pytest.raises(nf.errors.ValidationError):
             nf.fourier_reconstruct(record, window="hamming")
-        with pytest.raises(nf.errors.ValidationError):
-            nf.fourier_reconstruct(record, zero_pad_factor=0)
+        for zero_pad in (0, 2.5, float("inf"), float("nan")):
+            with pytest.raises(nf.errors.ValidationError):
+                nf.fourier_reconstruct(record, zero_pad_factor=zero_pad)
 
 
 class TestLorentzianFit:

@@ -1,8 +1,8 @@
 """The numpy-only transform and fits against scipy, kept as a test oracle.
 
-``fourier_reconstruct`` computes its DCT-I as the real FFT of the even
-extension; numpy and scipy share pocketfft, so the profile must equal
-``scipy.fft.dct(type=1)`` bit for bit.  ``lsq.curve_fit`` is an in-house
+``fourier_reconstruct`` computes its DCT-I as a chirp-z transform, so its
+profile must equal ``scipy.fft.dct(type=1)`` to a bound derived from FFT
+round-off.  ``lsq.curve_fit`` is an in-house
 Levenberg-Marquardt solver; both peak fits must land where scipy's MINPACK
 ``curve_fit`` lands, with no more residual, and the wire calibration where
 scipy's fit to the same weighted model lands when run to convergence.
@@ -31,6 +31,8 @@ from nvfourier import lsq, reconstruction
 from nvfourier.config import load_config
 from nvfourier.errors import DegenerateFitError, FitConvergenceError
 from nvfourier.field_model import load_calibration_csv
+
+from helpers import dct_oracle
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_run.yaml"
 
@@ -75,6 +77,56 @@ def localization_profile(n, x0_frac, sigma_pixels, noise, zero_pad, seed):
     return nf.fourier_reconstruct(record_of(signals), zero_pad_factor=zero_pad)
 
 
+# Higham's per-pass error constant of a floating-point FFT, eta = mu +
+# gamma_4 (sqrt(2) + mu), with twiddle factors exact to mu = u
+U = 2.0**-53
+ETA = U + 4.0 * U / (1.0 - 4.0 * U) * (math.sqrt(2.0) + U)
+# max|B| / sqrt(2M) of the chirp filter spectrum: at most 1.36 on 300
+# random grids with n in [2, 2000] and zero-pad in [1, 8]
+CHIRP_GAIN = 1.5
+
+
+def dct1_roundoff_bound(padded, n):
+    """Bound on |fourier_reconstruct - exact DCT-I| plus |scipy - exact|,
+    per profile point, for the padded signal x of M + 1 points.
+
+    A computed FFT of length L is off by at most rho_L |Fv|_2 in 2-norm,
+    rho_L = eta log2(L) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 24.2), and a 2-norm bounds every entry.
+
+    - scipy transforms the 2M-point even extension e, |e|_2 <= sqrt(2)|x|_2,
+      so |Fe|_2 <= sqrt(2M) sqrt(2) |x|_2 bounds its error over rho_2M.
+    - The chirp-z path transforms c*w (|c|_2 <= 2|x|_2, |w| = 1) on
+      L < 2(n + M) points, multiplies by the chirp filter's spectrum B and
+      transforms back; B is itself an FFT.  The forward and the inverse
+      FFT's errors reach the output scaled by max|B|, and so does B's own
+      error when it is spread over the L bins rather than aligned with the
+      peaks of F(c*w), as for any input not built against the chirp: each is
+      at most rho_L max|B| |c|_2.  B is the spectrum of a unit-modulus chirp
+      whose frequency sweeps 1/(2M) cycles per sample per sample, so by
+      stationary phase |B| is about sqrt(2M); CHIRP_GAIN covers the ripple.
+    - Each chirp angle lies in [0, 2 pi) and is rounded three times, so w
+      carries at most 20 u.  The pre-chirp, the filter taps and the
+      post-chirp, with their pointwise products, add at most 70 u |c|_1 <=
+      140 u sqrt(2M) |x|_2, since |c|_1 <= sqrt(n)|c|_2 and n <= 2M.
+
+    The profile is |A| / (n - 1); taking magnitudes does not enlarge a
+    difference.  Measured on 300 random grids (n in [2, 2000], zero-pad in
+    [1, 8], both windows): the largest difference was 0.3 % of the bound.
+    """
+    m = len(padded) - 1
+    scale = math.sqrt(2 * m) * float(np.linalg.norm(padded)) / (n - 1)
+    ours = 3.0 * ETA * math.log2(2 * (n + m)) * CHIRP_GAIN * 2.0 + 140.0 * U
+    theirs = ETA * math.log2(2 * m) * math.sqrt(2.0)
+    return (ours + theirs) * scale
+
+
+def padded_signal(signals, window, zero_pad):
+    n = len(signals)
+    tapered = signals * np.hanning(n) if window == "hann" else signals
+    return np.concatenate([tapered, np.zeros((n - 1) * (zero_pad - 1))])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(2, 2000),
@@ -85,12 +137,30 @@ def localization_profile(n, x0_frac, sigma_pixels, noise, zero_pad, seed):
 @example(n=2, zero_pad=1, window="none", seed=0)
 @example(n=458, zero_pad=4, window="none", seed=1)  # 8 * 457: a prime factor
 @example(n=1998, zero_pad=3, window="hann", seed=2)  # 6 * 1997: a prime factor
-def test_dct_equals_scipy_bit_for_bit(n, zero_pad, window, seed):
+@example(n=1900, zero_pad=4, window="none", seed=3)  # 1899 = 3^2 * 211
+def test_dct_matches_scipy_within_roundoff(n, zero_pad, window, seed):
     signals = np.random.default_rng(seed).standard_normal(n)
     profile = nf.fourier_reconstruct(record_of(signals), window=window, zero_pad_factor=zero_pad)
-    tapered = signals * np.hanning(n) if window == "hann" else signals
-    padded = np.concatenate([tapered, np.zeros((n - 1) * (zero_pad - 1))])
-    assert profile.amplitude.tobytes() == (np.abs(dct(padded, type=1)) / (n - 1)).tobytes()
+    padded = padded_signal(signals, window, zero_pad)
+    expected = np.abs(dct(padded, type=1)) / (n - 1)
+    assert np.max(np.abs(profile.amplitude - expected)) <= dct1_roundoff_bound(padded, n)
+
+
+@pytest.mark.parametrize(
+    ("n", "zero_pad", "window"),
+    [(2, 1, "none"), (3, 2, "none"), (60, 4, "none"), (115, 4, "hann"), (458, 1, "hann"),
+     (458, 4, "none")],
+)
+def test_dct_matches_direct_cosine_sum(n, zero_pad, window):
+    """The DCT-I's defining sum, term by term (helpers.dct_oracle, O(n*M)),
+    whose angles are reduced mod 2 pi in integers, so it carries only the
+    round-off of its cosines and of one sum per point, below the bound of
+    the FFT paths."""
+    signals = np.random.default_rng(n).standard_normal(n)
+    profile = nf.fourier_reconstruct(record_of(signals), window=window, zero_pad_factor=zero_pad)
+    padded = padded_signal(signals, window, zero_pad)
+    direct = dct_oracle(padded[:n], zero_pad)
+    assert np.max(np.abs(profile.amplitude - direct)) <= dct1_roundoff_bound(padded, n)
 
 
 @settings(max_examples=40, deadline=None)
