@@ -361,14 +361,11 @@ def run_sweep(
     k_sampled = k_of_current(plan, sampled, g0)
     delta_k = float(k_of_current(plan, currents[1], g0))
     metadata = to_plain(plan)
-    sequence = metadata.pop("sequence")
     nv_doc = to_plain(nv)
     del nv_doc["position_um"]  # the sidecar keeps the NV's readout constants, not its position
     metadata.update(
         waveform=metadata.pop("waveform_template"),
         nv=nv_doc,
-        total_time_us=sequence["total_time_us"],
-        sync_offset_us=sequence["sync_offset_us"],
         tau_us=plan.sequence.tau_us,
         gradient_per_ma_g_per_um=g0,
         waveform_efficiency=w,

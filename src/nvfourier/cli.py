@@ -2,16 +2,25 @@
 sensitivity into reproducible runs.
 
 Subcommands: calibrate, simulate, reconstruct, fit-cosine, sensitivity,
-run-all.  Every run is reproducible bit-exactly from (config, seed); the
-manifest records the config hash, per-stage timings and a SHA-256 inventory
-of every output file (timings and timestamps are the only non-deterministic
-manifest fields).
+run-all.  Each command is one session: it loads the config, resolves the
+output directory, runs its stages in order and writes the manifest, which a
+command that fails does not write.  Every stage takes ``(cfg, out, manifest,
+args)`` and reads its own flags from ``args``; a flag that is not given
+falls back to the config value.  Every run is reproducible bit-exactly from
+(config, seed); the manifest records the config hash, per-stage timings and
+a SHA-256 inventory of every output file (timings and timestamps are the
+only non-deterministic manifest fields).
+
+The stages and the layer functions they call are attributes of this module,
+looked up when called, so a wrapper set on one of these names sees its calls.
 
 Output directory precedence: --out flag, then $NVFOURIER_OUT, then the
 config's output_dir.
 
 Errors exit nonzero and print a single machine-parsable line to stderr:
-``<code>: <message>``.
+``<code>: <message>``.  A missing file is ``file-not-found``; any other
+operating-system error (an output path that is a file, an input that is a
+directory, ...) is ``io-error``.
 """
 
 from __future__ import annotations
@@ -47,33 +56,15 @@ ENV_OUTPUT_DIR = "NVFOURIER_OUT"
 
 
 def _say(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message)
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    if getattr(args, "out", None):
-        base = args.out
-    elif os.environ.get(ENV_OUTPUT_DIR):
-        base = os.environ[ENV_OUTPUT_DIR]
-    else:
-        base = cfg.output_dir
-    p = Path(base)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _load_config(args) -> RunConfig:
-    if not args.config:
-        raise NvFourierError("--config PATH is required")
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.plan = replace(cfg.plan, seed=int(args.seed))
-    return cfg
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _flag(args, name: str, config_value):
+    """The stage flag ``name`` as given, else the config's value (run-all
+    takes no stage flags)."""
+    value = getattr(args, name, None)
+    return config_value if value is None else value
 
 
 class Manifest:
@@ -105,7 +96,7 @@ class Manifest:
             "outputs": [
                 {
                     "path": str(p),
-                    "sha256": _sha256(p),
+                    "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
                     "bytes": p.stat().st_size,
                 }
                 for p in self.outputs
@@ -117,13 +108,34 @@ class Manifest:
         write_json(path, doc)
 
 
+@contextmanager
+def _session(args):
+    """Load the config (with --seed), resolve the output directory and start
+    the manifest; write the manifest when the body finishes, not when it
+    raises."""
+    if not args.config:
+        raise NvFourierError("--config PATH is required")
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.plan = replace(cfg.plan, seed=int(args.seed))
+    out = Path(args.out or os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = Manifest(cfg)
+    yield cfg, out, manifest
+    manifest.write(out / "manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
 
-def stage_calibrate(cfg: RunConfig, samples_path, out: Path, manifest: Manifest, args) -> float:
-    """Fit the wire to a calibration CSV; returns gradient per mA at the NV."""
+def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
+    """Fit the wire to the calibration CSV (--samples, else calibration_csv)
+    and derive the gradient per mA at the NV."""
+    samples_path = _flag(args, "samples", cfg.calibration_csv)
+    if not samples_path:
+        raise MissingCalibrationError("no samples CSV: pass --samples or set calibration_csv")
     if cfg.wire is None:
         raise MissingCalibrationError("calibrate needs a wire block (initial guess) in the config")
     samples = load_calibration_csv(samples_path)
@@ -160,17 +172,16 @@ def stage_calibrate(cfg: RunConfig, samples_path, out: Path, manifest: Manifest,
         "residual_rms_mhz": residual_rms,
     }
     _say(args, f"calibrated gradient: {gradient:.6f} G/um per mA (converged={report.converged})")
-    return float(gradient)
 
 
-def stage_simulate(
-    cfg: RunConfig, calibrated: float | None, out: Path, manifest: Manifest, args
-) -> Path:
-    """Run the sweep at the gradient per mA at the NV: the calibrated value,
-    else the config's gradient_per_ma_g_per_um, else the wire's."""
+def stage_simulate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
+    """Run the sweep at the gradient per mA at the NV: the one the session's
+    calibrate stage derived, else the config's gradient_per_ma_g_per_um,
+    else the wire's."""
+    calibration = manifest.derived.get("calibration")
     gradient, _ = _resolve_gradient_per_ma(
         cfg.nv, cfg.plan, cfg.wire, cfg.nv_axis,
-        cfg.gradient_per_ma if calibrated is None else calibrated,
+        cfg.gradient_per_ma if calibration is None else calibration["gradient_per_ma_g_per_um"],
     )
     record = run_sweep(cfg.plan, cfg.nv, gradient_per_ma=gradient)
     record_path = out / "record.csv"
@@ -183,16 +194,14 @@ def stage_simulate(
         f"simulated {len(record)} K points up to K_max = {record.k_max:.4f} 1/nm "
         f"(w = {record.metadata['waveform_efficiency']:.4f})",
     )
-    return record_path
 
 
-def stage_reconstruct(
-    cfg: RunConfig, record_path, out: Path, manifest: Manifest, args,
-    window: str | None = None, zero_pad_factor: int | None = None,
-) -> dict:
-    record = load_record(record_path)
-    window = cfg.recon_window if window is None else window
-    zpf = cfg.zero_pad_factor if zero_pad_factor is None else int(zero_pad_factor)
+def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
+    """Transform the record (--record, else <out>/record.csv) with --window
+    and --zero-pad (else the config's) and fit the peak."""
+    record = load_record(_flag(args, "record", out / "record.csv"))
+    window = _flag(args, "window", cfg.recon_window)
+    zpf = _flag(args, "zero_pad", cfg.zero_pad_factor)
     profile = fourier_reconstruct(record, window=window, zero_pad_factor=zpf)
     fit = fit_lorentzian(profile)
     resolution = empirical_resolution(fit, profile)
@@ -236,7 +245,7 @@ def stage_reconstruct(
     for p in (kspace_plot, spec_path):
         manifest.add_output(p)
 
-    derived = {
+    manifest.derived["reconstruction"] = {
         "center_nm": fit.center_nm,
         "fwhm_nm": fit.fwhm_nm,
         "pixel_nm": pixel,
@@ -244,31 +253,44 @@ def stage_reconstruct(
         "window": window,
         "zero_pad_factor": zpf,
     }
-    manifest.derived["reconstruction"] = derived
     _say(
         args,
         f"peak center = {fit.center_nm:.4f} nm, FWHM = {fit.fwhm_nm:.4f} nm, "
         f"pixel = {pixel:.4f} nm, FWHM/pixel = {resolution['fwhm_over_pixel']:.3f}",
     )
-    return derived
 
 
-def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args, **overrides) -> dict:
-    def pick(key, fallback):
-        value = overrides.get(key)
-        return fallback if value is None else value
-
-    alpha = pick("alpha", cfg.nv.contrast_alpha)
-    beta = pick("beta", cfg.nv.yield_beta)
-    sigma_s = pick("sigma_s", cfg.sigma_s)
-    evolution = pick("evolution_time_us", cfg.plan.sequence.total_time_us)
-    n_averages = pick("n_averages", cfg.plan.shots_per_point)
-    report = full_sensitivity_report(
-        alpha, beta, sigma_s, evolution, n_averages, cfg.time_convention
+def stage_fit_cosine(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
+    """Cosine-fit the raw record (--record, else <out>/record.csv)."""
+    record = load_record(_flag(args, "record", out / "record.csv"))
+    fit = fit_cosine(record)
+    path = out / "cosine_fit.json"
+    save_fit_json(fit, path)
+    manifest.add_output(path)
+    manifest.derived["cosine_fit"] = {
+        "frequency_per_ma": fit.frequency_per_ma,
+        "implied_position_nm": fit.implied_position_nm,
+    }
+    _say(
+        args,
+        f"cosine frequency = {fit.frequency_per_ma:.5f} /mA, "
+        f"implied position = {fit.implied_position_nm:.3f} nm",
     )
-    doc = to_plain(report)
+
+
+def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
+    """The sensitivity chain from the flags given, else the config's values."""
+    n_averages = _flag(args, "n_averages", cfg.plan.shots_per_point)
+    report = full_sensitivity_report(
+        _flag(args, "alpha", cfg.nv.contrast_alpha),
+        _flag(args, "beta", cfg.nv.yield_beta),
+        _flag(args, "sigma_s", cfg.sigma_s),
+        _flag(args, "evolution_time_us", cfg.plan.sequence.total_time_us),
+        n_averages,
+        cfg.time_convention,
+    )
     path = out / "sensitivity.json"
-    write_json(path, doc)
+    write_json(path, to_plain(report))
     manifest.add_output(path)
     manifest.derived["sensitivity"] = {
         "eta_ut_per_sqrt_hz": report.eta_ut_per_sqrt_hz,
@@ -279,7 +301,6 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args, **ove
         f"eta = {report.eta_ut_per_sqrt_hz:.4f} uT/sqrt(Hz), "
         f"deviation after {n_averages} averages = {report.deviation_nt:.3f} nT",
     )
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -287,99 +308,24 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args, **ove
 # ---------------------------------------------------------------------------
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    manifest = Manifest(cfg)
-    samples = args.samples or cfg.calibration_csv
-    if not samples:
-        raise MissingCalibrationError("no samples CSV: pass --samples or set calibration_csv")
-    with manifest.stage("calibrate"):
-        stage_calibrate(cfg, samples, out, manifest, args)
-    manifest.write(out / "manifest.json")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    manifest = Manifest(cfg)
-    with manifest.stage("simulate"):
-        stage_simulate(cfg, None, out, manifest, args)
-    manifest.write(out / "manifest.json")
-    return 0
-
-
-def cmd_reconstruct(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    manifest = Manifest(cfg)
-    record_path = args.record or (out / "record.csv")
-    with manifest.stage("reconstruct"):
-        stage_reconstruct(
-            cfg, record_path, out, manifest, args,
-            window=args.window, zero_pad_factor=args.zero_pad,
-        )
-    manifest.write(out / "manifest.json")
-    return 0
-
-
-def cmd_fit_cosine(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    manifest = Manifest(cfg)
-    record_path = args.record or (out / "record.csv")
-    with manifest.stage("fit-cosine"):
-        record = load_record(record_path)
-        fit = fit_cosine(record)
-        path = out / "cosine_fit.json"
-        save_fit_json(fit, path)
-        manifest.add_output(path)
-        manifest.derived["cosine_fit"] = {
-            "frequency_per_ma": fit.frequency_per_ma,
-            "implied_position_nm": fit.implied_position_nm,
-        }
-        _say(
-            args,
-            f"cosine frequency = {fit.frequency_per_ma:.5f} /mA, "
-            f"implied position = {fit.implied_position_nm:.3f} nm",
-        )
-    manifest.write(out / "manifest.json")
-    return 0
-
-
-def cmd_sensitivity(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    manifest = Manifest(cfg)
-    overrides = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "sigma_s": args.sigma_s,
-        "evolution_time_us": args.evolution_time_us,
-        "n_averages": args.n_averages,
-    }
-    with manifest.stage("sensitivity"):
-        stage_sensitivity(cfg, out, manifest, args, **overrides)
-    manifest.write(out / "manifest.json")
+def cmd_stage(args) -> int:
+    """Run the subcommand's one stage, named as the subcommand, in a session."""
+    with _session(args) as (cfg, out, manifest), manifest.stage(args.command):
+        args.stage(cfg, out, manifest, args)
     return 0
 
 
 def cmd_run_all(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    manifest = Manifest(cfg)
-    calibrated = None
-    if cfg.calibration_csv:
-        with manifest.stage("calibrate"):
-            calibrated = stage_calibrate(cfg, cfg.calibration_csv, out, manifest, args)
-    with manifest.stage("simulate"):
-        record_path = stage_simulate(cfg, calibrated, out, manifest, args)
-    with manifest.stage("reconstruct"):
-        stage_reconstruct(cfg, record_path, out, manifest, args)
-    with manifest.stage("sensitivity"):
-        stage_sensitivity(cfg, out, manifest, args)
-    manifest.write(out / "manifest.json")
+    """Calibrate when the config names a samples CSV, then simulate at the
+    calibrated gradient, reconstruct and report the sensitivity."""
+    stages = [("simulate", stage_simulate), ("reconstruct", stage_reconstruct),
+              ("sensitivity", stage_sensitivity)]
+    with _session(args) as (cfg, out, manifest):
+        if cfg.calibration_csv:
+            stages.insert(0, ("calibrate", stage_calibrate))
+        for name, stage in stages:
+            with manifest.stage(name):
+                stage(cfg, out, manifest, args)
     _say(args, f"manifest written to {out / 'manifest.json'}")
     return 0
 
@@ -413,23 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit the wire model to a calibration CSV")
     _add_global_options(p, suppress=True)
     p.add_argument("--samples", default=None, help="calibration CSV path")
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_stage, stage=stage_calibrate)
 
     p = sub.add_parser("simulate", help="run the K sweep and write the record")
     _add_global_options(p, suppress=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_stage, stage=stage_simulate)
 
     p = sub.add_parser("reconstruct", help="transform a record and fit the peak")
     _add_global_options(p, suppress=True)
     p.add_argument("--record", default=None, help="record CSV (default <out>/record.csv)")
     p.add_argument("--window", default=None, choices=["none", "hann"])
     p.add_argument("--zero-pad", type=int, default=None, dest="zero_pad")
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func=cmd_stage, stage=stage_reconstruct)
 
     p = sub.add_parser("fit-cosine", help="cosine-fit a raw record (single-oscillation sweeps)")
     _add_global_options(p, suppress=True)
     p.add_argument("--record", default=None)
-    p.set_defaults(func=cmd_fit_cosine)
+    p.set_defaults(func=cmd_stage, stage=stage_fit_cosine)
 
     p = sub.add_parser("sensitivity", help="compute the sensitivity chain")
     _add_global_options(p, suppress=True)
@@ -438,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-s", type=float, default=None, dest="sigma_s")
     p.add_argument("--evolution-time-us", type=float, default=None, dest="evolution_time_us")
     p.add_argument("--n-averages", type=int, default=None, dest="n_averages")
-    p.set_defaults(func=cmd_sensitivity)
+    p.set_defaults(func=cmd_stage, stage=stage_sensitivity)
 
     p = sub.add_parser("run-all", help="calibrate, simulate, reconstruct and report")
     _add_global_options(p, suppress=True)
@@ -457,6 +403,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"file-not-found: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"io-error: {exc}", file=sys.stderr)
         return 1
 
 

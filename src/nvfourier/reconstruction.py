@@ -175,8 +175,8 @@ def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
         raise NonUniformKError("at least two K samples are required")
     diffs = np.diff(k)
     dk = float(np.median(diffs))
-    uniform = np.allclose(diffs, dk, rtol=_GRID_RTOL, atol=dk * _GRID_RTOL)
-    if uniform:
+    # every spacing within 2·_GRID_RTOL·dk of the median (K increases, so dk > 0)
+    if np.all(np.abs(diffs - dk) <= 2 * _GRID_RTOL * dk):
         lead = int(round(k[0] / dk))
         if abs(k[0] - lead * dk) > dk * 1e-6:
             raise NonUniformKError("K grid does not extend to K = 0 on its own spacing")

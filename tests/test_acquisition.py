@@ -351,6 +351,15 @@ class TestRecordSerialization:
             np.testing.assert_array_equal(getattr(record, name), getattr(loaded, name))
         assert record.metadata == loaded.metadata
 
+    def test_sidecar_rebuilds_the_sequence(self, tmp_path):
+        plan = reference_plan(
+            n_points=16, sequence=reference_sequence(pi_pulse_time_us=240.0, pi_fidelity=0.9)
+        )
+        path = tmp_path / "record.csv"
+        nf.save_record(nf.run_sweep(plan, reference_nv(30.0), gradient_per_ma=0.326), path)
+        metadata = nf.load_record(path).metadata
+        assert nf.EchoSequence(**metadata["sequence"]) == plan.sequence
+
     def test_missing_sidecar(self, tmp_path):
         record = simulate(x_nm=30.0, n_points=16)
         path = tmp_path / "record.csv"

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from nvfourier import errors
+from nvfourier import cli, errors
 from nvfourier.cli import Manifest, main
 from nvfourier.config import _LOADER, key_tree, load_config
 from nvfourier.errors import ConfigError, ConfigParseError
@@ -21,7 +22,7 @@ KNOWN_CODES = {
     cls.code
     for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.NvFourierError)
-} | {"file-not-found"}
+} | {"file-not-found", "io-error"}
 
 # the keys the config accepted before the schema was derived from the dataclasses
 ACCEPTED_KEYS = {
@@ -462,6 +463,48 @@ def test_malformed_input_is_one_data_format_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith(f"data-format: {path}: row {line or 2}: "), err
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "samples-is-a-directory", "config-is-a-directory"])
+def test_os_error_is_one_io_error_line(tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "out-is-a-file": ["simulate", "--config", str(DEFAULT_CONFIG), "--out", str(a_file)],
+        "samples-is-a-directory": ["calibrate", "--config", str(DEFAULT_CONFIG), *out,
+                                   "--samples", str(tmp_path)],
+        "config-is-a-directory": ["simulate", "--config", str(tmp_path), *out],
+    }[case]
+    assert main([*argv, "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io-error: "), err
+
+
+# names on nvfourier.cli that a wrapper can replace: the commands look each
+# one up when they call it (the benchmark's traced run wraps exactly these)
+LOOKED_UP = (
+    "load_config", "stage_calibrate", "stage_simulate", "stage_reconstruct",
+    "stage_sensitivity", "Manifest.write", "calibrate_wire", "run_sweep", "save_record",
+    "load_record", "fourier_reconstruct", "fit_lorentzian", "full_sensitivity_report",
+)
+
+
+def test_run_all_calls_every_name_through_the_module(tmp_path, monkeypatch):
+    called = set()
+    for dotted in LOOKED_UP:
+        *path, attr = dotted.split(".")
+        owner = functools.reduce(getattr, path, cli)
+        fn = getattr(owner, attr)
+
+        def counted(*args, _fn=fn, _name=dotted, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    out = tmp_path / "out"
+    assert main(["run-all", "--config", str(DEFAULT_CONFIG), "--out", str(out), "--quiet"]) == 0
+    assert called == set(LOOKED_UP)
 
 
 class TestRunAll:

@@ -82,32 +82,32 @@ CASES = {
     "reference": (
         _reference,
         "be42612e0d1b969095eb9598bb4ff29db7fa136437611aed29ead934a5b08b44",
-        "800aa1f9cb97b91326d40eb1eafd9ff7df4a2fcc68eafb1bd45ba67561081a50",
+        "faca0720d622b76e0ea211d9aec9a5651b0a75ef111d9130ca39bf7ecb461314",
     ),
     "shot_noise": (
         _shot_noise,
         "1ca94f8a477e0ebb5e294f44809d7d48aad2db4b7dd0961e730d8e8f2eebe01c",
-        "168ce4ef43adac4af733b63f9c4e1a683a13400240229e70b8b5476a96972c4a",
+        "c3aad35aebdaae8e45e20ce37ffc2ff35d8435fade4c03dc98d1e063836ec063",
     ),
     "stride": (
         _stride,
         "c0573f4d9053be0404c31e376fda4cb16381cd9e246705e7da039261007d3388",
-        "69fcc8fe228e33147281c1312b9beda972e63b7fa83ac63a7872448ccd4d7409",
+        "c4e12903438a6bc61b5a2960c00e8d46b3333b84af47e0c1ffe6855a3a612a48",
     ),
     "blocks": (
         _blocks,
         "8647289885ddf6309ca80859f65cf6b6d13ad0154770396b358247a103102f39",
-        "26fad912cd3208ffbc3e00831112c97f009125c02764904af6446e069b4a546f",
+        "a45e25d5966b4178d597b121061b49c9ae5ac345dd93d178071127f5713de2e4",
     ),
     "drift_wire": (
         _drift_wire,
         "bd7cbd20ce44a1b0fadc89362659d40e9dd907f2533fa5b5b1986a8e19d4939d",
-        "25715ff45fea44af4898650321670d11d294ffcee5dc748649cdf94bdc14feee",
+        "375d03095e629d4b0056eb63a4e78a81feac9d508d6e55afab1f8fff3ca9efb9",
     ),
     "dense_15000": (
         _dense,
         "5cac624d797827d8f5276eaeb789fdad74c5d430f449c60c97e536b16b3fe492",
-        "2bddb1a2bff45fbce47d338576bca86b889a6cd35db3d2de57726f43504f07f5",
+        "5004a3b8397f916f442a0a0afc96a1a49ec844dddb156dbcbb8a3755971ffd90",
     ),
 }
 
