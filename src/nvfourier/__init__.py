@@ -10,7 +10,6 @@ from .acquisition import (
     DriftModel,
     KSpaceRecord,
     drift_trajectory,
-    k_of_current,
     load_record,
     make_undersampling_mask,
     run_sweep,
@@ -32,11 +31,8 @@ from .field_model import (
 )
 from .metrology import (
     SensitivityReport,
-    deviation_after_averaging,
-    empirical_resolution,
     full_sensitivity_report,
     pixel_resolution,
-    sensitivity,
 )
 from .reconstruction import (
     CosineFit,

@@ -228,16 +228,6 @@ def k_per_ma(efficiency: float, tau_us: float, gradient_per_ma: float) -> float:
     return efficiency * 2.0 * GAMMA_CYC_MHZ_PER_G * tau_us * gradient_per_ma / 1e3
 
 
-def k_of_current(plan: AcquisitionPlan, current_ma, gradient_per_ma: float | None):
-    """Map a drive current to its K value (nm^-1): I * k_per_ma.  Accepts
-    scalars or arrays."""
-    if gradient_per_ma is None:
-        raise MissingCalibrationError("gradient calibration (G/um per mA) required")
-    w = phase_efficiency(plan.waveform_template, plan.sequence)
-    k = np.asarray(current_ma, dtype=float) * k_per_ma(w, plan.sequence.tau_us, gradient_per_ma)
-    return k if np.ndim(current_ma) else float(k)
-
-
 def point_times_hours(plan: AcquisitionPlan) -> np.ndarray:
     """Wall-clock start time (hours) of each masked point, in mask order."""
     dwell_h = plan.shots_per_point * plan.sequence.total_time_us * 1e-6 / 3600.0

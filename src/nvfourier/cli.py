@@ -43,7 +43,7 @@ from .acquisition import load_record, run_sweep, save_record
 from .config import RunConfig, load_config, section_doc
 from .errors import MissingCalibrationError, NvFourierError, UsageError
 from .field_model import calibrate_wire, gradient_at, load_calibration_csv, sample_field
-from .metrology import empirical_resolution, full_sensitivity_report
+from .metrology import full_sensitivity_report
 from .reconstruction import (
     fit_cosine,
     fit_lorentzian,
@@ -201,8 +201,8 @@ def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
     zpf = _flag(args, "zero_pad", cfg.zero_pad_factor)
     profile = fourier_reconstruct(record, window=window, zero_pad_factor=zpf)
     fit = fit_lorentzian(profile)
-    resolution = empirical_resolution(fit, profile)
     pixel = profile.pixel_size_nm
+    fwhm_over_pixel = fit.fwhm_nm / pixel
 
     profile_path = out / "profile.csv"
     save_profile_csv(profile, profile_path)
@@ -245,14 +245,14 @@ def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
         "center_nm": fit.center_nm,
         "fwhm_nm": fit.fwhm_nm,
         "pixel_nm": pixel,
-        "fwhm_over_pixel": resolution["fwhm_over_pixel"],
+        "fwhm_over_pixel": fwhm_over_pixel,
         "window": window,
         "zero_pad_factor": zpf,
     }
     _say(
         args,
         f"peak center = {fit.center_nm:.4f} nm, FWHM = {fit.fwhm_nm:.4f} nm, "
-        f"pixel = {pixel:.4f} nm, FWHM/pixel = {resolution['fwhm_over_pixel']:.3f}",
+        f"pixel = {pixel:.4f} nm, FWHM/pixel = {fwhm_over_pixel:.3f}",
     )
 
 
@@ -283,7 +283,6 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
         _flag(args, "sigma_s", cfg.sigma_s),
         _flag(args, "evolution_time_us", cfg.plan.sequence.total_time_us),
         n_averages,
-        cfg.time_convention,
     )
     path = out / "sensitivity.json"
     write_json(path, to_plain(report))

@@ -34,7 +34,6 @@ from .acquisition import (
 )
 from .errors import ConfigError, ConfigParseError, ValidationError
 from .field_model import MicrowireModel, NvAxis
-from .metrology import TIME_CONVENTIONS
 from .reconstruction import WINDOWS, profile_length
 from .serialize import to_plain
 from .spin_dynamics import EchoSequence, GradientWaveform, NvCenter
@@ -60,7 +59,6 @@ class RunConfig:
     recon_window: str = "none"
     zero_pad_factor: int = 4
     sigma_s: float = 0.06
-    time_convention: str = "total"
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -74,8 +72,6 @@ class RunConfig:
             raise ConfigError(f"reconstruction: {exc}") from exc
         if not self.sigma_s > 0:
             raise ConfigError("sensitivity: sigma_s must be > 0")
-        if self.time_convention not in TIME_CONVENTIONS:
-            raise ConfigError(f"sensitivity: time_convention must be one of {TIME_CONVENTIONS}")
 
     @property
     def resolved(self) -> dict:
@@ -128,7 +124,7 @@ _SECTIONS = {
     "reconstruction": (
         RunConfig, "", {"window": "recon_window", "zero_pad_factor": "zero_pad_factor"}
     ),
-    "sensitivity": (RunConfig, "", {"sigma_s": "sigma_s", "time_convention": "time_convention"}),
+    "sensitivity": (RunConfig, "", {"sigma_s": "sigma_s"}),
     "output_dir": (RunConfig, "", "output_dir"),
 }
 

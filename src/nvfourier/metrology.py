@@ -11,22 +11,16 @@ from dataclasses import dataclass
 
 from .constants import GAMMA_ANG_RAD_PER_US_G
 from .errors import ValidationError
-from .reconstruction import PeakFit, RealSpaceProfile
 
 GAUSS_TO_MICROTESLA = 100.0
 MICROTESLA_TO_NANOTESLA = 1000.0
-
-TIME_CONVENTIONS = ("total", "half")
 
 
 @dataclass
 class SensitivityReport:
     """Sensitivity chain: signal slope -> eta -> deviation after averaging.
 
-    The evolution time entering the slope is by default the TOTAL echo time
-    (time_convention='total'); 'half' uses half of it.  The two readings
-    differ by a factor of two, so the convention in force is recorded in
-    every report.
+    The evolution time entering the slope is the total echo time 2*tau.
     """
 
     slope_inverse_g: float
@@ -35,10 +29,9 @@ class SensitivityReport:
     alpha: float
     beta: float
     evolution_time_us: float
-    time_convention: str = "total"
-    n_averages: int | None = None
-    total_time_s: float | None = None
-    deviation_nt: float | None = None
+    n_averages: int
+    total_time_s: float
+    deviation_nt: float
 
 
 def pixel_resolution(k_max_per_nm: float) -> float:
@@ -48,19 +41,21 @@ def pixel_resolution(k_max_per_nm: float) -> float:
     return 1.0 / (2.0 * k_max_per_nm)
 
 
-def sensitivity(
+def full_sensitivity_report(
     alpha: float,
     beta: float,
     sigma_s: float,
     evolution_time_us: float,
-    time_convention: str = "total",
+    n_averages: int,
 ) -> SensitivityReport:
-    """Shot-noise magnetic sensitivity eta = |dB/dS|_max * sigma_S.
+    """Shot-noise magnetic sensitivity and the field deviation after
+    n_averages repetitions of one sequence each.
 
-    |dB/dS|_max = 1/(2 * gamma_angular * T * alpha * beta) is the inverse of
-    the maximum slope of the echo fringe versus field; sigma_S is the
-    normalized-signal noise density (per sqrt(Hz)).  eta is returned in
-    uT/sqrt(Hz).
+    eta = |dB/dS|_max * sigma_S, where |dB/dS|_max = 1/(2 * gamma_angular *
+    T * alpha * beta) is the inverse of the maximum slope of the echo fringe
+    versus field and sigma_S is the normalized-signal noise density (per
+    sqrt(Hz)); eta is reported in uT/sqrt(Hz).  The total integration time is
+    n_averages * T, and the deviation (nT) is eta/sqrt(that time).
     """
     for name, value in (
         ("alpha", alpha),
@@ -70,11 +65,13 @@ def sensitivity(
     ):
         if not value > 0:
             raise ValidationError(f"{name} must be > 0")
-    if time_convention not in TIME_CONVENTIONS:
-        raise ValidationError(f"time_convention must be one of {TIME_CONVENTIONS}")
-    t_eff = evolution_time_us if time_convention == "total" else evolution_time_us / 2.0
-    slope_inverse_g = 1.0 / (2.0 * GAMMA_ANG_RAD_PER_US_G * t_eff * alpha * beta)
+    if not n_averages >= 1:
+        raise ValidationError("n_averages must be >= 1")
+    slope_inverse_g = 1.0 / (2.0 * GAMMA_ANG_RAD_PER_US_G * evolution_time_us * alpha * beta)
     eta = slope_inverse_g * sigma_s * GAUSS_TO_MICROTESLA
+    if not eta > 0:
+        raise ValidationError("eta must be > 0")
+    total_time_s = n_averages * evolution_time_us * 1e-6
     return SensitivityReport(
         slope_inverse_g=slope_inverse_g,
         eta_ut_per_sqrt_hz=eta,
@@ -82,48 +79,7 @@ def sensitivity(
         alpha=alpha,
         beta=beta,
         evolution_time_us=evolution_time_us,
-        time_convention=time_convention,
+        n_averages=int(n_averages),
+        total_time_s=total_time_s,
+        deviation_nt=eta / math.sqrt(total_time_s) * MICROTESLA_TO_NANOTESLA,
     )
-
-
-def deviation_after_averaging(
-    eta_ut_per_sqrt_hz: float, n_averages: int, sequence_time_us: float
-) -> float:
-    """Field deviation (nT) after n averages of one sequence each.
-
-    Total integration time is n * sequence_time; deviation = eta/sqrt(T).
-    """
-    if not eta_ut_per_sqrt_hz > 0:
-        raise ValidationError("eta must be > 0")
-    if not n_averages >= 1:
-        raise ValidationError("n_averages must be >= 1")
-    if not sequence_time_us > 0:
-        raise ValidationError("sequence_time_us must be > 0")
-    total_s = n_averages * sequence_time_us * 1e-6
-    return eta_ut_per_sqrt_hz / math.sqrt(total_s) * MICROTESLA_TO_NANOTESLA
-
-
-def full_sensitivity_report(
-    alpha: float,
-    beta: float,
-    sigma_s: float,
-    evolution_time_us: float,
-    n_averages: int,
-    time_convention: str = "total",
-) -> SensitivityReport:
-    """Sensitivity plus the deviation reached after n_averages repetitions."""
-    report = sensitivity(alpha, beta, sigma_s, evolution_time_us, time_convention)
-    report.n_averages = int(n_averages)
-    report.total_time_s = n_averages * evolution_time_us * 1e-6
-    report.deviation_nt = deviation_after_averaging(
-        report.eta_ut_per_sqrt_hz, n_averages, evolution_time_us
-    )
-    return report
-
-
-def empirical_resolution(fit: PeakFit, profile: RealSpaceProfile) -> dict:
-    """Measured FWHM and its ratio to the theoretical pixel resolution."""
-    if not fit.fwhm_nm > 0:
-        raise ValidationError("fit fwhm must be > 0")
-    pixel = pixel_resolution(profile.k_max_per_nm)
-    return {"fwhm_nm": fit.fwhm_nm, "fwhm_over_pixel": fit.fwhm_nm / pixel}

@@ -44,7 +44,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .acquisition import KSpaceRecord, k_per_ma
+from .acquisition import MAX_N_POINTS, KSpaceRecord, k_per_ma
 from .errors import (
     AliasAmbiguityError,
     DegenerateFitError,
@@ -189,6 +189,8 @@ def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
     n_points = _positive_metadata(meta, "n_points")
     if n_points % 1:
         raise MetadataError(f"record metadata n_points must be an integer, got {n_points!r}")
+    if n_points > MAX_N_POINTS:
+        raise MetadataError(f"record metadata n_points must be <= {MAX_N_POINTS}")
     dk_full = _positive_metadata(meta, "delta_k_per_nm")
     if not isinstance(mask, list) or not all(type(i) is int for i in mask):
         raise MetadataError("record metadata mask must be a list of integers")

@@ -59,8 +59,8 @@ def write_csv(path, header, *columns) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
-            rows = zip(*(a[start:start + _BLOCK_ROWS].tolist() for a in arrays))
-            f.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            cols = [map(repr, a[start:start + _BLOCK_ROWS].tolist()) for a in arrays]
+            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def read_csv(path, columns) -> np.ndarray:

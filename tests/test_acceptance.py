@@ -58,9 +58,9 @@ def test_criterion_02_end_to_end_reproduction():
 
 
 def test_criterion_03_sensitivity_chain():
-    rep = nf.sensitivity(0.08, 0.02, 0.06, 500.0)
+    rep = nf.full_sensitivity_report(0.08, 0.02, 0.06, 500.0, 10**6)
     assert abs(rep.eta_ut_per_sqrt_hz - 0.2) / 0.2 < 0.10
-    deviation = nf.deviation_after_averaging(rep.eta_ut_per_sqrt_hz, 10**6, 500.0)
+    deviation = rep.deviation_nt
     assert abs(deviation - 9.0) / 9.0 < 0.10
     report(3, f"eta = {rep.eta_ut_per_sqrt_hz:.4f} uT/sqrt(Hz), deviation = {deviation:.3f} nT")
 

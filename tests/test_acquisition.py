@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 import nvfourier as nf
-from nvfourier.acquisition import point_times_hours, sweep_currents
+from nvfourier.acquisition import k_per_ma, point_times_hours, sweep_currents
 from nvfourier.errors import MissingCalibrationError, ValidationError
 
 from helpers import reference_nv, reference_plan, reference_sequence, rect_waveform, simulate
+
+
+def k_of_current(plan, current_ma, gradient_per_ma):
+    """K (nm^-1) at a drive current: I * k_per_ma, as run_sweep's K column."""
+    w = nf.phase_efficiency(plan.waveform_template, plan.sequence)
+    return current_ma * k_per_ma(w, plan.sequence.tau_us, gradient_per_ma)
 
 
 class TestKOfCurrent:
@@ -18,30 +24,33 @@ class TestKOfCurrent:
             i_max_ma=10.0, n_points=100, sequence=reference_sequence(),
             waveform_template=rect_waveform(), shot_noise=False,
         )
-        k = nf.k_of_current(plan, 10.0, 0.326)
+        k = k_of_current(plan, 10.0, 0.326)
         assert k == pytest.approx(4.564, rel=1e-12)
 
     def test_reference_endpoint_with_calibrated_sine(self):
         plan = reference_plan()
-        k = nf.k_of_current(plan, 10.0, 0.326)
+        k = k_of_current(plan, 10.0, 0.326)
         assert k == pytest.approx(2.2834, rel=5e-3)
+        assert nf.run_sweep(plan, reference_nv(30.0), gradient_per_ma=0.326).k_max == k
 
     def test_zero_current(self):
         plan = reference_plan()
-        assert nf.k_of_current(plan, 0.0, 0.326) == 0.0
+        assert k_of_current(plan, 0.0, 0.326) == 0.0
 
     def test_missing_calibration(self):
-        plan = reference_plan()
+        # neither a gradient per mA nor a wire to derive one from
         with pytest.raises(MissingCalibrationError):
-            nf.k_of_current(plan, 1.0, None)
+            nf.run_sweep(reference_plan(), reference_nv(30.0))
 
     def test_k_linear_in_index(self):
         plan = reference_plan(n_points=100)
         currents = sweep_currents(plan)
-        k = nf.k_of_current(plan, currents, 0.326)
-        coeff = nf.k_of_current(plan, 1.0, 0.326)
+        k = k_of_current(plan, currents, 0.326)
+        coeff = k_of_current(plan, 1.0, 0.326)
         # exact linearity in the current array, by construction
         np.testing.assert_array_equal(k, currents * coeff)
+        record = nf.run_sweep(plan, reference_nv(30.0), gradient_per_ma=0.326)
+        np.testing.assert_array_equal(record.k_values, k)
         diffs = np.diff(k)
         assert np.allclose(diffs, diffs[0], rtol=1e-9)
 
@@ -335,7 +344,7 @@ class TestRunSweep:
         j = 20
         frac = j / 39
         i_mod = clean.currents[j] * (1 + 0.05 * np.sin(2 * np.pi * 3.0 * frac))
-        k_mod = nf.k_of_current(reference_plan(n_points=40), i_mod, 0.326)
+        k_mod = k_of_current(reference_plan(n_points=40), i_mod, 0.326)
         expected = np.exp(-(500.0 / 1200.0)) * np.cos(2 * np.pi * k_mod * 30.0)
         assert record.signals[j] == pytest.approx(expected, abs=1e-12)
 

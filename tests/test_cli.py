@@ -45,7 +45,7 @@ ACCEPTED_KEYS = {
     "current_noise": dict.fromkeys(["relative_amplitude", "modulation_frequency_cycles", "white_sigma"]),
     "imaging": dict.fromkeys(["origin_um", "axis"]),
     "reconstruction": dict.fromkeys(["window", "zero_pad_factor"]),
-    "sensitivity": dict.fromkeys(["sigma_s", "time_convention"]),
+    "sensitivity": dict.fromkeys(["sigma_s"]),
     "output_dir": None,
 }
 
@@ -147,6 +147,13 @@ class TestLoadConfig:
 
     def test_accepted_keys_unchanged(self):
         assert key_tree() == ACCEPTED_KEYS
+
+    def test_removed_time_convention_key_is_one_config_line(self, tmp_path, capsys):
+        data = minimal_config_dict(sensitivity={"sigma_s": 0.06, "time_convention": "total"})
+        config = write_config(tmp_path, data)
+        assert main(["sensitivity", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config-validation: unknown key 'time_convention' at sensitivity.time_convention"]
 
     def test_calibration_csv_opens_absolute_and_hashes_as_written(self):
         cfg = load_config(DEFAULT_CONFIG)
@@ -564,6 +571,7 @@ def test_bad_k_scale_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, v
         ("delta_k_per_nm", 0.0, "delta_k_per_nm must be a finite number > 0"),
         ("mask", 5, "mask must be a list of integers"),
         (None, [1, 2], "sidecar must be a JSON object"),
+        pytest.param("n_points", 10**400, "n_points must be <= 1000000", id="huge-n_points"),
     ],
 )
 def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, value, message):
@@ -576,6 +584,7 @@ def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, va
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("metadata: ") and message in err[0], err
+    assert len(err[0].replace(str(out), "")) < 100, err  # a huge sidecar value is not echoed
     assert not (out / "profile.csv").exists()
 
 
@@ -615,6 +624,9 @@ class TestRunAll:
         assert derived["k_max_per_nm"] == pytest.approx(2.2834, rel=5e-3)
         assert derived["reconstruction"]["center_nm"] == pytest.approx(30.0, abs=0.11)
         assert 0.22 <= derived["reconstruction"]["fwhm_nm"] <= 0.44
+        resolution = derived["reconstruction"]
+        assert resolution["fwhm_over_pixel"] == resolution["fwhm_nm"] / resolution["pixel_nm"]
+        assert 1.0 <= resolution["fwhm_over_pixel"] <= 2.0
         assert derived["sensitivity"]["deviation_nt"] == pytest.approx(9.53, abs=0.05)
         stage_names = [s["name"] for s in manifest["stages"]]
         assert stage_names == ["calibrate", "simulate", "reconstruct", "sensitivity"]

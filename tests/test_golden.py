@@ -132,14 +132,14 @@ def test_record_digest(name, tmp_path):
 
 
 CONFIG_HASHES = {
-    "minimal": "20a8998fc6c64292da19d04f4288b5516ff606f0509b7e10f36758ce63c4a5af",
-    "default_run": "8e5feee3d75c1de3d1a147f7ab8b8ba4e4234bf6981493e746e8866b6d94fc54",
+    "minimal": "e17bb555c79acb9819cd89e5d9f335b86347490809e4702e2a29906f54ebb1f6",
+    "default_run": "b41582f745c2b3c937e3a0f6525ad18136f1afa351ff3d9644efbf16d033da8d",
 }
 
 RUN_ALL_DIGESTS = {
     "calibration_report.json": "4d7b57e0d41dad23845c47eddc4e21f477e769c7100922888a856cceb616b96d",
     "peak_fit.json": "26d0b9f1c8822d941ce10d588aaa20740c150be0ef107a15589b964150e2f8a9",
-    "sensitivity.json": "93497aca41e94fa1a62aa839de00282d39c22aabaeb0949c902a38d3db66778d",
+    "sensitivity.json": "ae6aa99d5faa9092292937a4bb4df86aa376f5d13545f42465622efa6c54fced",
     "profile.csv": "40cfe2f78fe0f57ede88a2929a30c317c5d0300a793b821c897dc28af105fed4",
     "gradient_curve.csv": "93fad828a1cf08d546102e62d3e121cd4b4869a1fad26a652c6df5ec13a24c98",
     "plots/plot_spec.json": "6fe7be8483d59f3ed34dfa83c86895b79a04a6e676fe47aec7e5c6dedc30889b",
