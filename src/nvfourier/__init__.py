@@ -29,11 +29,7 @@ from .field_model import (
     project_on_axis,
     sample_field,
 )
-from .metrology import (
-    SensitivityReport,
-    full_sensitivity_report,
-    pixel_resolution,
-)
+from .metrology import SensitivityReport, full_sensitivity_report
 from .reconstruction import (
     CosineFit,
     PeakFit,
@@ -49,10 +45,7 @@ from .spin_dynamics import (
     EchoSignal,
     GradientWaveform,
     NvCenter,
-    echo_phase,
     echo_signal,
     phase_efficiency,
     sample_counts,
-    sine_fraction_for_efficiency,
-    sync_error_phase_distortion,
 )

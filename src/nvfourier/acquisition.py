@@ -101,12 +101,6 @@ class DriftModel:
         )
 
 
-def ambient_temperature_delta(drift: DriftModel, t_hours: float):
-    return drift.temperature_amplitude_k * np.sin(
-        2.0 * np.pi * np.asarray(t_hours, dtype=float) / drift.temperature_period_hours
-    )
-
-
 def drift_trajectory(drift: DriftModel, times_hours, seed: int = 0) -> np.ndarray:
     """Offsets (nm) at increasing times, with a consistent random walk."""
     t = np.asarray(times_hours, dtype=float)
@@ -119,9 +113,10 @@ def drift_trajectory(drift: DriftModel, times_hours, seed: int = 0) -> np.ndarra
         steps = rng.standard_normal(t.size) * np.sqrt(dt)
         offsets = offsets + drift.random_walk_sigma_nm_per_sqrt_hour * np.cumsum(steps)
     if drift.temperature_coupling_nm_per_k > 0.0:
-        offsets = offsets + drift.temperature_coupling_nm_per_k * ambient_temperature_delta(
-            drift, t
+        ambient_k = drift.temperature_amplitude_k * np.sin(
+            2.0 * np.pi * t / drift.temperature_period_hours
         )
+        offsets = offsets + drift.temperature_coupling_nm_per_k * ambient_k
     return np.asarray(offsets, dtype=float)
 
 

@@ -263,15 +263,8 @@ def stage_fit_cosine(cfg: RunConfig, out: Path, manifest: Manifest, args) -> Non
     path = out / "cosine_fit.json"
     save_fit_json(fit, path)
     manifest.add_output(path)
-    manifest.derived["cosine_fit"] = {
-        "frequency_per_ma": fit.frequency_per_ma,
-        "implied_position_nm": fit.implied_position_nm,
-    }
-    _say(
-        args,
-        f"cosine frequency = {fit.frequency_per_ma:.5f} /mA, "
-        f"implied position = {fit.implied_position_nm:.3f} nm",
-    )
+    manifest.derived["cosine_fit"] = {"implied_position_nm": fit.implied_position_nm}
+    _say(args, f"implied position = {fit.implied_position_nm:.3f} nm")
 
 
 def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:

@@ -1,4 +1,4 @@
-"""Resolution and magnetometry figures of merit.
+"""Magnetometry figures of merit.
 
 Unit conversions between gauss, microtesla and nanotesla are centralized
 here with exact factors (1 G = 100 uT, 1 uT = 1000 nT).
@@ -7,6 +7,7 @@ here with exact factors (1 G = 100 uT, 1 uT = 1000 nT).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import GAMMA_ANG_RAD_PER_US_G
@@ -34,13 +35,6 @@ class SensitivityReport:
     deviation_nt: float
 
 
-def pixel_resolution(k_max_per_nm: float) -> float:
-    """Real-space pixel (nm) set by the largest acquired K: 1/(2*K_max)."""
-    if not k_max_per_nm > 0:
-        raise ValidationError("k_max must be > 0")
-    return 1.0 / (2.0 * k_max_per_nm)
-
-
 def full_sensitivity_report(
     alpha: float,
     beta: float,
@@ -55,23 +49,25 @@ def full_sensitivity_report(
     T * alpha * beta) is the inverse of the maximum slope of the echo fringe
     versus field and sigma_S is the normalized-signal noise density (per
     sqrt(Hz)); eta is reported in uT/sqrt(Hz).  The total integration time is
-    n_averages * T, and the deviation (nT) is eta/sqrt(that time).
+    n_averages * T, and the deviation (nT) is eta/sqrt(that time).  Each
+    input and each of the three results must be finite and > 0.
     """
-    for name, value in (
-        ("alpha", alpha),
-        ("beta", beta),
-        ("sigma_s", sigma_s),
-        ("evolution_time_us", evolution_time_us),
-    ):
-        if not value > 0:
-            raise ValidationError(f"{name} must be > 0")
-    if not n_averages >= 1:
-        raise ValidationError("n_averages must be >= 1")
-    slope_inverse_g = 1.0 / (2.0 * GAMMA_ANG_RAD_PER_US_G * evolution_time_us * alpha * beta)
+    _check_finite_positive(
+        alpha=alpha, beta=beta, sigma_s=sigma_s, evolution_time_us=evolution_time_us
+    )
+    # compared, not converted: an int past the float range cannot overflow here
+    if not 1 <= n_averages <= sys.float_info.max:
+        raise ValidationError(f"n_averages must be >= 1 and <= {sys.float_info.max:.4g}")
+    slope = 2.0 * GAMMA_ANG_RAD_PER_US_G * evolution_time_us * alpha * beta
+    # a product that underflows to 0 makes its inverse infinite, which the
+    # last check refuses
+    slope_inverse_g = 1.0 / slope if slope else math.inf
     eta = slope_inverse_g * sigma_s * GAUSS_TO_MICROTESLA
-    if not eta > 0:
-        raise ValidationError("eta must be > 0")
     total_time_s = n_averages * evolution_time_us * 1e-6
+    deviation_nt = (
+        eta / math.sqrt(total_time_s) * MICROTESLA_TO_NANOTESLA if total_time_s else math.inf
+    )
+    _check_finite_positive(slope_inverse_g=slope_inverse_g, eta=eta, deviation_nt=deviation_nt)
     return SensitivityReport(
         slope_inverse_g=slope_inverse_g,
         eta_ut_per_sqrt_hz=eta,
@@ -81,5 +77,13 @@ def full_sensitivity_report(
         evolution_time_us=evolution_time_us,
         n_averages=int(n_averages),
         total_time_s=total_time_s,
-        deviation_nt=eta / math.sqrt(total_time_s) * MICROTESLA_TO_NANOTESLA,
+        deviation_nt=deviation_nt,
     )
+
+
+def _check_finite_positive(**values: float) -> None:
+    """Raise ValidationError, naming the first offender, unless every value
+    is finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value!r}")

@@ -33,6 +33,10 @@ Undersampling: block-masked records are zero-filled onto the full K grid
 (using the sidecar mask) before transforming; stride-masked records are
 uniform on a compact grid and transform directly, giving an aliased profile
 that ``disambiguate_alias`` unfolds against a coarse full prescan.
+
+``fit_cosine`` reads the position without a transform: it fits
+A cos(2*pi*K*x0 + phi) + c to the record's own K column, whose fitted
+frequency is x0 in nm.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .acquisition import MAX_N_POINTS, KSpaceRecord, k_per_ma
+from .acquisition import MAX_N_POINTS, KSpaceRecord
 from .errors import (
     AliasAmbiguityError,
     DegenerateFitError,
@@ -98,9 +102,6 @@ class RealSpaceProfile:
     x_grid_nm: np.ndarray
     amplitude: np.ndarray
     pixel_size_nm: float
-    k_max_per_nm: float
-    window: str = "none"
-    zero_pad_factor: int = 1
 
     def __post_init__(self):
         self.x_grid_nm = np.asarray(self.x_grid_nm, dtype=float)
@@ -131,11 +132,10 @@ class PeakFit:
 
 @dataclass
 class CosineFit:
-    """Cosine fit of a raw K sweep: A*cos(2*pi*f*I + phi) + c in current."""
+    """Cosine fit of a raw K sweep: A*cos(2*pi*K*x0 + phi) + c, x0 in nm."""
 
     model: ClassVar[str] = "cosine"
 
-    frequency_per_ma: float
     phase_rad: float
     amplitude: float
     offset: float
@@ -314,14 +314,7 @@ def fourier_reconstruct(
     k_max = (n - 1) * dk
     pixel = 1.0 / (2.0 * k_max)
     x_grid = np.arange(length) * (pixel / zero_pad_factor)
-    return RealSpaceProfile(
-        x_grid_nm=x_grid,
-        amplitude=amplitude,
-        pixel_size_nm=pixel,
-        k_max_per_nm=k_max,
-        window=window,
-        zero_pad_factor=zero_pad_factor,
-    )
+    return RealSpaceProfile(x_grid_nm=x_grid, amplitude=amplitude, pixel_size_nm=pixel)
 
 
 # ---------------------------------------------------------------------------
@@ -402,36 +395,35 @@ def fit_lorentzian(
     )
 
 
-def _cosine(i, amplitude, frequency, phase, offset):
-    return amplitude * np.cos(2.0 * np.pi * frequency * i + phase) + offset
+def _cosine(k, amplitude, frequency, phase, offset):
+    return amplitude * np.cos(2.0 * np.pi * frequency * k + phase) + offset
 
 
-def _cosine_jac(i, amplitude, frequency, phase, offset):
-    theta = 2.0 * np.pi * frequency * i + phase
+def _cosine_jac(k, amplitude, frequency, phase, offset):
+    theta = 2.0 * np.pi * frequency * k + phase
     slope = -amplitude * np.sin(theta)
-    return np.array([np.cos(theta), (2.0 * np.pi) * i * slope, slope, np.ones(i.shape)]).T
+    return np.array([np.cos(theta), (2.0 * np.pi) * k * slope, slope, np.ones(k.shape)]).T
 
 
 def fit_cosine(record: KSpaceRecord) -> CosineFit:
-    """Cosine fit of signal vs current, for single-oscillation raw sweeps.
+    """Cosine fit of signal vs K, for single-oscillation raw sweeps.
 
-    The initial frequency comes from the dominant bin of the periodogram of
-    the mean-subtracted signal.  The implied NV position is
-    frequency / k_per_ma(w, tau, gradient_per_ma), the three read from the
-    record's sidecar.
+    The signal is cos(2*pi*K*x0), so the fitted frequency in cycles per
+    (1/nm) is the NV position x0 in nm (single-tone estimation: Rife and
+    Boorstyn, IEEE Trans. Inf. Theory 20, 591 (1974)); no sidecar key is
+    read.  The initial frequency comes from the dominant bin of the
+    periodogram of the mean-subtracted signal.
     """
     n = len(record)
     if n < 6:
         raise InsufficientSpanError(f"cosine fit needs >= 6 points, got {n}")
-    currents = record.currents
+    k = record.k_values
     s = record.signals
     centered = s - float(np.mean(s))
     scale = max(float(np.max(np.abs(s))), 1.0)
     if float(np.max(np.abs(centered))) <= 1e-12 * scale:
         raise DegenerateFitError("record signal has zero amplitude")
-    span = float(currents[-1] - currents[0])
-    if span <= 0:
-        raise ValidationError("currents must span a positive range")
+    span = float(k[-1] - k[0])  # > 0: a record's K values increase
 
     # zero-padded periodogram: near-Nyquist sweeps need the finer initial
     # frequency to land in the right least-squares basin
@@ -439,21 +431,19 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     n_pad = 8 * n
     transform = np.fft.rfft(centered, n=n_pad)
     spectrum = np.abs(transform)
-    if len(spectrum) < 2:
-        raise InsufficientSpanError("too few points for a periodogram estimate")
     bin_idx = int(np.argmax(spectrum[1:])) + 1
     f0 = bin_idx / (n_pad * step)
     phase0 = float(np.angle(transform[bin_idx]))
     amp0 = 2.0 * float(spectrum[bin_idx]) / n
     p0 = [amp0, f0, phase0, float(np.mean(s))]
-    popt, pcov = curve_fit(_cosine, currents, s, p0, _cosine_jac)
+    popt, pcov = curve_fit(_cosine, k, s, p0, _cosine_jac)
     amp, freq, phase, offset = popt
     if amp < 0:
         amp, phase = -amp, phase + math.pi
     if freq < 0:
         freq, phase = -freq, -phase
     phase = math.remainder(phase, 2.0 * math.pi)
-    residual_norm = float(np.linalg.norm(s - _cosine(currents, amp, freq, phase, offset)))
+    residual_norm = float(np.linalg.norm(s - _cosine(k, amp, freq, phase, offset)))
     perr = np.sqrt(np.maximum(np.diag(pcov), 0.0))
     if residual_norm <= _EXACT_FIT_RTOL * float(np.linalg.norm(centered)):
         # an exact fit has no residual variance to scale the covariance by,
@@ -465,18 +455,13 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
         raise InsufficientSpanError(
             f"record spans {freq * span:.2f} oscillation periods; need >= 1"
         )
-
-    meta = record.metadata or {}
-    names = ("waveform_efficiency", "tau_us", "gradient_per_ma_g_per_um")
-    implied = float(freq / k_per_ma(*(_positive_metadata(meta, name) for name in names)))
     return CosineFit(
-        frequency_per_ma=float(freq),
         phase_rad=float(phase),
         amplitude=float(amp),
         offset=float(offset),
-        implied_position_nm=implied,
+        implied_position_nm=float(freq),
         uncertainties={
-            "frequency_per_ma": float(perr[1]),
+            "implied_position_nm": float(perr[1]),
             "amplitude": float(perr[0]),
             "phase_rad": float(perr[2]),
             "offset": float(perr[3]),

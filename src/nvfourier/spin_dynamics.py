@@ -20,13 +20,14 @@ followed by a gap; the second half repeats the first, polarity-inverted when
 Outside [0, 2*tau) the drive is zero; the repetition overhead (laser
 initialization and readout) lives between sequence repetitions.
 
-All phase integrals are evaluated in closed form.
+All phase integrals are evaluated in closed form; ``phase_from_coordinate``
+is the one phase function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,18 +180,6 @@ def phase_efficiency(wf: GradientWaveform, seq: EchoSequence) -> float:
     return (first - second) / seq.total_time_us
 
 
-def sine_fraction_for_efficiency(w_target: float) -> float:
-    """active_fraction giving efficiency w_target for a one-lobe sine drive.
-
-    With period = 2 * active_fraction * tau (a single positive half-sine lobe
-    per echo half) the efficiency is w = 2*a/pi, so a = pi*w/2.
-    """
-    a = math.pi * w_target / 2.0
-    if not 0.0 < a <= 1.0:
-        raise ValidationError(f"no single-lobe sine fraction reaches efficiency {w_target}")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # phase and signal
 # ---------------------------------------------------------------------------
@@ -205,7 +194,14 @@ def imaging_coordinate_nm(nv: NvCenter, origin_um=(0.0, 0.0, 0.0), imaging_axis=
 def phase_from_coordinate(x_nm, peak_gradient_g_per_um, seq: EchoSequence, wf: GradientWaveform):
     """Echo phase (rad) for a point at x_nm under a shaped gradient drive.
 
-    ``x_nm`` and the gradient may be arrays (one entry per point).
+    ``x_nm`` is the coordinate along the imaging axis relative to the origin
+    (see ``imaging_coordinate_nm``) and the gradient the peak projected
+    gradient (G/um); either may be an array (one entry per point).  The
+    phase is linear in each and zero at x = 0.  ``seq.sync_offset_us``
+    shifts the drive against the pulses; the phase error, the phase minus
+    that at zero offset, is first order in the offset for a rectangular
+    drive and second order for a sine drive that vanishes at its window
+    edges.
     """
     first, second = signed_half_integrals(wf, seq, seq.sync_offset_us)
     x_um = x_nm * NM_TO_UM
@@ -217,25 +213,6 @@ def phase_from_coordinate(x_nm, peak_gradient_g_per_um, seq: EchoSequence, wf: G
         * peak_gradient_g_per_um
         * (first - second)
     )
-
-
-def echo_phase(
-    nv: NvCenter,
-    gradient: float,
-    seq: EchoSequence,
-    wf: GradientWaveform,
-    origin_um=(0.0, 0.0, 0.0),
-    imaging_axis=(1.0, 0.0, 0.0),
-) -> float:
-    """Accumulated spin-echo phase (rad) for one NV.
-
-    ``gradient`` is the peak projected gradient at the NV position (G/um),
-    scaled in time by the normalized waveform ``wf``.
-    """
-    if wf is None:
-        raise ValidationError("a GradientWaveform is required")
-    x_nm = imaging_coordinate_nm(nv, origin_um, imaging_axis)
-    return phase_from_coordinate(x_nm, float(gradient), seq, wf)
 
 
 def echo_signal(nv: NvCenter, phase_rad, seq: EchoSequence) -> EchoSignal:
@@ -299,24 +276,3 @@ def signal_from_counts(mean_counts, counts_error, nv: NvCenter):
     s = ((1.0 + a) * np.asarray(mean_counts, dtype=float) / b - 1.0) / a
     err = (1.0 + a) / (a * b) * np.asarray(counts_error, dtype=float)
     return (s, err) if s.ndim else (float(s), float(err))
-
-
-def sync_error_phase_distortion(
-    seq: EchoSequence,
-    wf: GradientWaveform,
-    nv: NvCenter,
-    peak_gradient_g_per_um: float,
-    origin_um=(0.0, 0.0, 0.0),
-    imaging_axis=(1.0, 0.0, 0.0),
-) -> float:
-    """Phase error phi(sync_offset) - phi(0) caused by MFG/MW misalignment.
-
-    For rectangular drives the error is first order in the offset (the
-    sliced box area changes linearly); for sine drives that vanish at the
-    window edges it is second order, which is why smooth pulse shapes
-    tolerate synchronization error.
-    """
-    shifted = echo_phase(nv, peak_gradient_g_per_um, seq, wf, origin_um, imaging_axis)
-    aligned_seq = replace(seq, sync_offset_us=0.0)
-    aligned = echo_phase(nv, peak_gradient_g_per_um, aligned_seq, wf, origin_um, imaging_axis)
-    return shifted - aligned

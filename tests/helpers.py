@@ -9,6 +9,7 @@ difference numerically what the package computes in closed form.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +17,11 @@ import nvfourier as nf
 from nvfourier.constants import GAMMA_CYC_MHZ_PER_G, NM_TO_UM
 from nvfourier.field_model import CALIBRATION_CSV_COLUMNS, _unit3, _vec3
 from nvfourier.serialize import write_csv
-from nvfourier.spin_dynamics import DEFAULT_SINE_ACTIVE_FRACTION, imaging_coordinate_nm
+from nvfourier.spin_dynamics import (
+    DEFAULT_SINE_ACTIVE_FRACTION,
+    imaging_coordinate_nm,
+    phase_from_coordinate,
+)
 
 REF_TOTAL_TIME_US = 500.0
 REF_I_MAX_MA = 10.0
@@ -155,6 +160,15 @@ def numeric_echo_phase(nv, gradient_fn, seq, num_steps):
         second += float(np.trapezoid(np.asarray(gradient_fn(t_extra - dt), dtype=float), t_extra))
     x_um = imaging_coordinate_nm(nv) * NM_TO_UM
     return 2.0 * math.pi * GAMMA_CYC_MHZ_PER_G * x_um * (first - second)
+
+
+def sync_phase_error(seq, wf, x_nm=100.0, gradient=3.26):
+    """Phase error phi(sync_offset) - phi(0) of a point at x_nm (nm) under
+    a peak gradient (G/um)."""
+    aligned = replace(seq, sync_offset_us=0.0)
+    return phase_from_coordinate(x_nm, gradient, seq, wf) - phase_from_coordinate(
+        x_nm, gradient, aligned, wf
+    )
 
 
 def numeric_gradient_at(wire, point_um, axis, imaging_axis, step_um=1e-4):

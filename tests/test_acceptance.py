@@ -6,6 +6,7 @@ is implemented exactly as stated; see notes in its docstring about the
 measured broadening of a one-pixel linear drift.
 """
 
+import math
 import time
 from pathlib import Path
 
@@ -15,22 +16,27 @@ import pytest
 import nvfourier as nf
 from nvfourier.cli import main
 
-from helpers import dct_oracle, numeric_echo_phase, reference_nv, simulate
+from helpers import dct_oracle, numeric_echo_phase, reference_nv, simulate, sync_phase_error
 
 def report(criterion, text):
     print(f"PASS criterion {criterion}: {text}")
 
 
 def test_criterion_01_pixel_resolution():
-    value = nf.pixel_resolution(2.2834)
+    n = 458
+    k = np.arange(n) * (2.2834 / (n - 1))
+    record = nf.KSpaceRecord(k_values=k, currents=np.arange(n, dtype=float),
+                             signals=np.cos(2.0 * np.pi * 30.0 * k), errors=np.zeros(n),
+                             t_hours=np.zeros(n), metadata={})
+    value = nf.fourier_reconstruct(record).pixel_size_nm
     assert value == pytest.approx(0.2190, abs=0.2190 * 1e-3)
     assert abs(value - 0.22) / 0.22 < 0.02
-    report(1, f"pixel_resolution(2.2834) = {value:.4f} nm (within 2% of 0.22 nm)")
+    report(1, f"pixel at K_max = 2.2834 1/nm: {value:.4f} nm (within 2% of 0.22 nm)")
 
 
 def test_criterion_02_end_to_end_reproduction():
     t0 = time.perf_counter()
-    fraction = nf.sine_fraction_for_efficiency(0.5003)
+    fraction = math.pi * 0.5003 / 2.0  # one half-sine lobe per echo half: w = 2a/pi
     sequence = nf.EchoSequence(total_time_us=500.0)
     waveform = nf.GradientWaveform(
         shape="sine", period_us=fraction * 500.0, active_fraction=fraction,
@@ -148,10 +154,9 @@ def test_criterion_07_drift_broadening():
     dwell_h = shots * 500e-6 / 3600.0
     n_points = 458
     sweep_hours = n_points * dwell_h
-    pixel = nf.pixel_resolution(2.2834)
-    drift = nf.DriftModel(linear_rate_nm_per_hour=pixel / sweep_hours)
-
     baseline = simulate(x_nm=30.0, shots_per_point=shots, seed=11)
+    pixel = nf.fourier_reconstruct(baseline).pixel_size_nm
+    drift = nf.DriftModel(linear_rate_nm_per_hour=pixel / sweep_hours)
     drifted = simulate(x_nm=30.0, shots_per_point=shots, seed=11, drift=drift)
 
     def fitted_fwhm(record):
@@ -194,7 +199,6 @@ def test_criterion_08_sideband_detection():
 
 
 def test_criterion_09_sync_sensitivity_scaling():
-    nv = reference_nv(x_nm=100.0)
     offsets = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     slopes = {}
     for shape, period in (("sine", 500.0), ("rectangular", 1.0)):
@@ -203,7 +207,7 @@ def test_criterion_09_sync_sensitivity_scaling():
         errors = []
         for dt in offsets:
             seq = nf.EchoSequence(total_time_us=500.0, sync_offset_us=float(dt))
-            errors.append(abs(nf.sync_error_phase_distortion(seq, wf, nv, 3.26)))
+            errors.append(abs(sync_phase_error(seq, wf, x_nm=100.0, gradient=3.26)))
         slopes[shape] = float(np.polyfit(np.log(offsets), np.log(errors), 1)[0])
     assert slopes["sine"] == pytest.approx(2.0, abs=0.2)
     assert slopes["rectangular"] == pytest.approx(1.0, abs=0.2)

@@ -19,6 +19,16 @@ REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
 CALIBRATION_CSV = REPO / "configs" / "calibration_samples.csv"
 
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds the non-finite constant {name}")
+
+
+def read_strict_json(path):
+    """A JSON file's content; NaN and Infinity in it fail the test."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 KNOWN_CODES = {
     cls.code
     for cls in vars(errors).values()
@@ -279,27 +289,35 @@ class TestCliCommands:
         config = write_config(tmp_path, minimal_config_dict())
         out = tmp_path / "out"
         assert main(["sensitivity", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-        doc = json.loads((out / "sensitivity.json").read_text())
+        doc = read_strict_json(out / "sensitivity.json")
         assert doc["eta_ut_per_sqrt_hz"] == pytest.approx(0.213, abs=0.001)
         assert doc["deviation_nt"] == pytest.approx(9.53, abs=0.05)
 
     def test_sensitivity_validation_error(self, tmp_path, capsys):
+        # an input, or a result that under- or overflows, that is not finite
+        # and > 0 is one validation line, and no sensitivity.json is written
         config = write_config(tmp_path, minimal_config_dict())
-        rc = main(["sensitivity", "--config", str(config), "--out", str(tmp_path / "o"),
-                   "--alpha", "0.0", "--quiet"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("validation:")
+        for i, (flags, message) in enumerate([
+            (["--alpha", "0.0"], "alpha must be finite and > 0, got 0.0"),
+            (["--alpha", "inf"], "alpha must be finite and > 0, got inf"),
+            (["--alpha", "1e-300", "--beta", "1e-300"], "slope_inverse_g must be finite and > 0, got inf"),
+            (["--alpha", "1e-320"], "slope_inverse_g must be finite and > 0, got inf"),
+        ]):
+            out = tmp_path / f"o{i}"
+            rc = main(["sensitivity", "--config", str(config), "--out", str(out), "--quiet", *flags])
+            assert rc == 1
+            assert capsys.readouterr().err.splitlines() == [f"validation: {message}"]
+            assert not (out / "sensitivity.json").exists()
 
     def test_fit_cosine_command(self, tmp_path, capsys):
-        data = minimal_config_dict()
-        data["sequence"]["total_time_us"] = 80.0
-        data["nv"]["position_um"] = [0.100, 0.0, 0.0]
-        config = write_config(tmp_path, data)
-        out = tmp_path / "out"
-        main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        config, out = _simulated_record(tmp_path, _cosine_config())
         assert main(["fit-cosine", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-        doc = json.loads((out / "cosine_fit.json").read_text())
+        doc = read_strict_json(out / "cosine_fit.json")
+        assert set(doc) == {
+            "model", "phase_rad", "amplitude", "offset", "implied_position_nm",
+            "uncertainties", "residual_norm",
+        }
+        assert set(doc["uncertainties"]) == {"implied_position_nm", "amplitude", "phase_rad", "offset"}
         assert doc["implied_position_nm"] == pytest.approx(100.0, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -549,17 +567,17 @@ def _cosine_config():
     return data
 
 
-@pytest.mark.parametrize("value", ["abc", None, [1.0], 0, -0.5, True], ids=repr)
-@pytest.mark.parametrize("key", ["waveform_efficiency", "tau_us", "gradient_per_ma_g_per_um"])
-def test_bad_k_scale_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, value):
+def test_fit_cosine_reads_only_the_record(tmp_path, capsys):
+    # the fit runs on the record's K column: a sidecar with only the grid
+    # keys is enough
     config, out = _simulated_record(tmp_path, _cosine_config())
     side = out / "record.meta.json"
-    side.write_text(json.dumps({**json.loads(side.read_text()), key: value}))
-    rc = main(["fit-cosine", "--config", str(config), "--out", str(out), "--quiet"])
-    err = capsys.readouterr().err.splitlines()
-    assert rc == 1
-    assert err == [f"metadata: record metadata {key} must be a finite number > 0, got {value!r}"]
-    assert not (out / "cosine_fit.json").exists()
+    meta = json.loads(side.read_text())
+    side.write_text(json.dumps({key: meta[key] for key in ("mask", "n_points", "delta_k_per_nm")}))
+    assert main(["fit-cosine", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    doc = read_strict_json(out / "cosine_fit.json")
+    assert doc["implied_position_nm"] == pytest.approx(100.0, rel=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -76,8 +76,7 @@ def test_fits_look_up_curve_fit_at_call_time(monkeypatch):
     monkeypatch.setattr(reconstruction, "curve_fit", counting)
     x = np.linspace(0.0, 10.0, 101)
     profile = nf.RealSpaceProfile(
-        x_grid_nm=x, amplitude=reconstruction.lorentzian(x, 1.0, 5.0, 0.4, 0.0), pixel_size_nm=0.4,
-        k_max_per_nm=1.25,
+        x_grid_nm=x, amplitude=reconstruction.lorentzian(x, 1.0, 5.0, 0.4, 0.0), pixel_size_nm=0.4
     )
     nf.fit_lorentzian(profile)
     assert len(evaluations) > 0

@@ -10,20 +10,26 @@ from nvfourier.serialize import to_plain
 from helpers import simulate
 
 
+def pixel(k_max, n=64):
+    """Pixel (nm) of the profile of an n-point K grid from 0 to k_max."""
+    k = np.arange(n) * (k_max / (n - 1))
+    record = nf.KSpaceRecord(k_values=k, currents=np.arange(n, dtype=float),
+                             signals=np.cos(k), errors=np.zeros(n), t_hours=np.zeros(n),
+                             metadata={})
+    return nf.fourier_reconstruct(record).pixel_size_nm
+
+
 class TestPixelResolution:
+    # the real-space pixel 1/(2*K_max) is set by the largest acquired K
     def test_reference_value(self):
-        assert nf.pixel_resolution(2.2834) == pytest.approx(0.2190, abs=5e-5)
+        assert pixel(2.2834) == pytest.approx(0.2190, abs=5e-5)
 
     def test_half_nm(self):
-        assert nf.pixel_resolution(1.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValidationError):
-            nf.pixel_resolution(0.0)
+        assert pixel(1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_strictly_decreasing(self):
         ks = np.linspace(0.1, 5.0, 50)
-        values = [nf.pixel_resolution(k) for k in ks]
+        values = [pixel(k) for k in ks]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -59,11 +65,18 @@ class TestSensitivity:
 
     def test_validation(self):
         for args, message in [
-            ((0.0, 0.02, 0.06, 500.0, 10), "alpha must be > 0"),
-            ((0.08, -0.02, 0.06, 500.0, 10), "beta must be > 0"),
-            ((0.08, 0.02, float("nan"), 500.0, 10), "sigma_s must be > 0"),
-            ((0.08, 0.02, 0.06, 0.0, 10), "evolution_time_us must be > 0"),
-            ((1e300, 1e300, 0.06, 500.0, 10), "eta must be > 0"),
+            ((0.0, 0.02, 0.06, 500.0, 10), "alpha must be finite and > 0"),
+            ((0.08, -0.02, 0.06, 500.0, 10), "beta must be finite and > 0"),
+            ((0.08, 0.02, float("nan"), 500.0, 10), "sigma_s must be finite and > 0"),
+            ((0.08, 0.02, 0.06, 0.0, 10), "evolution_time_us must be finite and > 0"),
+            ((float("inf"), 0.02, 0.06, 500.0, 10), "alpha must be finite and > 0"),
+            ((1e300, 1e300, 0.06, 500.0, 10), "slope_inverse_g must be finite and > 0"),
+            ((1e-300, 1e-300, 0.06, 500.0, 10), "slope_inverse_g must be finite and > 0"),
+            ((1e-320, 0.02, 0.06, 500.0, 10), "slope_inverse_g must be finite and > 0"),
+            ((0.08, 0.02, 5e-324, 500.0, 10), "eta must be finite and > 0"),
+            ((0.08, 0.02, 1e300, 1e-300, 10), "eta must be finite and > 0"),
+            ((0.08, 0.02, 0.06, 1e10, 10**308), "deviation_nt must be finite and > 0"),
+            ((1e200, 1e200, 0.06, 1e-320, 1), "deviation_nt must be finite and > 0"),
         ]:
             with pytest.raises(ValidationError, match=message):
                 nf.full_sensitivity_report(*args)
@@ -105,8 +118,9 @@ class TestDeviation:
         assert deviation(REFERENCE, 4 * 10**6, 500.0) < ref
 
     def test_validation(self):
-        with pytest.raises(ValidationError, match="n_averages must be >= 1"):
-            nf.full_sensitivity_report(*REFERENCE, 500.0, 0)
+        for n_averages in (0, float("nan"), 10**400):
+            with pytest.raises(ValidationError, match="n_averages must be >= 1"):
+                nf.full_sensitivity_report(*REFERENCE, 500.0, n_averages)
 
 
 class TestFullReport:
@@ -129,13 +143,14 @@ class TestEmpiricalResolution:
     # denominator; these pin that ratio against the theoretical pixel resolution
     def test_reference_numbers(self):
         # 0.28 nm FWHM at k_max = 2.2834 /nm (0.219 nm pixel) -> 1.279
-        assert 0.28 / nf.pixel_resolution(2.2834) == pytest.approx(1.279, abs=2e-3)
+        assert 0.28 / pixel(2.2834) == pytest.approx(1.279, abs=2e-3)
 
     def test_unit_ratio(self):
-        profile = nf.fourier_reconstruct(simulate(x_nm=30.0), zero_pad_factor=4)
-        pixel = nf.pixel_resolution(profile.k_max_per_nm)
-        assert profile.pixel_size_nm == pytest.approx(pixel, rel=1e-12)
-        fit = nf.PeakFit(center_nm=30.0, fwhm_nm=pixel, amplitude=1.0, offset=0.0)
+        record = simulate(x_nm=30.0)
+        profile = nf.fourier_reconstruct(record, zero_pad_factor=4)
+        size = 1.0 / (2.0 * record.k_max)
+        assert profile.pixel_size_nm == pytest.approx(size, rel=1e-12)
+        fit = nf.PeakFit(center_nm=30.0, fwhm_nm=size, amplitude=1.0, offset=0.0)
         assert fit.fwhm_nm / profile.pixel_size_nm == pytest.approx(1.0, rel=1e-12)
 
     def test_end_to_end_ratio_in_range(self):

@@ -23,12 +23,12 @@ from nvfourier.reconstruction import lorentzian
 from helpers import REF_GRADIENT_PER_MA, dct_oracle, reference_nv, reference_plan, simulate
 
 
-def synthetic_record(signals, dk=0.005, metadata=None):
+def synthetic_record(signals, dk=0.005):
     n = len(signals)
     k = np.arange(n) * dk
     return nf.KSpaceRecord(
         k_values=k, currents=np.arange(n, dtype=float), signals=signals,
-        errors=np.zeros(n), t_hours=np.zeros(n), metadata=metadata or {},
+        errors=np.zeros(n), t_hours=np.zeros(n), metadata={},
     )
 
 
@@ -171,8 +171,7 @@ class TestLorentzianFit:
         x = np.linspace(3.0, 7.0, 200)
         truth = dict(amplitude=0.8, center=5.0, half_width=0.15, offset=0.05)
         y = lorentzian(x, truth["amplitude"], truth["center"], truth["half_width"], truth["offset"])
-        profile = nf.RealSpaceProfile(x_grid_nm=x, amplitude=y, pixel_size_nm=0.3,
-                                      k_max_per_nm=1.0 / 0.6)
+        profile = nf.RealSpaceProfile(x_grid_nm=x, amplitude=y, pixel_size_nm=0.3)
         fit = nf.fit_lorentzian(profile, initial_window=(3.0, 7.0))
         assert fit.center_nm == pytest.approx(5.0, rel=1e-8)
         assert fit.fwhm_nm == pytest.approx(0.3, rel=1e-8)
@@ -187,7 +186,7 @@ class TestLorentzianFit:
                            fit1.fwhm_nm / 2, fit1.offset)
         profile2 = nf.RealSpaceProfile(
             x_grid_nm=profile.x_grid_nm, amplitude=np.abs(model),
-            pixel_size_nm=profile.pixel_size_nm, k_max_per_nm=profile.k_max_per_nm,
+            pixel_size_nm=profile.pixel_size_nm,
         )
         window = (fit1.center_nm - 1.5 * profile.pixel_size_nm,
                   fit1.center_nm + 1.5 * profile.pixel_size_nm)
@@ -197,8 +196,7 @@ class TestLorentzianFit:
 
     def test_flat_profile_no_peak(self):
         x = np.linspace(0.0, 10.0, 101)
-        profile = nf.RealSpaceProfile(x_grid_nm=x, amplitude=np.ones(101),
-                                      pixel_size_nm=0.1, k_max_per_nm=5.0)
+        profile = nf.RealSpaceProfile(x_grid_nm=x, amplitude=np.ones(101), pixel_size_nm=0.1)
         with pytest.raises(NoPeakError):
             nf.fit_lorentzian(profile, initial_window=(0.0, 10.0))
 
@@ -224,9 +222,7 @@ class TestCosineFit:
         assert fit.implied_position_nm == pytest.approx(100.0, rel=1e-6)
 
     def test_zero_amplitude_flagged(self):
-        record = synthetic_record(np.full(50, 0.37), metadata={
-            "waveform_efficiency": 0.5, "tau_us": 250.0, "gradient_per_ma_g_per_um": 0.326,
-        })
+        record = synthetic_record(np.full(50, 0.37))
         with pytest.raises(DegenerateFitError):
             nf.fit_cosine(record)
 
@@ -235,9 +231,7 @@ class TestCosineFit:
         # once instead of spending its step budget on a NaN residual
         signals = np.cos(np.linspace(0.0, 6.0 * np.pi, 50))
         signals[7] = np.nan
-        record = synthetic_record(signals, metadata={
-            "waveform_efficiency": 0.5, "tau_us": 250.0, "gradient_per_ma_g_per_um": 0.326,
-        })
+        record = synthetic_record(signals)
         evaluations = []
         fit_with = reconstruction.curve_fit
 
@@ -275,7 +269,7 @@ class TestCosineFit:
         assert set(fit.uncertainties.values()) == {0.0}
 
     def test_too_few_points(self):
-        record = synthetic_record(np.ones(4), metadata={})
+        record = synthetic_record(np.ones(4))
         with pytest.raises(InsufficientSpanError):
             nf.fit_cosine(record)
 
@@ -289,7 +283,7 @@ class TestCosineFit:
         # 2tau = 21 us: one visible oscillation across the ramp for x0 ~ 10 nm
         record = simulate(x_nm=10.4, total_time_us=21.0, n_points=80)
         fit = nf.fit_cosine(record)
-        periods = fit.frequency_per_ma * (record.currents[-1] - record.currents[0])
+        periods = fit.implied_position_nm * (record.k_values[-1] - record.k_values[0])
         assert 0.8 <= periods <= 1.5
         assert fit.implied_position_nm == pytest.approx(10.4, rel=1e-6)
 
@@ -349,9 +343,9 @@ class TestDriftBroadening:
         # the line even against the bare kernel's sidelobes
         shots = 36_000
         sweep_hours = 458 * shots * 500e-6 / 3600.0
-        pixel = nf.pixel_resolution(2.2834)
-        drift = nf.DriftModel(linear_rate_nm_per_hour=2 * pixel / sweep_hours)
         baseline = simulate(x_nm=30.0, shots_per_point=shots, seed=11)
+        pixel = nf.fourier_reconstruct(baseline).pixel_size_nm
+        drift = nf.DriftModel(linear_rate_nm_per_hour=2 * pixel / sweep_hours)
         drifted = simulate(x_nm=30.0, shots_per_point=shots, seed=11, drift=drift)
         fwhms = []
         for record in (baseline, drifted):
@@ -436,7 +430,7 @@ def sideband_profiles(draw):
     if draw(st.booleans()):
         amp = amp - draw(st.floats(0.0, 0.3))  # a hand-built profile may dip below zero
     profile = nf.RealSpaceProfile(
-        x_grid_nm=x, amplitude=amp, pixel_size_nm=pixels * step, k_max_per_nm=1.0
+        x_grid_nm=x, amplitude=amp, pixel_size_nm=pixels * step
     )
     fit = nf.PeakFit(center_nm=center, fwhm_nm=fwhm_steps * step, amplitude=1.0, offset=0.0)
     return profile, fit

@@ -38,7 +38,6 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_r
 
 K_MAX = 2.0
 PIXEL = 1.0 / (2.0 * K_MAX)
-COSINE_METADATA = {"waveform_efficiency": 0.5, "tau_us": 250.0, "gradient_per_ma_g_per_um": 0.326}
 # Both solvers stop once a step lowers the residual sum of squares by at most
 # 1.5e-8 of it, which leaves each parameter about sqrt(1.5e-8 * (m - n))
 # standard errors from the minimum: up to 1.4e-3 for the 120-point sweeps
@@ -48,12 +47,11 @@ COSINE_METADATA = {"waveform_efficiency": 0.5, "tau_us": 250.0, "gradient_per_ma
 STOP_SD = 5e-3
 
 
-def record_of(signals, currents=None, metadata=None):
+def record_of(signals, k_max=K_MAX):
     n = len(signals)
     return nf.KSpaceRecord(
-        k_values=np.arange(n) * (K_MAX / (n - 1)),
-        currents=np.arange(n, dtype=float) if currents is None else currents,
-        signals=signals, errors=np.zeros(n), t_hours=np.zeros(n), metadata=metadata or {},
+        k_values=np.arange(n) * (k_max / (n - 1)), currents=np.arange(n, dtype=float),
+        signals=signals, errors=np.zeros(n), t_hours=np.zeros(n), metadata={},
     )
 
 
@@ -189,7 +187,7 @@ def test_fit_lorentzian_matches_scipy(n, x0_frac, sigma_pixels, noise, zero_pad,
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(20, 120),
-    span_ma=st.floats(0.5, 10.0),
+    k_max=st.floats(0.5, 10.0),
     periods_frac=st.floats(0.0, 1.0),
     amplitude=st.floats(0.05, 1.0),
     phase=st.floats(-math.pi, math.pi),
@@ -198,17 +196,17 @@ def test_fit_lorentzian_matches_scipy(n, x0_frac, sigma_pixels, noise, zero_pad,
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    n=60, span_ma=0.6, periods_frac=0.1, amplitude=0.08, phase=0.0, offset=0.9, noise_frac=0.0, seed=0
+    n=60, k_max=0.6, periods_frac=0.1, amplitude=0.08, phase=0.0, offset=0.9, noise_frac=0.0, seed=0
 )
 def test_fit_cosine_matches_scipy(
-    n, span_ma, periods_frac, amplitude, phase, offset, noise_frac, seed
+    n, k_max, periods_frac, amplitude, phase, offset, noise_frac, seed
 ):
     # from one period across the sweep up to 0.45 cycles per step (Nyquist: 0.5)
     periods = 1.0 + periods_frac * (0.45 * (n - 1) - 1.0)
-    currents = np.linspace(0.0, span_ma, n)
-    signals = amplitude * np.cos(2.0 * math.pi * periods / span_ma * currents + phase) + offset
+    k = np.arange(n) * (k_max / (n - 1))  # record_of's grid
+    signals = amplitude * np.cos(2.0 * math.pi * periods / k_max * k + phase) + offset
     signals = signals + noise_frac * amplitude * np.random.default_rng(seed).standard_normal(n)
-    record = record_of(signals, currents, COSINE_METADATA)
+    record = record_of(signals, k_max)
     ours = nf.fit_cosine(record)
     try:
         theirs = with_scipy(nf.fit_cosine, record)
@@ -216,9 +214,9 @@ def test_fit_cosine_matches_scipy(
         # scipy's covariance of a nearly exact fit (residual just above
         # _EXACT_FIT_RTOL) can be infinite; there is nothing to compare
         return
-    freq_sd = ours.uncertainties["frequency_per_ma"]
-    assert abs(ours.frequency_per_ma - theirs.frequency_per_ma) <= max(
-        1e-6 * theirs.frequency_per_ma, STOP_SD * freq_sd
+    position_sd = ours.uncertainties["implied_position_nm"]
+    assert abs(ours.implied_position_nm - theirs.implied_position_nm) <= max(
+        1e-6 * theirs.implied_position_nm, STOP_SD * position_sd
     )
     # an exact fit leaves only rounding, which no relative bound can compare
     rounding = (1e-9 * float(np.linalg.norm(signals - signals.mean()))) ** 2

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvfourier as nf
 from nvfourier.errors import ValidationError
 from nvfourier.spin_dynamics import (
+    DEFAULT_SINE_ACTIVE_FRACTION,
     POISSON_LAM_MAX,
     phase_from_coordinate,
     signal_from_counts,
@@ -19,6 +22,7 @@ from helpers import (
     reference_sequence,
     reference_waveform,
     rect_waveform,
+    sync_phase_error,
     waveform_value,
 )
 
@@ -47,11 +51,13 @@ class TestWaveform:
             assert nf.phase_efficiency(wf, seq) == pytest.approx(2 * a / math.pi, rel=1e-12)
 
     def test_sine_fraction_for_efficiency_inverts(self):
-        a = nf.sine_fraction_for_efficiency(0.5003)
-        seq = reference_sequence()
-        wf = nf.GradientWaveform("sine", period_us=a * seq.total_time_us,
-                                 active_fraction=a, antisymmetric=True)
-        assert nf.phase_efficiency(wf, seq) == pytest.approx(0.5003, rel=1e-12)
+        # the shipped single-lobe sine fraction is the one giving w = 0.5003:
+        # w = 2a/pi inverts to a = pi*w/2
+        a = DEFAULT_SINE_ACTIVE_FRACTION
+        assert a == pytest.approx(math.pi * 0.5003 / 2.0, abs=1e-4)
+        w = nf.phase_efficiency(reference_waveform(), reference_sequence())
+        assert w == pytest.approx(2.0 * a / math.pi, rel=1e-12)
+        assert w == pytest.approx(0.5003, abs=1e-4)
 
     def test_cumulative_matches_pointwise_integration(self):
         seq = reference_sequence()
@@ -90,19 +96,19 @@ class TestEchoPhase:
     def test_zero_at_origin(self):
         seq = reference_sequence()
         for wf in (reference_waveform(), rect_waveform()):
-            assert nf.echo_phase(nv_at(0.0), 3.26, seq, wf) == 0.0
+            assert phase_from_coordinate(0.0, 3.26, seq, wf) == 0.0
 
     def test_rect_full_duty_value(self):
         # x = 1 nm, G = 3.26 G/um, 2tau = 500 us antisymmetric rectangular:
         # phi = 2*pi * gamma * x * G * 2tau = 2*pi * 4.564
         seq = reference_sequence()
-        phi = nf.echo_phase(nv_at(1.0), 3.26, seq, rect_waveform())
+        phi = phase_from_coordinate(1.0, 3.26, seq, rect_waveform())
         assert phi == pytest.approx(2 * math.pi * 4.564, rel=1e-12)
 
     def test_analytic_matches_midpoint_oracle(self):
         seq = reference_sequence()
         for wf in (reference_waveform(), rect_waveform(), rect_waveform(0.5)):
-            phi = nf.echo_phase(nv_at(7.0), 2.2, seq, wf)
+            phi = phase_from_coordinate(7.0, 2.2, seq, wf)
             oracle = midpoint_phase_oracle(7.0, 2.2, seq, wf)
             assert phi == pytest.approx(oracle, rel=1e-5, abs=1e-8)
 
@@ -111,7 +117,7 @@ class TestEchoPhase:
         for shape in ("sine", "rectangular"):
             wf = nf.GradientWaveform(shape, period_us=100.0, active_fraction=0.8,
                                      antisymmetric=False)
-            assert nf.echo_phase(nv_at(250.0), 5.0, seq, wf) == pytest.approx(0.0, abs=1e-10)
+            assert phase_from_coordinate(250.0, 5.0, seq, wf) == pytest.approx(0.0, abs=1e-10)
 
     def test_even_callable_waveforms_cancel(self):
         # gradient waveforms even about the pi pulse accumulate zero phase
@@ -140,21 +146,39 @@ class TestEchoPhase:
             assert phase_from_coordinate(3.0 * x, g, seq, wf) == pytest.approx(3 * base, rel=1e-12)
             assert phase_from_coordinate(x, 3.0 * g, seq, wf) == pytest.approx(3 * base, rel=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        x=st.floats(-500.0, 500.0),
+        g=st.floats(-10.0, 10.0),
+        scale=st.floats(-4.0, 4.0),
+        sync=st.floats(-100.0, 100.0),
+        fraction=st.floats(0.05, 1.0),
+        rectangular=st.booleans(),
+    )
+    def test_phase_linear_in_x_and_gradient_and_zero_at_origin(
+        self, x, g, scale, sync, fraction, rectangular
+    ):
+        # ROADMAP physics invariant: phi(x, G) = c * x * G for any waveform
+        # and sync offset (|offset| < 2tau/4), so phi(0, G) = 0 exactly
+        seq = reference_sequence(sync_offset_us=sync)
+        wf = rect_waveform(fraction) if rectangular else reference_waveform(active_fraction=fraction)
+        base = phase_from_coordinate(x, g, seq, wf)
+        tol = 1e-12 * abs(scale * base) + 1e-300
+        assert phase_from_coordinate(0.0, g, seq, wf) == 0.0
+        assert abs(phase_from_coordinate(scale * x, g, seq, wf) - scale * base) <= tol
+        assert abs(phase_from_coordinate(x, scale * g, seq, wf) - scale * base) <= tol
+
     def test_off_center_pi_pulse_numeric_matches_analytic(self):
         seq = nf.EchoSequence(total_time_us=500.0, pi_pulse_time_us=200.0)
         wf = rect_waveform()
         nv = nv_at(5.0)
-        analytic = nf.echo_phase(nv, 1.7, seq, wf)
+        analytic = phase_from_coordinate(5.0, 1.7, seq, wf)
 
         def gradient(t, wf=wf, seq=seq):
             return 1.7 * np.array([waveform_value(wf, seq, tv) for tv in np.atleast_1d(t)])
 
         numeric = numeric_echo_phase(nv, gradient, seq, num_steps=100_000)
         assert numeric == pytest.approx(analytic, rel=1e-4)
-
-    def test_scalar_gradient_requires_waveform(self):
-        with pytest.raises(ValidationError):
-            nf.echo_phase(nv_at(1.0), 3.26, reference_sequence(), None)
 
     def test_half_integrals_shift_consistency(self):
         # shifting by dt redistributes but integral over both halves is conserved
@@ -278,28 +302,24 @@ class TestSampleCounts:
 
 class TestSyncError:
     def test_zero_offset_zero_error(self):
-        seq = reference_sequence()
-        err = nf.sync_error_phase_distortion(seq, reference_waveform(), nv_at(100.0), 3.26)
-        assert err == 0.0
+        assert sync_phase_error(reference_sequence(), reference_waveform()) == 0.0
 
     def test_sine_error_is_second_order(self):
         # full-duty single-lobe sine: error(dt)/error(dt/2) -> 4
-        nv = nv_at(100.0)
         wf = nf.GradientWaveform("sine", period_us=500.0, active_fraction=1.0,
                                  antisymmetric=True)
         errs = []
         for dt in (0.2, 0.1):
             seq = nf.EchoSequence(total_time_us=500.0, sync_offset_us=dt)
-            errs.append(abs(nf.sync_error_phase_distortion(seq, wf, nv, 3.26)))
+            errs.append(abs(sync_phase_error(seq, wf)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.02)
 
     def test_rect_error_is_first_order(self):
-        nv = nv_at(100.0)
         wf = rect_waveform()
         errs = []
         for dt in (0.2, 0.1):
             seq = nf.EchoSequence(total_time_us=500.0, sync_offset_us=dt)
-            errs.append(abs(nf.sync_error_phase_distortion(seq, wf, nv, 3.26)))
+            errs.append(abs(sync_phase_error(seq, wf)))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.02)
 
 
