@@ -92,14 +92,6 @@ class DriftModel:
         if self.temperature_period_hours <= 0:
             raise ValidationError("temperature_period_hours must be > 0")
 
-    @property
-    def is_static(self) -> bool:
-        return (
-            self.linear_rate_nm_per_hour == 0.0
-            and self.random_walk_sigma_nm_per_sqrt_hour == 0.0
-            and self.temperature_coupling_nm_per_k == 0.0
-        )
-
 
 def drift_trajectory(drift: DriftModel, times_hours, seed: int = 0) -> np.ndarray:
     """Offsets (nm) at increasing times, with a consistent random walk."""
@@ -280,7 +272,7 @@ def run_sweep(
     exact expected signal is recorded with zero error.
     """
     times = point_times_hours(plan)
-    offsets = 0.0 if plan.drift.is_static else drift_trajectory(plan.drift, times, seed=plan.seed)
+    offsets = drift_trajectory(plan.drift, times, seed=plan.seed)
     if gradient_per_ma is not None:
         g0 = g_per_ma = float(gradient_per_ma)
     elif wire is None:

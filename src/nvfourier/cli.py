@@ -45,6 +45,7 @@ from .errors import MissingCalibrationError, NvFourierError, UsageError
 from .field_model import calibrate_wire, gradient_at, load_calibration_csv, sample_field
 from .metrology import full_sensitivity_report
 from .reconstruction import (
+    WINDOWS,
     fit_cosine,
     fit_lorentzian,
     fourier_reconstruct,
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="transform a record and fit the peak")
     _add_global_options(p, suppress=True)
     p.add_argument("--record", default=None, help="record CSV (default <out>/record.csv)")
-    p.add_argument("--window", default=None, choices=["none", "hann"])
+    p.add_argument("--window", default=None, choices=WINDOWS)
     p.add_argument("--zero-pad", type=int, default=None, dest="zero_pad")
     p.set_defaults(func=cmd_stage, stage=stage_reconstruct)
 

@@ -29,10 +29,11 @@ prime passes.  The chirp and the chirp filter's spectrum depend on (n, z)
 alone and are cached per grid.  The result equals the DCT-I to round-off,
 not bit for bit with a real FFT of the even extension.
 
-Undersampling: block-masked records are zero-filled onto the full K grid
-(using the sidecar mask) before transforming; stride-masked records are
-uniform on a compact grid and transform directly, giving an aliased profile
-that ``disambiguate_alias`` unfolds against a coarse full prescan.
+Undersampling: ``fourier_reconstruct`` and ``fit_cosine`` place each sample
+at round(K/dK) on the uniform K grid from K = 0 (``_full_grid``).  Stride-masked
+records use their own compact spacing, giving an aliased profile that
+``disambiguate_alias`` unfolds against a coarse full prescan; block-masked
+records are zero-filled onto the sidecar's ``n_points``/``delta_k_per_nm`` grid.
 
 ``fit_cosine`` reads the position without a transform: it fits
 A cos(2*pi*K*x0 + phi) + c to the record's own K column, whose fitted
@@ -162,9 +163,10 @@ def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
     """Where the record's samples sit on the uniform K grid from K = 0:
     their positions on it, its length and its spacing.
 
-    A record whose own K values are uniform is used as-is (stride masks land
-    here: a compact grid with larger dK).  Otherwise the sidecar mask and
-    full-grid spacing place it; without that metadata the grid is rejected.
+    Every sample sits at round(K/dK).  A record whose own K values are
+    uniform gives dK (stride masks land here: a compact grid with larger
+    dK); any other record takes dK and the grid length from its sidecar's
+    ``delta_k_per_nm`` and ``n_points``, and is refused without them.
     """
     k = record.k_values
     if len(k) == 0:
@@ -178,31 +180,27 @@ def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
         lead = int(round(k[0] / dk))
         if abs(k[0] - lead * dk) > dk * 1e-6:
             raise NonUniformKError("K grid does not extend to K = 0 on its own spacing")
+        if lead + len(k) > MAX_N_POINTS:  # before a grid of that length is allocated
+            raise ValidationError(f"K grid from K = 0 holds more than {MAX_N_POINTS} points")
         return slice(lead, None), lead + len(k), dk
     meta = record.metadata or {}
-    mask = meta.get("mask")
-    if mask is None or meta.get("n_points") is None or meta.get("delta_k_per_nm") is None:
-        raise NonUniformKError(
-            "K values are not on a uniform grid and the sidecar metadata "
-            "(mask, n_points, delta_k_per_nm) is unavailable for zero-filling"
-        )
+    if meta.get("n_points") is None or meta.get("delta_k_per_nm") is None:
+        raise NonUniformKError("K values are not uniform and the sidecar has no K grid keys")
     n_points = _positive_metadata(meta, "n_points")
     if n_points % 1:
         raise MetadataError(f"record metadata n_points must be an integer, got {n_points!r}")
     if n_points > MAX_N_POINTS:
         raise MetadataError(f"record metadata n_points must be <= {MAX_N_POINTS}")
-    dk_full = _positive_metadata(meta, "delta_k_per_nm")
-    if not isinstance(mask, list) or not all(type(i) is int for i in mask):
-        raise MetadataError("record metadata mask must be a list of integers")
-    if len(mask) != len(k):
-        raise MetadataError("sidecar mask length does not match record length")
-    expected = np.asarray(mask, dtype=float) * float(dk_full)
-    if not np.allclose(k, expected, rtol=1e-6, atol=float(dk_full) * 1e-6):
-        raise MetadataError("record K values are inconsistent with the sidecar mask")
-    index = np.asarray(mask, dtype=int)  # increasing, as the record's K values are
-    if index[-1] >= n_points:
-        raise MetadataError(f"sidecar mask reaches index {index[-1]}, past n_points = {n_points}")
-    return index, int(n_points), float(dk_full)
+    dk = float(_positive_metadata(meta, "delta_k_per_nm"))
+    # round(K/dK) < n_points, checked before K/dK is formed, which could overflow
+    if k[-1] >= (n_points - 0.5) * dk:
+        raise MetadataError(f"record K reaches past n_points = {n_points} of the sidecar grid")
+    index = np.rint(k / dk)
+    if np.any(np.abs(k - index * dk) > dk * 1e-6):  # within dK alone, at any index
+        raise MetadataError("record K values are off the sidecar grid of delta_k_per_nm")
+    if np.any(index[1:] == index[:-1]):  # K increases, so the indices never fall
+        raise MetadataError("two record K values fall on one sidecar grid index")
+    return index.astype(int), int(n_points), dk
 
 
 def _positive_metadata(meta: dict, name: str) -> float:
@@ -292,8 +290,6 @@ def fourier_reconstruct(
     if window not in WINDOWS:
         raise ValidationError(f"window must be one of {WINDOWS}")
     where, n, dk = _full_grid(record)
-    if n < 2:
-        raise EmptyRecordError("need at least two points on the K grid")
     length = profile_length(n, zero_pad_factor)
     zero_pad_factor = int(zero_pad_factor)
 
@@ -411,8 +407,10 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     The signal is cos(2*pi*K*x0), so the fitted frequency in cycles per
     (1/nm) is the NV position x0 in nm (single-tone estimation: Rife and
     Boorstyn, IEEE Trans. Inf. Theory 20, 591 (1974)); no sidecar key is
-    read.  The initial frequency comes from the dominant bin of the
-    periodogram of the mean-subtracted signal.
+    read for a record on a uniform K grid.  The initial frequency comes from
+    the dominant bin of the periodogram of the mean-subtracted signal on the
+    K grid ``fourier_reconstruct`` places it on (``_full_grid``), or at its
+    mean K spacing where that grid is refused.
     """
     n = len(record)
     if n < 6:
@@ -425,14 +423,19 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
         raise DegenerateFitError("record signal has zero amplitude")
     span = float(k[-1] - k[0])  # > 0: a record's K values increase
 
-    # zero-padded periodogram: near-Nyquist sweeps need the finer initial
-    # frequency to land in the right least-squares basin
-    step = span / (n - 1)
-    n_pad = 8 * n
-    transform = np.fft.rfft(centered, n=n_pad)
+    # zero-padded periodogram, gaps zero-filled: near-Nyquist sweeps need the
+    # finer initial frequency to land in the right least-squares basin
+    try:
+        where, n_grid, dk = _full_grid(record)
+    except (MetadataError, NonUniformKError, ValidationError):
+        where, n_grid, dk = slice(None), n, span / (n - 1)
+    placed = np.zeros(n_grid)
+    placed[where] = centered
+    n_pad = 8 * n_grid
+    transform = np.fft.rfft(placed, n=n_pad)
     spectrum = np.abs(transform)
     bin_idx = int(np.argmax(spectrum[1:])) + 1
-    f0 = bin_idx / (n_pad * step)
+    f0 = bin_idx / (n_pad * dk)
     phase0 = float(np.angle(transform[bin_idx]))
     amp0 = 2.0 * float(spectrum[bin_idx]) / n
     p0 = [amp0, f0, phase0, float(np.mean(s))]

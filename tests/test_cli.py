@@ -573,7 +573,7 @@ def test_fit_cosine_reads_only_the_record(tmp_path, capsys):
     config, out = _simulated_record(tmp_path, _cosine_config())
     side = out / "record.meta.json"
     meta = json.loads(side.read_text())
-    side.write_text(json.dumps({key: meta[key] for key in ("mask", "n_points", "delta_k_per_nm")}))
+    side.write_text(json.dumps({key: meta[key] for key in ("n_points", "delta_k_per_nm")}))
     assert main(["fit-cosine", "--config", str(config), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
     doc = read_strict_json(out / "cosine_fit.json")
@@ -587,9 +587,12 @@ def test_fit_cosine_reads_only_the_record(tmp_path, capsys):
         ("n_points", 119.5, "n_points must be an integer"),
         ("delta_k_per_nm", "x", "delta_k_per_nm must be a finite number > 0"),
         ("delta_k_per_nm", 0.0, "delta_k_per_nm must be a finite number > 0"),
-        ("mask", 5, "mask must be a list of integers"),
+        # a callable value scales the sidecar's own spacing: by 1.5 some K
+        # values fall between grid points; by 1e9 every K rounds to index 0
+        pytest.param("delta_k_per_nm", lambda dk: 1.5 * dk, "off the sidecar grid", id="k-off-grid"),
         (None, [1, 2], "sidecar must be a JSON object"),
         pytest.param("n_points", 10**400, "n_points must be <= 1000000", id="huge-n_points"),
+        pytest.param("delta_k_per_nm", lambda dk: 1e9 * dk, "fall on one sidecar grid index", id="k-one-index"),
     ],
 )
 def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, value, message):
@@ -597,13 +600,33 @@ def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, va
     data["plan"]["mask"] = {"strategy": "blocks", "blocks": 4, "block_width": 10}
     config, out = _simulated_record(tmp_path, data)
     side = out / "record.meta.json"
-    side.write_text(json.dumps(value if key is None else {**json.loads(side.read_text()), key: value}))
+    if key is not None:
+        meta = json.loads(side.read_text())
+        value = {**meta, key: value(meta[key]) if callable(value) else value}
+    side.write_text(json.dumps(value))
     rc = main(["reconstruct", "--config", str(config), "--out", str(out), "--quiet"])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("metadata: ") and message in err[0], err
     assert len(err[0].replace(str(out), "")) < 100, err  # a huge sidecar value is not echoed
     assert not (out / "profile.csv").exists()
+
+
+def test_blocks_record_reconstructs_without_the_sidecar_mask(tmp_path):
+    # the K column and the sidecar's grid keys place a gapped record; the
+    # sidecar's mask list is not read
+    data = minimal_config_dict()
+    data["plan"]["mask"] = {"strategy": "blocks", "blocks": 4, "block_width": 10}
+    config, out = _simulated_record(tmp_path, data)
+    argv = ["reconstruct", "--config", str(config), "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    intact = (out / "profile.csv").read_bytes()
+    side = out / "record.meta.json"
+    meta = json.loads(side.read_text())
+    del meta["mask"]
+    side.write_text(json.dumps(meta))
+    assert main(argv) == 0
+    assert (out / "profile.csv").read_bytes() == intact
 
 
 # names on nvfourier.cli that a wrapper can replace: the commands look each

@@ -150,6 +150,27 @@ class TestFourierReconstruct:
         with pytest.raises(ValidationError, match="at most"):
             nf.fourier_reconstruct(simulate(x_nm=30.0, n_points=16), zero_pad_factor=10**12)
 
+    def test_grid_from_k_zero_is_bounded(self):
+        # a uniform record far from K = 0 is refused before its grid exists
+        k = (reconstruction.MAX_N_POINTS + np.arange(16.0)) / 256.0  # exact in binary
+        record = nf.KSpaceRecord(
+            k_values=k, currents=np.arange(16.0), signals=np.cos(np.arange(16.0)),
+            errors=np.zeros(16), t_hours=np.zeros(16), metadata={},
+        )
+        with pytest.raises(ValidationError, match="more than 1000000 points"):
+            nf.fourier_reconstruct(record)
+
+    def test_k_off_the_sidecar_grid_at_a_large_index_rejected(self):
+        # 0.4 dK off at index 999 000: a tolerance relative to K would pass it
+        # and round it onto a neighbouring index
+        k = np.array([0.0, 1.0, 3.0, 999_000.4])
+        record = nf.KSpaceRecord(
+            k_values=k, currents=np.arange(4.0), signals=np.ones(4), errors=np.zeros(4),
+            t_hours=np.zeros(4), metadata={"n_points": 10**6, "delta_k_per_nm": 1.0},
+        )
+        with pytest.raises(MetadataError, match="off the sidecar grid"):
+            nf.fourier_reconstruct(record)
+
     def test_mask_past_sidecar_n_points_rejected(self):
         mask = nf.make_undersampling_mask(458, "blocks", blocks=5, block_width=31)
         record = simulate(x_nm=30.0, mask=mask)
@@ -267,6 +288,27 @@ class TestCosineFit:
         assert abs(fit.implied_position_nm - 29.5) <= pixel / 2.0
         assert fit.implied_position_nm == pytest.approx(29.5, rel=1e-6)
         assert set(fit.uncertainties.values()) == {0.0}
+
+    def test_block_masked_record(self):
+        # the periodogram seed zero-fills the gaps on the sidecar's K grid
+        mask = nf.make_undersampling_mask(458, "blocks", blocks=4, block_width=40)
+        record = simulate(x_nm=30.0, mask=mask)
+        fit = nf.fit_cosine(record)
+        pixel = nf.fourier_reconstruct(record).pixel_size_nm  # of the full grid
+        assert abs(fit.implied_position_nm - 30.0) <= pixel / 20.0
+
+    @pytest.mark.parametrize("metadata", [{}, {"n_points": "x", "delta_k_per_nm": 1.0}])
+    def test_record_with_no_grid_still_fits(self, metadata):
+        # a record whose grid fourier_reconstruct refuses (uniform but off
+        # K = 0, or missing a sample with no usable sidecar) is seeded at its
+        # mean spacing
+        k = 0.0037 + 0.005 * np.arange(458.0)
+        for keep in (slice(None), np.r_[0:200, 201:458]):
+            record = synthetic_record(np.cos(2.0 * np.pi * 30.0 * k[keep]))
+            record = dataclasses.replace(record, k_values=k[keep], metadata=metadata)
+            with pytest.raises((MetadataError, NonUniformKError)):
+                nf.fourier_reconstruct(record)
+            assert nf.fit_cosine(record).implied_position_nm == pytest.approx(30.0, rel=1e-9)
 
     def test_too_few_points(self):
         record = synthetic_record(np.ones(4))
