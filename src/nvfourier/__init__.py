@@ -9,7 +9,6 @@ from .acquisition import (
     CurrentNoiseModel,
     DriftModel,
     KSpaceRecord,
-    drift_trajectory,
     load_record,
     make_undersampling_mask,
     run_sweep,

@@ -11,7 +11,10 @@ projected gradient, linear in I.  An undersampling mask, an increasing int64
 array of sweep indices that indexes the sweep's arrays directly, selects
 which points are actually acquired; each acquired point is stamped with the
 wall-clock time at which it starts (points * shots * sequence time), which
-is the schedule on which platform drift acts.
+is the schedule on which platform drift acts.  The record keeps no copy of
+the mask: an acquired point's sweep index is round(K/dK), with dK the
+sidecar's ``delta_k_per_nm``, so the sidecar's size does not grow with the
+sweep.
 
 The sweep is evaluated as arrays: the ramp, the current modulation, the
 drifted positions, the gradient, the echo phase and the expected signal are
@@ -325,7 +328,8 @@ def run_sweep(
 
     coeff = k_per_ma(w, plan.sequence.tau_us, g0)
     k_sampled = sampled * coeff
-    metadata = to_plain(plan)
+    # every plan field but the mask, whose indices are round(K/delta_k_per_nm)
+    metadata = {f.name: to_plain(getattr(plan, f.name)) for f in fields(plan) if f.name != "mask"}
     nv_doc = to_plain(nv)
     del nv_doc["position_um"]  # the sidecar keeps the NV's readout constants, not its position
     metadata.update(

@@ -8,7 +8,9 @@ dataclass's declaration.  Loading rejects unknown keys with their full path,
 holds every leaf to its declared type (``_convert``), and lets the domain
 types check their own invariants.  The canonical form of a loaded config
 (``RunConfig.resolved``) is serialized from the typed objects, and its
-SHA-256 is the run's config hash.
+SHA-256 is the run's config hash.  Under ``plan.mask`` it echoes the mask's
+settings, not the sweep indices they make, so neither the canonical form nor
+its hash grows with ``n_points``.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ class RunConfig:
     ``calibration_csv`` is the path to open: relative paths in a config file
     are resolved against the file's directory.  The canonical form keeps
     ``calibration_csv_as_written``, so the hash does not depend on where the
-    config file sits.
+    config file sits.  ``mask_spec`` is the ``plan.mask`` mapping, defaults
+    filled in, that made ``plan.mask``.
     """
 
     nv: NvCenter
     nv_axis: NvAxis
     plan: AcquisitionPlan
+    mask_spec: dict
     wire: MicrowireModel | None = None
     gradient_per_ma: float | None = None
     calibration_csv_as_written: str | None = None
@@ -78,10 +82,10 @@ class RunConfig:
         """Canonical form: each top-level YAML key with its resolved value."""
         doc = {}
         for section, (_, path, _) in _SECTIONS.items():
-            if "." in section:
-                continue  # the mask settings are input only: plan's "mask" echoes the indices
-            obj = functools.reduce(getattr, path.split("."), self) if path else self
-            doc[section] = section_doc(section, obj)
+            if "." not in section:
+                obj = functools.reduce(getattr, path.split("."), self) if path else self
+                doc[section] = section_doc(section, obj)
+        doc["plan"]["mask"] = dict(self.mask_spec)
         return doc
 
     @property
@@ -94,7 +98,8 @@ class RunConfig:
 # YAML section -> (the dataclass or function it fills, the attribute path of
 # the built object on RunConfig, {YAML key: field}).  None takes every field
 # under its own name; a single field name means the top-level YAML value is
-# that field.  "plan.mask" is the mapping under plan's "mask" key.
+# that field.  "plan.mask" is the mapping under plan's "mask" key, kept on
+# RunConfig as ``mask_spec``.
 _SECTIONS = {
     "nv": (NvCenter, "nv", None),
     "nv_axis": (NvAxis, "nv_axis", "orientation"),
@@ -149,6 +154,12 @@ def _keys(section: str) -> dict:
     return {name: name for name in _declared(builder)} if keys is None else keys
 
 
+def _own_keys(section: str) -> dict:
+    """YAML key -> field name of a mapping section, without the keys that
+    are sections of their own."""
+    return {key: name for key, name in _keys(section).items() if f"{section}.{key}" not in _SECTIONS}
+
+
 def key_tree(section: str | None = None) -> dict:
     """The accepted YAML keys: each maps to its own key tree, or None for a leaf."""
     if section is None:
@@ -172,13 +183,14 @@ def _check_keys(data: dict, tree: dict, path: str = "") -> None:
 
 
 def section_doc(section: str, obj):
-    """The YAML form of ``obj``, the object a section builds (None stays None)."""
+    """The YAML form of ``obj``, the object a section builds (None stays
+    None), without the keys that are sections of their own."""
     keys = _SECTIONS[section][2]
     if obj is None:
         return None
     if isinstance(keys, str):
         return to_plain(getattr(obj, keys))
-    return {key: to_plain(getattr(obj, name)) for key, name in _keys(section).items()}
+    return {key: to_plain(getattr(obj, name)) for key, name in _own_keys(section).items()}
 
 
 def _finite_real(value) -> bool:
@@ -232,7 +244,7 @@ def _values(data: dict, section: str, derived=()) -> dict:
         raw = data
         for part in section.split("."):
             raw = raw.get(part) or {}
-        keys = {key: name for key, name in _keys(section).items() if f"{section}.{key}" not in _SECTIONS}
+        keys = _own_keys(section)
     declared = _declared(builder)
     values = {}
     for key, name in keys.items():  # every given value is checked before a missing key
@@ -274,7 +286,8 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         waveform["period_us"] = waveform["active_fraction"] * sequence.total_time_us
     plan = _values(data, "plan")
     _build("plan", {"n_points": plan["n_points"]}, check_n_points)  # before the mask's arrays
-    mask = _build("plan.mask", {"n_points": plan["n_points"], **_values(data, "plan.mask")})
+    mask_spec = _values(data, "plan.mask")
+    mask = _build("plan.mask", {"n_points": plan["n_points"], **mask_spec})
     plan = _build(
         "plan",
         {
@@ -298,7 +311,8 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         if not p.is_absolute():
             calibration_csv = str((base_dir / p).resolve())
     return RunConfig(
-        nv=nv, nv_axis=nv_axis, plan=plan, wire=wire, calibration_csv=calibration_csv, **settings
+        nv=nv, nv_axis=nv_axis, plan=plan, mask_spec=mask_spec, wire=wire,
+        calibration_csv=calibration_csv, **settings,
     )
 
 

@@ -154,9 +154,24 @@ def _lorentzian_jac(x, amplitude, center, half_width, offset):
     q = 1.0 / (d * d + half_width * half_width)
     shape = half_width * half_width * q
     dq = d * q
-    d_center = (2.0 * amplitude) * shape * dq
-    d_width = (2.0 * amplitude * half_width) * dq * dq
-    return np.array([shape, d_center, d_width, np.ones(x.shape)]).T
+    # rows filled in place; the transpose keeps the Fortran layout that
+    # curve_fit's Jᵀ·J, and so the fitted bits, were pinned with
+    jac = np.empty((4, len(x)))
+    jac[0] = shape
+    jac[1] = (2.0 * amplitude) * shape * dq
+    jac[2] = (2.0 * amplitude * half_width) * dq * dq
+    jac[3] = 1.0
+    return jac.T
+
+
+def _median(values) -> float:
+    """np.median of finite values, bit for bit, without its NaN check,
+    which imports numpy.ma."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
@@ -174,7 +189,7 @@ def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
     if len(k) == 1:
         raise NonUniformKError("at least two K samples are required")
     diffs = np.diff(k)
-    dk = float(np.median(diffs))
+    dk = _median(diffs)
     # every spacing within 2·_GRID_RTOL·dk of the median (K increases, so dk > 0)
     if np.all(np.abs(diffs - dk) <= 2 * _GRID_RTOL * dk):
         lead = int(round(k[0] / dk))
@@ -359,7 +374,7 @@ def fit_lorentzian(
     if not (ys[ipk] > ys[0] and ys[ipk] > ys[-1]):
         raise NoPeakError("window content is flat; no peak to fit")
 
-    offset0 = float(np.median(ys))
+    offset0 = _median(ys)
     amp0 = float(ys[ipk] - offset0)
     if amp0 <= 0:
         raise NoPeakError("peak does not rise above the window median")
@@ -398,7 +413,12 @@ def _cosine(k, amplitude, frequency, phase, offset):
 def _cosine_jac(k, amplitude, frequency, phase, offset):
     theta = 2.0 * np.pi * frequency * k + phase
     slope = -amplitude * np.sin(theta)
-    return np.array([np.cos(theta), (2.0 * np.pi) * k * slope, slope, np.ones(k.shape)]).T
+    jac = np.empty((4, len(k)))  # filled as _lorentzian_jac's, for the same layout
+    jac[0] = np.cos(theta)
+    jac[1] = (2.0 * np.pi) * k * slope
+    jac[2] = slope
+    jac[3] = 1.0
+    return jac.T
 
 
 def fit_cosine(record: KSpaceRecord) -> CosineFit:
@@ -536,8 +556,8 @@ def sideband_analysis(profile: RealSpaceProfile, main_peak: PeakFit) -> list[tup
     outside = np.abs(x - center) > exclusion_nm
     if int(np.count_nonzero(outside)) < 8:
         return []
-    floor = float(np.median(amp[outside]))
-    mad = float(np.median(np.abs(amp[outside] - floor)))
+    floor = _median(amp[outside])
+    mad = _median(np.abs(amp[outside] - floor))
     main_amp = float(amp[int(np.argmin(np.abs(x - center)))])
     threshold = max(floor + 3.0 * mad, _SIDEBAND_MIN_REL_AMPLITUDE * main_amp)
 

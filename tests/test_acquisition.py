@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nvfourier as nf
-from nvfourier.acquisition import k_per_ma, point_times_hours, sweep_currents
+from nvfourier.acquisition import drift_trajectory, k_per_ma, point_times_hours, sweep_currents
 from nvfourier.errors import MissingCalibrationError, ValidationError
 
 from helpers import reference_nv, reference_plan, reference_sequence, rect_waveform, simulate
@@ -105,18 +105,18 @@ class TestDrift:
     def test_all_zero(self):
         drift = nf.DriftModel()
         for t in (0.0, 1.0, 17.3):
-            assert nf.drift_trajectory(drift, [t], seed=1)[0] == 0.0
+            assert drift_trajectory(drift, [t], seed=1)[0] == 0.0
 
     def test_linear(self):
         drift = nf.DriftModel(linear_rate_nm_per_hour=0.1)
-        assert nf.drift_trajectory(drift, [10.0], seed=1)[0] == pytest.approx(1.0, rel=1e-12)
+        assert drift_trajectory(drift, [10.0], seed=1)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_random_walk_variance_grows_linearly(self):
         drift = nf.DriftModel(random_walk_sigma_nm_per_sqrt_hour=1.0)
         times = [1.0, 4.0, 16.0]
         variances = []
         for t in times:
-            draws = [nf.drift_trajectory(drift, [t], seed=s)[0] for s in range(1000)]
+            draws = [drift_trajectory(drift, [t], seed=s)[0] for s in range(1000)]
             variances.append(np.var(draws))
         slope = np.polyfit(np.log(times), np.log(variances), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)
@@ -126,20 +126,20 @@ class TestDrift:
                               temperature_amplitude_k=0.25,
                               temperature_period_hours=24.0)
         # quarter period: dT = +0.25 K
-        assert nf.drift_trajectory(drift, [6.0], seed=0)[0] == pytest.approx(0.5, rel=1e-12)
+        assert drift_trajectory(drift, [6.0], seed=0)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_trajectory_consistent_and_deterministic(self):
         drift = nf.DriftModel(linear_rate_nm_per_hour=0.3,
                               random_walk_sigma_nm_per_sqrt_hour=0.5)
         t = np.linspace(0, 10, 50)
-        a = nf.drift_trajectory(drift, t, seed=42)
-        b = nf.drift_trajectory(drift, t, seed=42)
+        a = drift_trajectory(drift, t, seed=42)
+        b = drift_trajectory(drift, t, seed=42)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, nf.drift_trajectory(drift, t, seed=43))
+        assert not np.array_equal(a, drift_trajectory(drift, t, seed=43))
 
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValidationError):
-            nf.drift_trajectory(nf.DriftModel(), [-1.0])
+            drift_trajectory(nf.DriftModel(), [-1.0])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", [f.name for f in fields(nf.DriftModel)])
@@ -330,7 +330,7 @@ class TestRunSweep:
         plan = reference_plan(n_points=20, drift=drift, shots_per_point=36_000)
         # dwell per point: 36000 * 500us = 18 s = 0.005 h -> total drift ~0.1 nm
         record = nf.run_sweep(plan, reference_nv(30.0), gradient_per_ma=0.326)
-        offsets = nf.drift_trajectory(drift, record.t_hours, seed=plan.seed)
+        offsets = drift_trajectory(drift, record.t_hours, seed=plan.seed)
         envelope = np.exp(-(500.0 / 1200.0))
         expected = envelope * np.cos(2 * np.pi * record.k_values * (30.0 + offsets))
         np.testing.assert_allclose(record.signals, expected, atol=1e-12)

@@ -1,7 +1,9 @@
 import copy
 import functools
+import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -612,21 +614,48 @@ def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, va
     assert not (out / "profile.csv").exists()
 
 
+# profile.csv of the blocks record below, as written when the sidecar still
+# held the mask's index list
+BLOCKS_PROFILE_SHA256 = "67baa0e15dbfee18895bde8e38a85b466b4e9f5eee19dd21c0dafe072af41395"
+
+
 def test_blocks_record_reconstructs_without_the_sidecar_mask(tmp_path):
-    # the K column and the sidecar's grid keys place a gapped record; the
-    # sidecar's mask list is not read
+    # the sidecar holds no index list: the K column and the sidecar's grid
+    # keys place a gapped record at round(K/delta_k_per_nm)
     data = minimal_config_dict()
     data["plan"]["mask"] = {"strategy": "blocks", "blocks": 4, "block_width": 10}
     config, out = _simulated_record(tmp_path, data)
-    argv = ["reconstruct", "--config", str(config), "--out", str(out), "--quiet"]
-    assert main(argv) == 0
-    intact = (out / "profile.csv").read_bytes()
-    side = out / "record.meta.json"
-    meta = json.loads(side.read_text())
-    del meta["mask"]
-    side.write_text(json.dumps(meta))
-    assert main(argv) == 0
-    assert (out / "profile.csv").read_bytes() == intact
+    assert "mask" not in read_strict_json(out / "record.meta.json")
+    assert main(["reconstruct", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest() == BLOCKS_PROFILE_SHA256
+
+
+def _numbers_zeroed(text):
+    """JSON text with every SHA-256 digest, number and run of digits in a
+    string written as 0, so that only the document's structure is left."""
+    return re.sub(r"-?\d[\d.eE+-]*", "0", re.sub(r"[0-9a-f]{64}", "0", text))
+
+
+def test_sidecar_and_manifest_do_not_grow_with_n_points(tmp_path):
+    # the sidecar holds no mask index list, and the manifest echoes the
+    # mask's settings: the two sweeps differ only in the digits of numbers
+    sidecars, manifests = [], []
+    for n_points in (458, 20_000):
+        data = copy.deepcopy(DEFAULT_DATA)
+        data["plan"]["n_points"] = n_points
+        config = write_config(tmp_path, data, name=f"run{n_points}.yaml")
+        out = tmp_path / f"out{n_points}"
+        for sub in ("simulate", "sensitivity"):
+            assert main([sub, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        sidecars.append((out / "record.meta.json").read_text())
+        manifest = (out / "manifest.json").read_text()
+        assert read_strict_json(out / "manifest.json")["config"]["plan"]["mask"] == {
+            "strategy": "full", "stride": None, "blocks": None, "block_width": None
+        }
+        manifests.append(manifest)
+    assert _numbers_zeroed(sidecars[0]) == _numbers_zeroed(sidecars[1])
+    assert _numbers_zeroed(manifests[0]) == _numbers_zeroed(manifests[1])
+    assert len(sidecars[1]) < 2048
 
 
 # names on nvfourier.cli that a wrapper can replace: the commands look each

@@ -82,32 +82,32 @@ CASES = {
     "reference": (
         _reference,
         "be42612e0d1b969095eb9598bb4ff29db7fa136437611aed29ead934a5b08b44",
-        "faca0720d622b76e0ea211d9aec9a5651b0a75ef111d9130ca39bf7ecb461314",
+        "c79d62c6fa0e893a221815b6ac61776c98ea241b170fc9c3aded5c3bb0657e05",
     ),
     "shot_noise": (
         _shot_noise,
         "1ca94f8a477e0ebb5e294f44809d7d48aad2db4b7dd0961e730d8e8f2eebe01c",
-        "c3aad35aebdaae8e45e20ce37ffc2ff35d8435fade4c03dc98d1e063836ec063",
+        "03a43cea183c1b1d0ebc55809dca11d8872e6676235d3f53eeb61115b55d3831",
     ),
     "stride": (
         _stride,
         "c0573f4d9053be0404c31e376fda4cb16381cd9e246705e7da039261007d3388",
-        "c4e12903438a6bc61b5a2960c00e8d46b3333b84af47e0c1ffe6855a3a612a48",
+        "426c878c5e8fe1b43b8d7a9a216c49ce8bf3c1268ddb782a7999ff69e0666386",
     ),
     "blocks": (
         _blocks,
         "8647289885ddf6309ca80859f65cf6b6d13ad0154770396b358247a103102f39",
-        "a45e25d5966b4178d597b121061b49c9ae5ac345dd93d178071127f5713de2e4",
+        "68e1b1c195e330d9863c82ee4541ffd2c868e9ee495b8f78ab1746d60e9c86fb",
     ),
     "drift_wire": (
         _drift_wire,
         "bd7cbd20ce44a1b0fadc89362659d40e9dd907f2533fa5b5b1986a8e19d4939d",
-        "375d03095e629d4b0056eb63a4e78a81feac9d508d6e55afab1f8fff3ca9efb9",
+        "f19df21f1b722ac321aded59724405483d74c5dca474a27f6a1aa0e98619b707",
     ),
     "dense_15000": (
         _dense,
         "5cac624d797827d8f5276eaeb789fdad74c5d430f449c60c97e536b16b3fe492",
-        "5004a3b8397f916f442a0a0afc96a1a49ec844dddb156dbcbb8a3755971ffd90",
+        "dfd176873277a851ab7997efa5eba71356e3bb8bc77b94861698b58a1065bd5d",
     ),
 }
 
@@ -132,8 +132,8 @@ def test_record_digest(name, tmp_path):
 
 
 CONFIG_HASHES = {
-    "minimal": "e17bb555c79acb9819cd89e5d9f335b86347490809e4702e2a29906f54ebb1f6",
-    "default_run": "b41582f745c2b3c937e3a0f6525ad18136f1afa351ff3d9644efbf16d033da8d",
+    "minimal": "2df3c50469e222ad83dc462d8d5703c2664e63a73bd9ca302d9412c19084b9f2",
+    "default_run": "2a72d5333b9c8711afa353112640cc5f822bc1ce456c9e59eee429d66c38dc04",
 }
 
 RUN_ALL_DIGESTS = {

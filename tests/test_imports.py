@@ -1,4 +1,5 @@
-"""The import boundary: no command loads scipy.
+"""The import boundary: no command loads scipy, and no session that
+reconstructs loads numpy.ma.
 
 Each check runs in a fresh interpreter, since a module imported anywhere in
 the test session stays in ``sys.modules``.
@@ -20,6 +21,7 @@ REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
 
 COUNT_SCIPY = "sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+HAS_NUMPY_MA = "'numpy.ma' in sys.modules"
 
 
 def run_fresh(code: str):
@@ -34,13 +36,13 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def cli_code(out: Path, *subcommands: str) -> str:
+def cli_code(out: Path, *subcommands: str, probe: str = COUNT_SCIPY) -> str:
     calls = "".join(
         f"rcs.append(main([{sub!r}, '--config', {str(DEFAULT_CONFIG)!r}, "
         f"'--out', {str(out)!r}, '--quiet']))\n"
         for sub in subcommands
     )
-    return f"from nvfourier.cli import main\nrcs = []\n{calls}print(json.dumps([rcs, {COUNT_SCIPY}]))"
+    return f"from nvfourier.cli import main\nrcs = []\n{calls}print(json.dumps([rcs, {probe}]))"
 
 
 def test_package_import_loads_no_scipy():
@@ -58,6 +60,14 @@ def test_subcommand_loads_no_scipy(tmp_path, subcommand):
     rcs, scipy_modules = run_fresh(cli_code(tmp_path, *session))
     assert rcs == [0] * len(session)
     assert scipy_modules == 0
+
+
+@pytest.mark.parametrize("session", [("run-all",), ("simulate", "reconstruct")])
+def test_session_loads_no_numpy_ma(tmp_path, session):
+    # np.median's NaN check imports numpy.ma: about 15 ms and 1.3 MiB
+    rcs, has_numpy_ma = run_fresh(cli_code(tmp_path, *session, probe=HAS_NUMPY_MA))
+    assert rcs == [0] * len(session)
+    assert has_numpy_ma is False
 
 
 def test_fits_look_up_curve_fit_at_call_time(monkeypatch):
