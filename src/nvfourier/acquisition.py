@@ -147,7 +147,7 @@ class AcquisitionPlan:
     n_points: int
     sequence: EchoSequence
     waveform_template: GradientWaveform
-    mask: np.ndarray = ()  # acquired sweep indices, kept as a read-only int64 copy; empty: all
+    mask: np.ndarray = ()  # acquired sweep indices, held read-only as int64; empty: all
     shots_per_point: int = 1_000_000
     shot_noise: bool = False
     seed: int = 20240901
@@ -164,13 +164,18 @@ class AcquisitionPlan:
             raise ValidationError("shots_per_point must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        # an empty mask means the whole sweep, and n_points >= 2 keeps it non-empty
-        mask = np.array(self.mask, dtype=np.int64) if len(self.mask) else np.arange(self.n_points)
+        # an empty mask means the whole sweep, and n_points >= 2 keeps it
+        # non-empty; a read-only int64 array is kept, anything else copied
+        mask = self.mask
+        if not len(mask):
+            mask = make_undersampling_mask(self.n_points)
+        elif not (isinstance(mask, np.ndarray) and mask.dtype == np.int64 and not mask.flags.writeable):
+            mask = np.array(mask, dtype=np.int64)
+            mask.flags.writeable = False
         if np.any(mask[1:] <= mask[:-1]):
             raise ValidationError("mask indices must be strictly increasing")
         if mask[0] < 0 or mask[-1] >= self.n_points:
             raise ValidationError("mask indices must lie in [0, n_points)")
-        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "origin_um", _vec3(self.origin_um, "origin_um"))
         object.__setattr__(self, "imaging_axis", _unit3(self.imaging_axis, "imaging_axis"))
@@ -183,17 +188,18 @@ def make_undersampling_mask(
     blocks: int | None = None,
     block_width: int | None = None,
 ) -> np.ndarray:
-    """Increasing int64 sweep indices: 'full', 'stride' (every stride-th
+    """Increasing sweep indices as a read-only int64 array, which
+    AcquisitionPlan keeps without a copy: 'full', 'stride' (every stride-th
     point) or 'blocks' (``blocks`` evenly spaced contiguous runs of
     ``block_width``).  Every strategy keeps index 0."""
     check_n_points(n_points, minimum=1)
     if strategy == "full":
-        return np.arange(n_points)
-    if strategy == "stride":
+        mask = np.arange(n_points, dtype=np.int64)
+    elif strategy == "stride":
         if stride is None or stride < 1:
             raise ValidationError("stride strategy needs stride >= 1")
-        return np.arange(0, n_points, stride)
-    if strategy == "blocks":
+        mask = np.arange(0, n_points, stride, dtype=np.int64)
+    elif strategy == "blocks":
         if not blocks or not block_width or blocks < 1 or block_width < 1:
             raise ValidationError("blocks strategy needs blocks >= 1 and block_width >= 1")
         if blocks > n_points:  # before the per-block array is allocated
@@ -201,9 +207,12 @@ def make_undersampling_mask(
         # block b starts at round(b * n / blocks); an index is kept when the
         # last block start at or before it lies within block_width of it
         starts = np.round(np.arange(blocks) * n_points / blocks).astype(np.int64)
-        idx = np.arange(n_points)
-        return idx[idx - starts[np.searchsorted(starts, idx, side="right") - 1] < block_width]
-    raise ValidationError(f"unknown mask strategy {strategy!r}")
+        idx = np.arange(n_points, dtype=np.int64)
+        mask = idx[idx - starts[np.searchsorted(starts, idx, side="right") - 1] < block_width]
+    else:
+        raise ValidationError(f"unknown mask strategy {strategy!r}")
+    mask.flags.writeable = False
+    return mask
 
 
 def sweep_currents(plan: AcquisitionPlan) -> np.ndarray:

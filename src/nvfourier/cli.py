@@ -5,11 +5,12 @@ Subcommands: calibrate, simulate, reconstruct, fit-cosine, sensitivity,
 run-all.  Each command is one session: it loads the config, resolves the
 output directory, runs its stages in order and writes the manifest, which a
 command that fails does not write.  Every stage takes ``(cfg, out, manifest,
-args)`` and reads its own flags from ``args``; a flag that is not given
-falls back to the config value.  Every run is reproducible bit-exactly from
-(config, seed); the manifest records the config hash, per-stage timings and
-a SHA-256 inventory of every output file (timings and timestamps are the
-only non-deterministic manifest fields).
+args)`` and reads every value that shapes its results from ``cfg``; ``args``
+gives only the input record (``--record``) and ``--quiet``.  The config file
+is the one place for those values, so every run is reproducible bit-exactly
+from (config, seed); the manifest records the config hash, per-stage
+timings and a SHA-256 inventory of every output file (timings and
+timestamps are the only non-deterministic manifest fields).
 
 The stages and the layer functions they call are attributes of this module,
 looked up when called, so a wrapper set on one of these names sees its calls.
@@ -19,7 +20,7 @@ config's output_dir.
 
 Errors exit nonzero and print a single machine-parsable line to stderr:
 ``<code>: <message>``.  A bad command line (an unknown flag, a value of the
-wrong type or choice, no subcommand) is ``usage``; a missing file is
+wrong type or choice, no subcommand, no --config) is ``usage``; a missing file is
 ``file-not-found``; any other operating-system error (an output path that is
 a file, an input that is a directory, ...) is ``io-error``.
 """
@@ -45,7 +46,6 @@ from .errors import MissingCalibrationError, NvFourierError, UsageError
 from .field_model import calibrate_wire, gradient_at, load_calibration_csv, sample_field
 from .metrology import full_sensitivity_report
 from .reconstruction import (
-    WINDOWS,
     fit_cosine,
     fit_lorentzian,
     fourier_reconstruct,
@@ -60,13 +60,6 @@ ENV_OUTPUT_DIR = "NVFOURIER_OUT"
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
-
-
-def _flag(args, name: str, config_value):
-    """The stage flag ``name`` as given, else the config's value (run-all
-    takes no stage flags)."""
-    value = getattr(args, name, None)
-    return config_value if value is None else value
 
 
 class Manifest:
@@ -116,7 +109,7 @@ def _session(args):
     the manifest; write the manifest when the body finishes, not when it
     raises.  The directory is made by the first file written to it."""
     if not args.config:
-        raise NvFourierError("--config PATH is required")
+        raise UsageError("--config PATH is required")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.plan = replace(cfg.plan, seed=int(args.seed))
@@ -132,14 +125,13 @@ def _session(args):
 
 
 def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
-    """Fit the wire to the calibration CSV (--samples, else calibration_csv)
-    and derive the gradient per mA at the NV."""
-    samples_path = _flag(args, "samples", cfg.calibration_csv)
-    if not samples_path:
-        raise MissingCalibrationError("no samples CSV: pass --samples or set calibration_csv")
+    """Fit the wire to the calibration CSV and derive the gradient per mA
+    at the NV."""
+    if not cfg.calibration_csv:
+        raise MissingCalibrationError("no samples CSV: set calibration_csv")
     if cfg.wire is None:
         raise MissingCalibrationError("calibrate needs a wire block (initial guess) in the config")
-    samples = load_calibration_csv(samples_path)
+    samples = load_calibration_csv(cfg.calibration_csv)
     fitted, report = calibrate_wire(samples, cfg.wire, cfg.nv_axis)
     unit_wire = replace(fitted, current_ma=fitted.current_ma / cfg.wire.current_ma)
     gradient = gradient_at(unit_wire, cfg.nv.position_um, cfg.nv_axis, cfg.plan.imaging_axis)
@@ -195,12 +187,10 @@ def stage_simulate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
 
 
 def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
-    """Transform the record (--record, else <out>/record.csv) with --window
-    and --zero-pad (else the config's) and fit the peak."""
-    record = load_record(_flag(args, "record", out / "record.csv"))
-    window = _flag(args, "window", cfg.recon_window)
-    zpf = _flag(args, "zero_pad", cfg.zero_pad_factor)
-    profile = fourier_reconstruct(record, window=window, zero_pad_factor=zpf)
+    """Transform the record (--record, else <out>/record.csv) with the
+    config's window and zero-pad factor and fit the peak."""
+    record = load_record(args.record or out / "record.csv")
+    profile = fourier_reconstruct(record, window=cfg.recon_window, zero_pad_factor=cfg.zero_pad_factor)
     fit = fit_lorentzian(profile)
     pixel = profile.pixel_size_nm
     fwhm_over_pixel = fit.fwhm_nm / pixel
@@ -247,8 +237,6 @@ def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
         "fwhm_nm": fit.fwhm_nm,
         "pixel_nm": pixel,
         "fwhm_over_pixel": fwhm_over_pixel,
-        "window": window,
-        "zero_pad_factor": zpf,
     }
     _say(
         args,
@@ -259,7 +247,7 @@ def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
 
 def stage_fit_cosine(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
     """Cosine-fit the raw record (--record, else <out>/record.csv)."""
-    record = load_record(_flag(args, "record", out / "record.csv"))
+    record = load_record(args.record or out / "record.csv")
     fit = fit_cosine(record)
     path = out / "cosine_fit.json"
     save_fit_json(fit, path)
@@ -269,14 +257,13 @@ def stage_fit_cosine(cfg: RunConfig, out: Path, manifest: Manifest, args) -> Non
 
 
 def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
-    """The sensitivity chain from the flags given, else the config's values."""
-    n_averages = _flag(args, "n_averages", cfg.plan.shots_per_point)
+    """The sensitivity chain at the config's NV, sequence and shot count."""
     report = full_sensitivity_report(
-        _flag(args, "alpha", cfg.nv.contrast_alpha),
-        _flag(args, "beta", cfg.nv.yield_beta),
-        _flag(args, "sigma_s", cfg.sigma_s),
-        _flag(args, "evolution_time_us", cfg.plan.sequence.total_time_us),
-        n_averages,
+        cfg.nv.contrast_alpha,
+        cfg.nv.yield_beta,
+        cfg.sigma_s,
+        cfg.plan.sequence.total_time_us,
+        cfg.plan.shots_per_point,
     )
     path = out / "sensitivity.json"
     write_json(path, to_plain(report))
@@ -288,7 +275,7 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
     _say(
         args,
         f"eta = {report.eta_ut_per_sqrt_hz:.4f} uT/sqrt(Hz), "
-        f"deviation after {n_averages} averages = {report.deviation_nt:.3f} nT",
+        f"deviation after {report.n_averages} averages = {report.deviation_nt:.3f} nT",
     )
 
 
@@ -353,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", help="fit the wire model to a calibration CSV")
+    p = sub.add_parser("calibrate", help="fit the wire model to the config's calibration CSV")
     _add_global_options(p, suppress=True)
-    p.add_argument("--samples", default=None, help="calibration CSV path")
     p.set_defaults(func=cmd_stage, stage=stage_calibrate)
 
     p = sub.add_parser("simulate", help="run the K sweep and write the record")
@@ -365,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="transform a record and fit the peak")
     _add_global_options(p, suppress=True)
     p.add_argument("--record", default=None, help="record CSV (default <out>/record.csv)")
-    p.add_argument("--window", default=None, choices=WINDOWS)
-    p.add_argument("--zero-pad", type=int, default=None, dest="zero_pad")
     p.set_defaults(func=cmd_stage, stage=stage_reconstruct)
 
     p = sub.add_parser("fit-cosine", help="cosine-fit a raw record (single-oscillation sweeps)")
@@ -376,16 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="compute the sensitivity chain")
     _add_global_options(p, suppress=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--sigma-s", type=float, default=None, dest="sigma_s")
-    p.add_argument("--evolution-time-us", type=float, default=None, dest="evolution_time_us")
-    p.add_argument("--n-averages", type=int, default=None, dest="n_averages")
     p.set_defaults(func=cmd_stage, stage=stage_sensitivity)
 
     p = sub.add_parser("run-all", help="calibrate, simulate, reconstruct and report")
     _add_global_options(p, suppress=True)
-    p.set_defaults(func=cmd_run_all)
+    p.set_defaults(func=cmd_run_all, record=None)
 
     return parser
 

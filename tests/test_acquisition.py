@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -86,6 +86,20 @@ class TestMasks:
         assert plan.mask.dtype == np.int64 and plan.mask.tolist() == [0, 3, 7]
         assert not plan.mask.flags.writeable
         assert reference_plan(n_points=40).mask.tolist() == list(range(40))
+
+    def test_read_only_mask_is_kept_and_a_writable_one_copied(self):
+        # make_undersampling_mask's read-only array is the plan's, through
+        # replace too (the --seed path); a caller's writable array is copied
+        mask = nf.make_undersampling_mask(40, "stride", stride=3)
+        assert mask.dtype == np.int64 and not mask.flags.writeable
+        plan = reference_plan(n_points=40, mask=mask)
+        assert plan.mask is mask
+        assert replace(plan, seed=1).mask is plan.mask
+        writable = np.arange(0, 40, 3)
+        copied = reference_plan(n_points=40, mask=writable).mask
+        assert copied is not writable and not copied.flags.writeable
+        writable[1] = 2
+        assert copied.tolist() == mask.tolist()
 
     def test_n_points_upper_bound(self):
         # checked before any array of that length is built

@@ -92,6 +92,13 @@ def write_config(tmp_path, data, name="run.yaml"):
     return path
 
 
+def calibration_config(tmp_path, samples):
+    """A copy of default_run.yaml whose calibration_csv is ``samples``."""
+    data = copy.deepcopy(DEFAULT_DATA)
+    data["calibration_csv"] = str(samples)
+    return write_config(tmp_path, data, "calibrate.yaml")
+
+
 class TestLoadConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, minimal_config_dict()))
@@ -178,6 +185,11 @@ class TestLoadConfig:
         assert wf.period_us == pytest.approx(wf.active_fraction * 500.0, rel=1e-12)
 
 
+# sensitivity.json of default_run.yaml at contrast_alpha 0.5, as written when
+# the value could still be given as a command-line flag (--alpha 0.5)
+SENSITIVITY_ALPHA_HALF_SHA256 = "4eab2d5cad37b1276d09b13373767f4ae51ec207e40db9ff2ceb16dc3cabb0d5"
+
+
 class TestCliCommands:
     def test_simulate_then_reconstruct(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_config_dict())
@@ -255,27 +267,31 @@ class TestCliCommands:
         assert not (out / "record.csv").exists()
 
     def test_window_option_plumbing(self, tmp_path):
-        config = write_config(tmp_path, minimal_config_dict())
         out = tmp_path / "out"
-        main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
-        assert main(["reconstruct", "--config", str(config), "--out", str(out),
-                     "--window", "hann", "--quiet"]) == 0
-        hann_manifest = json.loads((out / "manifest.json").read_text())
-        assert main(["reconstruct", "--config", str(config), "--out", str(out),
-                     "--window", "none", "--quiet"]) == 0
-        none_manifest = json.loads((out / "manifest.json").read_text())
-        assert hann_manifest["derived"]["reconstruction"]["window"] == "hann"
-        assert none_manifest["derived"]["reconstruction"]["window"] == "none"
+        data = minimal_config_dict()
+        main(["simulate", "--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"])
+        hashes, profiles = set(), set()
+        for window in ("hann", "none"):
+            data["reconstruction"] = {"window": window}
+            config = write_config(tmp_path, data, f"{window}.yaml")
+            assert main(["reconstruct", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["reconstruction"]["window"] == window
+            hashes.add(manifest["config_hash"])
+            profiles.add((out / "profile.csv").read_bytes())
+        assert len(hashes) == len(profiles) == 2
 
-    def test_huge_zero_pad_flag_is_one_line(self, tmp_path, capsys):
-        config = write_config(tmp_path, minimal_config_dict())
+    def test_huge_zero_pad_is_one_line(self, tmp_path, capsys):
+        data = minimal_config_dict()
         out = tmp_path / "out"
-        main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
-        rc = main(["reconstruct", "--config", str(config), "--out", str(out),
-                   "--zero-pad", "1000000000000", "--quiet"])
+        main(["simulate", "--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"])
+        data["reconstruction"] = {"zero_pad_factor": 1000000000000}
+        config = write_config(tmp_path, data, "huge.yaml")
+        rc = main(["reconstruct", "--config", str(config), "--out", str(out), "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("validation: zero_pad_factor 1000000000000 ")
+        assert len(err) == 1
+        assert err[0].startswith("config-validation: reconstruction: zero_pad_factor 1000000000000 ")
         assert not (out / "profile.csv").exists()
 
     def test_reconstruct_missing_sidecar(self, tmp_path, capsys):
@@ -296,20 +312,47 @@ class TestCliCommands:
         assert doc["deviation_nt"] == pytest.approx(9.53, abs=0.05)
 
     def test_sensitivity_validation_error(self, tmp_path, capsys):
-        # an input, or a result that under- or overflows, that is not finite
-        # and > 0 is one validation line, and no sensitivity.json is written
-        config = write_config(tmp_path, minimal_config_dict())
-        for i, (flags, message) in enumerate([
-            (["--alpha", "0.0"], "alpha must be finite and > 0, got 0.0"),
-            (["--alpha", "inf"], "alpha must be finite and > 0, got inf"),
-            (["--alpha", "1e-300", "--beta", "1e-300"], "slope_inverse_g must be finite and > 0, got inf"),
-            (["--alpha", "1e-320"], "slope_inverse_g must be finite and > 0, got inf"),
+        # an input the config refuses is one config-validation line; a result
+        # that under- or overflows is one validation line; neither writes
+        # sensitivity.json
+        for i, (nv, message) in enumerate([
+            ({"contrast_alpha": 0.0}, "config-validation: nv: contrast_alpha must be in (0, 1]"),
+            ({"contrast_alpha": float("inf")},
+             "config-validation: nv: contrast_alpha must be a finite number, got inf"),
+            ({"contrast_alpha": 1e-300, "yield_beta": 1e-300},
+             "validation: slope_inverse_g must be finite and > 0, got inf"),
+            ({"contrast_alpha": 1e-320}, "validation: slope_inverse_g must be finite and > 0, got inf"),
         ]):
+            data = minimal_config_dict()
+            data["nv"].update(nv)
+            config = write_config(tmp_path, data, f"run{i}.yaml")
             out = tmp_path / f"o{i}"
-            rc = main(["sensitivity", "--config", str(config), "--out", str(out), "--quiet", *flags])
+            rc = main(["sensitivity", "--config", str(config), "--out", str(out), "--quiet"])
             assert rc == 1
-            assert capsys.readouterr().err.splitlines() == [f"validation: {message}"]
+            assert capsys.readouterr().err.splitlines() == [message]
             assert not (out / "sensitivity.json").exists()
+
+    def test_sensitivity_reads_contrast_from_the_config(self, tmp_path, capsys):
+        # the value a flag once set is a config value: refused as one, and
+        # hashed with the rest of the config when it is accepted
+        data = copy.deepcopy(DEFAULT_DATA)
+        data["nv"]["contrast_alpha"] = 5.0
+        rc = main(["sensitivity", "--config", str(write_config(tmp_path, data, "bad.yaml")),
+                   "--out", str(tmp_path / "bad"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config-validation: nv: contrast_alpha must be in (0, 1]"
+        ]
+        data["nv"]["contrast_alpha"] = 0.5
+        runs = {}
+        for name, config in (("shipped", DEFAULT_CONFIG), ("half", write_config(tmp_path, data))):
+            out = tmp_path / name
+            assert main(["sensitivity", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+            runs[name] = out
+        digest = hashlib.sha256((runs["half"] / "sensitivity.json").read_bytes()).hexdigest()
+        assert digest == SENSITIVITY_ALPHA_HALF_SHA256
+        hashes = {read_strict_json(out / "manifest.json")["config_hash"] for out in runs.values()}
+        assert len(hashes) == 2
 
     def test_fit_cosine_command(self, tmp_path, capsys):
         config, out = _simulated_record(tmp_path, _cosine_config())
@@ -418,7 +461,7 @@ class TestCliCommands:
     def test_missing_config_flag(self, capsys):
         rc = main(["simulate"])
         assert rc == 1
-        assert "config" in capsys.readouterr().err.lower()
+        assert capsys.readouterr().err.splitlines() == ["usage: --config PATH is required"]
 
 
 class TestCalibrateCommand:
@@ -436,8 +479,8 @@ class TestCalibrateCommand:
     def test_malformed_csv_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x_um,y_um,z_um,delta_f_MHz,sigma_MHz\n1.0,0.0,0.0,oops,0.02\n")
-        rc = main(["calibrate", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path / "o"),
-                   "--samples", str(bad), "--quiet"])
+        config = calibration_config(tmp_path, bad)
+        rc = main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("data-format:") and "row 2" in err
@@ -448,8 +491,8 @@ class TestCalibrateCommand:
             "x_um,y_um,z_um,delta_f_MHz,sigma_MHz\n"
             "1.5,0.0,0.0,3.49,0.02\n2.0,0.0,0.0,2.69,0.02\n"
         )
-        rc = main(["calibrate", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path / "o"),
-                   "--samples", str(short), "--quiet"])
+        config = calibration_config(tmp_path, short)
+        rc = main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("under-determined:")
 
@@ -470,14 +513,14 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_one_data_format_line(tmp_path, capsys, case):
     command, kind, line, column, cell = MALFORMED_INPUTS[case]
     out = tmp_path / "out"
-    extra = []
+    config = DEFAULT_CONFIG
     if kind == "record":
-        assert main(["simulate", "--config", str(DEFAULT_CONFIG), "--out", str(out), "--quiet"]) == 0
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         path = out / "record.csv"
     else:
         path = tmp_path / "samples.csv"
         path.write_text(CALIBRATION_CSV.read_text())
-        extra = ["--samples", str(path)]
+        config = calibration_config(tmp_path, path)
     lines = path.read_text().splitlines()
     if line is None:
         lines = lines[:1]
@@ -487,7 +530,7 @@ def test_malformed_input_is_one_data_format_line(tmp_path, capsys, case):
         lines[line - 1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    rc = main([command, "--config", str(DEFAULT_CONFIG), "--out", str(out), *extra, "--quiet"])
+    rc = main([command, "--config", str(config), "--out", str(out), "--quiet"])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith(f"data-format: {path}: row {line or 2}: "), err
@@ -500,8 +543,8 @@ def test_os_error_is_one_io_error_line(tmp_path, capsys, case):
     out = ["--out", str(tmp_path / "out")]
     argv = {
         "out-is-a-file": ["simulate", "--config", str(DEFAULT_CONFIG), "--out", str(a_file)],
-        "samples-is-a-directory": ["calibrate", "--config", str(DEFAULT_CONFIG), *out,
-                                   "--samples", str(tmp_path)],
+        "samples-is-a-directory": ["calibrate", "--config", str(calibration_config(tmp_path, tmp_path)),
+                                   *out],
         "config-is-a-directory": ["simulate", "--config", str(tmp_path), *out],
     }[case]
     assert main([*argv, "--quiet"]) == 1
@@ -521,7 +564,7 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys):
     [
         ["simulate", "--config", str(DEFAULT_CONFIG), "--seed", "abc"],
         ["simulate", "--config", str(DEFAULT_CONFIG), "--bogus"],
-        ["reconstruct", "--config", str(DEFAULT_CONFIG), "--window", "x"],
+        ["bogus", "--config", str(DEFAULT_CONFIG)],
         ["--config", str(DEFAULT_CONFIG)],
     ],
     ids=["seed-not-int", "unknown-flag", "bad-choice", "no-subcommand"],
@@ -531,6 +574,41 @@ def test_bad_command_line_is_one_usage_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage: "), err
     assert not (tmp_path / "o").exists()
+
+
+# flags that once set a config value for one command; the config is now
+# the only place for these values
+DELETED_FLAGS = [
+    ["calibrate", "--samples", str(CALIBRATION_CSV)],
+    ["reconstruct", "--window", "hann"],
+    ["reconstruct", "--zero-pad", "2"],
+    ["sensitivity", "--alpha", "5"],
+    ["sensitivity", "--beta", "0.1"],
+    ["sensitivity", "--sigma-s", "0.1"],
+    ["sensitivity", "--evolution-time-us", "100"],
+    ["sensitivity", "--n-averages", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", DELETED_FLAGS, ids=lambda argv: argv[1])
+def test_deleted_stage_flag_is_one_usage_line(tmp_path, capsys, argv):
+    command, *flag = argv
+    out = tmp_path / "o"
+    assert main([command, "--config", str(DEFAULT_CONFIG), "--out", str(out), *flag]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "reconstruct", "fit-cosine", "sensitivity", "run-all"])
+def test_help_lists_only_the_session_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    expected = {"--help", "--config", "--seed", "--out", "--quiet"}
+    if command in ("reconstruct", "fit-cosine"):
+        expected.add("--record")
+    assert flags == expected
 
 
 def test_help_still_prints_help(capsys):
