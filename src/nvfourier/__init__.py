@@ -9,8 +9,8 @@ from .acquisition import (
     CurrentNoiseModel,
     DriftModel,
     KSpaceRecord,
+    UndersamplingMask,
     load_record,
-    make_undersampling_mask,
     run_sweep,
     save_record,
 )

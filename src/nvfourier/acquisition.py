@@ -7,14 +7,15 @@ a K value
     K = w * 2 * gamma_cyc * tau * G(I)      (nm^-1)
 
 where w is the waveform's phase-efficiency factor and G(I) the calibrated
-projected gradient, linear in I.  An undersampling mask, an increasing int64
-array of sweep indices that indexes the sweep's arrays directly, selects
-which points are actually acquired; each acquired point is stamped with the
-wall-clock time at which it starts (points * shots * sequence time), which
-is the schedule on which platform drift acts.  The record keeps no copy of
-the mask: an acquired point's sweep index is round(K/dK), with dK the
-sidecar's ``delta_k_per_nm``, so the sidecar's size does not grow with the
-sweep.
+projected gradient, linear in I.  An undersampling mask, held as its
+settings (``UndersamplingMask``), selects which points are actually
+acquired; ``run_sweep`` makes the increasing sweep indices from those
+settings and the plan's ``n_points``.  Each acquired point is stamped with
+the wall-clock time at which it starts (points * shots * sequence time),
+which is the schedule on which platform drift acts.  The record keeps no
+copy of the mask: an acquired point's sweep index is round(K/dK), with dK
+the sidecar's ``delta_k_per_nm``, so the sidecar's size does not grow with
+the sweep.
 
 The sweep is evaluated as arrays: the ramp, the current modulation, the
 drifted positions, the gradient, the echo phase and the expected signal are
@@ -131,12 +132,31 @@ class CurrentNoiseModel:
                 raise ValidationError(f"{name} must be >= 0")
 
 
-def check_n_points(n_points: int, minimum: int = 2) -> None:
-    """Raise ValidationError unless minimum <= n_points <= MAX_N_POINTS."""
-    if n_points < minimum:
-        raise ValidationError(f"n_points must be >= {minimum}")
-    if n_points > MAX_N_POINTS:
-        raise ValidationError(f"n_points must be <= {MAX_N_POINTS}")
+# the mask keys each strategy reads; it takes no other
+_MASK_KEYS = {"full": (), "stride": ("stride",), "blocks": ("blocks", "block_width")}
+
+
+@dataclass(frozen=True)
+class UndersamplingMask:
+    """Which sweep points are acquired: 'full', 'stride' (every stride-th
+    point) or 'blocks' (``blocks`` evenly spaced contiguous runs of
+    ``block_width``).  Every strategy keeps index 0."""
+
+    strategy: str = "full"
+    stride: int | None = None
+    blocks: int | None = None
+    block_width: int | None = None
+
+    def __post_init__(self):
+        reads = _MASK_KEYS.get(self.strategy)
+        if reads is None:
+            raise ValidationError(f"unknown mask strategy {self.strategy!r}")
+        for name in ("stride", "blocks", "block_width"):
+            value = getattr(self, name)
+            if name not in reads and value is not None:
+                raise ValidationError(f"{self.strategy} strategy takes no {name}")
+            if name in reads and (value is None or value < 1):
+                raise ValidationError(f"{self.strategy} strategy needs {name} >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +167,7 @@ class AcquisitionPlan:
     n_points: int
     sequence: EchoSequence
     waveform_template: GradientWaveform
-    mask: np.ndarray = ()  # acquired sweep indices, held read-only as int64; empty: all
+    mask: UndersamplingMask = UndersamplingMask()
     shots_per_point: int = 1_000_000
     shot_noise: bool = False
     seed: int = 20240901
@@ -159,60 +179,41 @@ class AcquisitionPlan:
     def __post_init__(self):
         if not (math.isfinite(self.i_max_ma) and self.i_max_ma > 0):
             raise ValidationError("i_max_ma must be finite and > 0")
-        check_n_points(self.n_points)
+        if self.n_points < 2:
+            raise ValidationError("n_points must be >= 2")
+        if self.n_points > MAX_N_POINTS:
+            raise ValidationError(f"n_points must be <= {MAX_N_POINTS}")
+        # the mask checked against n_points by arithmetic: it keeps at least
+        # two points, and builds no array until a sweep runs
+        mask, n = self.mask, self.n_points
+        if not isinstance(mask, UndersamplingMask):
+            raise ValidationError("mask must be an UndersamplingMask")
+        if mask.strategy == "stride" and mask.stride >= n:
+            raise ValidationError(f"mask: stride strategy needs stride < n_points ({mask.stride} >= {n})")
+        if mask.strategy == "blocks" and mask.blocks > n:
+            raise ValidationError(f"mask: blocks strategy needs blocks <= n_points ({mask.blocks} > {n})")
+        if mask.strategy == "blocks" and mask.blocks == mask.block_width == 1:
+            raise ValidationError("mask: blocks = block_width = 1 keeps only one point")
         if self.shots_per_point < 1:
             raise ValidationError("shots_per_point must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        # an empty mask means the whole sweep, and n_points >= 2 keeps it
-        # non-empty; a read-only int64 array is kept, anything else copied
-        mask = self.mask
-        if not len(mask):
-            mask = make_undersampling_mask(self.n_points)
-        elif not (isinstance(mask, np.ndarray) and mask.dtype == np.int64 and not mask.flags.writeable):
-            mask = np.array(mask, dtype=np.int64)
-            mask.flags.writeable = False
-        if np.any(mask[1:] <= mask[:-1]):
-            raise ValidationError("mask indices must be strictly increasing")
-        if mask[0] < 0 or mask[-1] >= self.n_points:
-            raise ValidationError("mask indices must lie in [0, n_points)")
-        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "origin_um", _vec3(self.origin_um, "origin_um"))
         object.__setattr__(self, "imaging_axis", _unit3(self.imaging_axis, "imaging_axis"))
 
 
-def make_undersampling_mask(
-    n_points: int,
-    strategy: str = "full",
-    stride: int | None = None,
-    blocks: int | None = None,
-    block_width: int | None = None,
-) -> np.ndarray:
-    """Increasing sweep indices as a read-only int64 array, which
-    AcquisitionPlan keeps without a copy: 'full', 'stride' (every stride-th
-    point) or 'blocks' (``blocks`` evenly spaced contiguous runs of
-    ``block_width``).  Every strategy keeps index 0."""
-    check_n_points(n_points, minimum=1)
-    if strategy == "full":
-        mask = np.arange(n_points, dtype=np.int64)
-    elif strategy == "stride":
-        if stride is None or stride < 1:
-            raise ValidationError("stride strategy needs stride >= 1")
-        mask = np.arange(0, n_points, stride, dtype=np.int64)
-    elif strategy == "blocks":
-        if not blocks or not block_width or blocks < 1 or block_width < 1:
-            raise ValidationError("blocks strategy needs blocks >= 1 and block_width >= 1")
-        if blocks > n_points:  # before the per-block array is allocated
-            raise ValidationError(f"blocks strategy needs blocks <= n_points ({blocks} > {n_points})")
-        # block b starts at round(b * n / blocks); an index is kept when the
-        # last block start at or before it lies within block_width of it
-        starts = np.round(np.arange(blocks) * n_points / blocks).astype(np.int64)
-        idx = np.arange(n_points, dtype=np.int64)
-        mask = idx[idx - starts[np.searchsorted(starts, idx, side="right") - 1] < block_width]
-    else:
-        raise ValidationError(f"unknown mask strategy {strategy!r}")
-    mask.flags.writeable = False
-    return mask
+def acquired_indices(plan: AcquisitionPlan) -> np.ndarray:
+    """The increasing int64 sweep indices that the plan's mask keeps."""
+    mask, n = plan.mask, plan.n_points
+    if mask.strategy == "stride":
+        return np.arange(0, n, mask.stride, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    if mask.strategy == "full":
+        return idx
+    # block b starts at round(b * n / blocks); an index is kept when the
+    # last block start at or before it lies within block_width of it
+    starts = np.round(np.arange(mask.blocks) * n / mask.blocks).astype(np.int64)
+    return idx[idx - starts[np.searchsorted(starts, idx, side="right") - 1] < mask.block_width]
 
 
 def sweep_currents(plan: AcquisitionPlan) -> np.ndarray:
@@ -227,10 +228,10 @@ def k_per_ma(efficiency: float, tau_us: float, gradient_per_ma: float) -> float:
     return efficiency * 2.0 * GAMMA_CYC_MHZ_PER_G * tau_us * gradient_per_ma / 1e3
 
 
-def point_times_hours(plan: AcquisitionPlan) -> np.ndarray:
-    """Wall-clock start time (hours) of each masked point, in mask order."""
+def point_times_hours(plan: AcquisitionPlan, n_acquired: int) -> np.ndarray:
+    """Wall-clock start time (hours) of each of n_acquired points, in acquisition order."""
     dwell_h = plan.shots_per_point * plan.sequence.total_time_us * 1e-6 / 3600.0
-    return np.arange(len(plan.mask)) * dwell_h
+    return np.arange(n_acquired) * dwell_h
 
 
 @dataclass(eq=False)
@@ -283,7 +284,8 @@ def run_sweep(
     drawn in one pass from the sweep's seeded shot stream; without it the
     exact expected signal is recorded with zero error.
     """
-    times = point_times_hours(plan)
+    index = acquired_indices(plan)
+    times = point_times_hours(plan, len(index))
     offsets = drift_trajectory(plan.drift, times, seed=plan.seed)
     if gradient_per_ma is not None:
         g0 = g_per_ma = float(gradient_per_ma)
@@ -313,16 +315,16 @@ def run_sweep(
 
     x0_nm = imaging_coordinate_nm(nv, plan.origin_um, plan.imaging_axis)
     currents = sweep_currents(plan)
-    sampled = currents[plan.mask]
+    sampled = currents[index]
     noise = plan.current_noise
     factor = 1.0
     if noise.relative_amplitude > 0.0:
         factor += noise.relative_amplitude * np.sin(
-            2.0 * math.pi * noise.modulation_frequency_cycles * (plan.mask / (plan.n_points - 1))
+            2.0 * math.pi * noise.modulation_frequency_cycles * (index / (plan.n_points - 1))
         )
     if noise.white_sigma > 0.0:
         white = np.random.default_rng([plan.seed, _STREAM_CURRENT]).standard_normal(plan.n_points)
-        factor += noise.white_sigma * white[plan.mask]
+        factor += noise.white_sigma * white[index]
     phase = phase_from_coordinate(
         x0_nm + offsets, g_per_ma * (sampled * factor), plan.sequence, plan.waveform_template
     )
@@ -333,7 +335,7 @@ def run_sweep(
         )
         signals, errors = signal_from_counts(mean, err, nv)
     else:
-        signals, errors = expected.expected_signal, np.zeros(len(plan.mask))
+        signals, errors = expected.expected_signal, np.zeros(len(index))
 
     coeff = k_per_ma(w, plan.sequence.tau_us, g0)
     k_sampled = sampled * coeff

@@ -8,9 +8,9 @@ dataclass's declaration.  Loading rejects unknown keys with their full path,
 holds every leaf to its declared type (``_convert``), and lets the domain
 types check their own invariants.  The canonical form of a loaded config
 (``RunConfig.resolved``) is serialized from the typed objects, and its
-SHA-256 is the run's config hash.  Under ``plan.mask`` it echoes the mask's
-settings, not the sweep indices they make, so neither the canonical form nor
-its hash grows with ``n_points``.
+SHA-256 is the run's config hash.  The plan holds its undersampling mask as
+the settings under ``plan.mask``, not as the sweep indices they make, so
+neither the canonical form nor its hash grows with ``n_points``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .acquisition import (
-    AcquisitionPlan,
-    CurrentNoiseModel,
-    DriftModel,
-    check_n_points,
-    make_undersampling_mask,
-)
+from .acquisition import AcquisitionPlan, CurrentNoiseModel, DriftModel, UndersamplingMask
 from .errors import ConfigError, ConfigParseError, ValidationError
 from .field_model import MicrowireModel, NvAxis
 from .reconstruction import WINDOWS, profile_length
@@ -48,14 +42,13 @@ class RunConfig:
     ``calibration_csv`` is the path to open: relative paths in a config file
     are resolved against the file's directory.  The canonical form keeps
     ``calibration_csv_as_written``, so the hash does not depend on where the
-    config file sits.  ``mask_spec`` is the ``plan.mask`` mapping, defaults
-    filled in, that made ``plan.mask``.
+    config file sits.  ``plan.mask`` holds the undersampling mask as its
+    settings, which the canonical form echoes under ``plan.mask``.
     """
 
     nv: NvCenter
     nv_axis: NvAxis
     plan: AcquisitionPlan
-    mask_spec: dict
     wire: MicrowireModel | None = None
     gradient_per_ma: float | None = None
     calibration_csv_as_written: str | None = None
@@ -85,7 +78,6 @@ class RunConfig:
             if "." not in section:
                 obj = functools.reduce(getattr, path.split("."), self) if path else self
                 doc[section] = section_doc(section, obj)
-        doc["plan"]["mask"] = dict(self.mask_spec)
         return doc
 
     @property
@@ -95,11 +87,10 @@ class RunConfig:
         ).hexdigest()
 
 
-# YAML section -> (the dataclass or function it fills, the attribute path of
-# the built object on RunConfig, {YAML key: field}).  None takes every field
-# under its own name; a single field name means the top-level YAML value is
-# that field.  "plan.mask" is the mapping under plan's "mask" key, kept on
-# RunConfig as ``mask_spec``.
+# YAML section -> (the dataclass it fills, the attribute path of the built
+# object on RunConfig, {YAML key: field}).  None takes every field under its
+# own name; a single field name means the top-level YAML value is that field.
+# "plan.mask" is the mapping under plan's "mask" key.
 _SECTIONS = {
     "nv": (NvCenter, "nv", None),
     "nv_axis": (NvAxis, "nv_axis", "orientation"),
@@ -118,11 +109,7 @@ _SECTIONS = {
         "plan",
         {key: key for key in ("i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed", "mask")},
     ),
-    "plan.mask": (
-        make_undersampling_mask,
-        None,
-        {key: key for key in ("strategy", "stride", "blocks", "block_width")},
-    ),
+    "plan.mask": (UndersamplingMask, "plan.mask", None),
     "drift": (DriftModel, "plan.drift", None),
     "current_noise": (CurrentNoiseModel, "plan.current_noise", None),
     "imaging": (AcquisitionPlan, "plan", {"origin_um": "origin_um", "axis": "imaging_axis"}),
@@ -139,8 +126,8 @@ _MAX_FLOAT = sys.float_info.max
 
 @functools.cache
 def _declared(builder) -> dict:
-    """Field name -> (type, default) of a dataclass or function; a required
-    field's default is ``_REQUIRED``."""
+    """Field name -> (type, default) of a dataclass; a required field's
+    default is ``_REQUIRED``."""
     hints = typing.get_type_hints(builder)
     return {
         name: (hints[name], param.default)
@@ -184,13 +171,17 @@ def _check_keys(data: dict, tree: dict, path: str = "") -> None:
 
 def section_doc(section: str, obj):
     """The YAML form of ``obj``, the object a section builds (None stays
-    None), without the keys that are sections of their own."""
+    None), with the keys that are sections of their own in their YAML form."""
     keys = _SECTIONS[section][2]
     if obj is None:
         return None
     if isinstance(keys, str):
         return to_plain(getattr(obj, keys))
-    return {key: to_plain(getattr(obj, name)) for key, name in _own_keys(section).items()}
+    return {
+        key: section_doc(f"{section}.{key}", getattr(obj, name))
+        if f"{section}.{key}" in _SECTIONS else to_plain(getattr(obj, name))
+        for key, name in _keys(section).items()
+    }
 
 
 def _finite_real(value) -> bool:
@@ -261,11 +252,10 @@ def _values(data: dict, section: str, derived=()) -> dict:
     return values
 
 
-def _build(section: str, values: dict, builder=None):
-    """Construct a section's object (or call ``builder`` on the section's
-    values), naming the section in a domain error."""
+def _build(section: str, values: dict):
+    """Construct a section's object, naming the section in a domain error."""
     try:
-        return (builder or _SECTIONS[section][0])(**values)
+        return _SECTIONS[section][0](**values)
     except ValidationError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -284,18 +274,14 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     if waveform["period_us"] is None:
         # one half-sine lobe filling the active window of each echo half
         waveform["period_us"] = waveform["active_fraction"] * sequence.total_time_us
-    plan = _values(data, "plan")
-    _build("plan", {"n_points": plan["n_points"]}, check_n_points)  # before the mask's arrays
-    mask_spec = _values(data, "plan.mask")
-    mask = _build("plan.mask", {"n_points": plan["n_points"], **mask_spec})
     plan = _build(
         "plan",
         {
-            **plan,
+            **_values(data, "plan"),
             **_values(data, "imaging"),
             "sequence": sequence,
             "waveform_template": _build("waveform", waveform),
-            "mask": mask,
+            "mask": _build("plan.mask", _values(data, "plan.mask")),
             "drift": _build("drift", _values(data, "drift")),
             "current_noise": _build("current_noise", _values(data, "current_noise")),
         },
@@ -311,7 +297,7 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         if not p.is_absolute():
             calibration_csv = str((base_dir / p).resolve())
     return RunConfig(
-        nv=nv, nv_axis=nv_axis, plan=plan, mask_spec=mask_spec, wire=wire,
+        nv=nv, nv_axis=nv_axis, plan=plan, wire=wire,
         calibration_csv=calibration_csv, **settings,
     )
 

@@ -87,7 +87,7 @@ def reference_plan(
     n_points=REF_N_POINTS,
     shot_noise=False,
     seed=20240901,
-    mask=(),
+    mask=nf.UndersamplingMask(),
     drift=None,
     current_noise=None,
     shots_per_point=1_000_000,

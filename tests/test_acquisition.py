@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import nvfourier as nf
-from nvfourier.acquisition import drift_trajectory, k_per_ma, point_times_hours, sweep_currents
+from nvfourier.acquisition import (
+    acquired_indices,
+    drift_trajectory,
+    k_per_ma,
+    point_times_hours,
+    sweep_currents,
+)
 from nvfourier.errors import MissingCalibrationError, ValidationError
 
 from helpers import reference_nv, reference_plan, reference_sequence, rect_waveform, simulate
@@ -55,64 +61,75 @@ class TestKOfCurrent:
         assert np.allclose(diffs, diffs[0], rtol=1e-9)
 
 
+def indices(n_points, *args, **kwargs):
+    """The sweep indices a mask keeps in a reference plan of n_points."""
+    plan = reference_plan(n_points=n_points, mask=nf.UndersamplingMask(*args, **kwargs))
+    return acquired_indices(plan)
+
+
 class TestMasks:
     def test_full(self):
-        assert nf.make_undersampling_mask(100, "full").tolist() == list(range(100))
+        assert indices(100, "full").tolist() == list(range(100))
+        assert reference_plan(n_points=100).mask == nf.UndersamplingMask("full")
 
     def test_stride(self):
-        mask = nf.make_undersampling_mask(100, "stride", stride=4)
-        assert len(mask) == 25
+        mask = indices(100, "stride", stride=4)
+        assert mask.dtype == np.int64 and len(mask) == 25
         assert mask[:3].tolist() == [0, 4, 8]
+        assert indices(100, "stride", stride=99).tolist() == [0, 99]
 
     def test_blocks(self):
-        mask = nf.make_undersampling_mask(1000, "blocks", blocks=5, block_width=20)
-        assert len(mask) == 100
+        mask = indices(1000, "blocks", blocks=5, block_width=20)
+        assert mask.dtype == np.int64 and len(mask) == 100
         runs = np.split(np.asarray(mask), np.where(np.diff(mask) > 1)[0] + 1)
         assert len(runs) == 5
         assert all(len(r) == 20 for r in runs)
+        assert indices(100, "blocks", blocks=1, block_width=2).tolist() == [0, 1]
 
     def test_empty_and_invalid(self):
-        with pytest.raises(ValidationError):
-            nf.make_undersampling_mask(100, "stride")
-        with pytest.raises(ValidationError):
-            nf.make_undersampling_mask(100, "bogus")
+        with pytest.raises(ValidationError, match="stride strategy needs stride >= 1"):
+            nf.UndersamplingMask("stride")
+        with pytest.raises(ValidationError, match="unknown mask strategy"):
+            nf.UndersamplingMask("bogus")
         with pytest.raises(ValidationError, match=r"blocks <= n_points \(101 > 100\)"):
-            nf.make_undersampling_mask(100, "blocks", blocks=101, block_width=1)
-        every = nf.make_undersampling_mask(100, "blocks", blocks=100, block_width=1)
+            indices(100, "blocks", blocks=101, block_width=1)
+        every = indices(100, "blocks", blocks=100, block_width=1)
         assert every.tolist() == list(range(100))
 
-    def test_mask_is_a_read_only_index_array(self):
-        plan = reference_plan(n_points=40, mask=[0, 3, 7])
-        assert plan.mask.dtype == np.int64 and plan.mask.tolist() == [0, 3, 7]
-        assert not plan.mask.flags.writeable
-        assert reference_plan(n_points=40).mask.tolist() == list(range(40))
+    def test_a_mask_keeps_at_least_two_points(self):
+        with pytest.raises(ValidationError, match=r"stride < n_points \(100 >= 100\)"):
+            indices(100, "stride", stride=100)
+        with pytest.raises(ValidationError, match="keeps only one point"):
+            indices(100, "blocks", blocks=1, block_width=1)
 
-    def test_read_only_mask_is_kept_and_a_writable_one_copied(self):
-        # make_undersampling_mask's read-only array is the plan's, through
-        # replace too (the --seed path); a caller's writable array is copied
-        mask = nf.make_undersampling_mask(40, "stride", stride=3)
-        assert mask.dtype == np.int64 and not mask.flags.writeable
-        plan = reference_plan(n_points=40, mask=mask)
-        assert plan.mask is mask
-        assert replace(plan, seed=1).mask is plan.mask
-        writable = np.arange(0, 40, 3)
-        copied = reference_plan(n_points=40, mask=writable).mask
-        assert copied is not writable and not copied.flags.writeable
-        writable[1] = 2
-        assert copied.tolist() == mask.tolist()
+    @pytest.mark.parametrize("spec", [
+        dict(strategy="full", stride=4),
+        dict(strategy="stride", stride=4, blocks=3),
+        dict(strategy="blocks", blocks=3, block_width=2, stride=4),
+    ], ids=["full-stride", "stride-blocks", "blocks-stride"])
+    def test_a_key_the_strategy_does_not_read_is_refused(self, spec):
+        with pytest.raises(ValidationError, match="strategy takes no"):
+            nf.UndersamplingMask(**spec)
+
+    def test_index_list_is_refused(self):
+        with pytest.raises(ValidationError, match="mask must be an UndersamplingMask"):
+            reference_plan(mask=[0, 3, 7])
+
+    def test_stale_mask_cannot_outlive_n_points(self):
+        # the plan holds the mask's settings, so a replaced n_points sweeps
+        # all of its own points up to the same K_max
+        plan = reference_plan()
+        full = nf.run_sweep(plan, reference_nv(30.0), gradient_per_ma=0.326)
+        for n_points in (1000, 100):
+            record = nf.run_sweep(replace(plan, n_points=n_points), reference_nv(30.0), gradient_per_ma=0.326)
+            assert len(record) == n_points and record.k_max == full.k_max
+        assert full.k_max == pytest.approx(2.2834, rel=5e-3)
 
     def test_n_points_upper_bound(self):
-        # checked before any array of that length is built
-        with pytest.raises(ValidationError, match="n_points must be <= 1000000"):
-            nf.make_undersampling_mask(10**12)
+        # checked by the plan, before any array of that length is built
         with pytest.raises(ValidationError, match="n_points must be <= 1000000"):
             reference_plan(n_points=10**12)
-        assert len(nf.make_undersampling_mask(1_000_000)) == 1_000_000
-
-    def test_plan_mask_validation(self):
-        for mask in ((5, 3), (3, 3), (-1, 2), (0, 9999)):
-            with pytest.raises(ValidationError):
-                reference_plan(mask=mask)
+        assert len(indices(1_000_000)) == 1_000_000
 
 
 class TestDrift:
@@ -181,21 +198,20 @@ class TestRunSweep:
 
     def test_stride_mask_semantics(self):
         n = 100
-        mask = nf.make_undersampling_mask(n, "stride", stride=4)
-        record = simulate(x_nm=30.0, n_points=n, mask=mask)
+        record = simulate(x_nm=30.0, n_points=n, mask=nf.UndersamplingMask("stride", stride=4))
         assert len(record) == 25
         full = simulate(x_nm=30.0, n_points=n)
         np.testing.assert_array_equal(record.k_values, full.k_values[::4])
         np.testing.assert_allclose(record.signals, full.signals[::4], atol=1e-15)
 
     def test_order_independence(self):
-        # white current noise is keyed by sweep index: single-point masks,
-        # run in reverse order, reproduce the full sweep bitwise
+        # white current noise is keyed by sweep index: stride masks, run
+        # from the coarsest down, each reproduce the full sweep's points bitwise
         kwargs = dict(n_points=60, seed=99, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
         full = simulate(x_nm=25.0, **kwargs)
-        for idx in reversed(range(0, 60, 3)):
-            point = simulate(x_nm=25.0, mask=[idx], **kwargs)
-            assert point.signals.tobytes() == full.signals[[idx]].tobytes()
+        for stride in reversed(range(2, 60, 3)):
+            points = simulate(x_nm=25.0, mask=nf.UndersamplingMask("stride", stride=stride), **kwargs)
+            assert points.signals.tobytes() == full.signals[::stride].tobytes()
 
     def test_noise_streams_built_only_when_noise_is_on(self, monkeypatch):
         streams = []
@@ -214,7 +230,8 @@ class TestRunSweep:
         streams.clear()
         # shot noise: one stream for the whole sweep, masked or not
         simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True, shots_per_point=10**6)
-        simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True, mask=[0, 5, 9])
+        simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True,
+                 mask=nf.UndersamplingMask("stride", stride=5))
         assert streams == [[7, nf.acquisition._STREAM_SHOTS]] * 2
 
     def test_noisy_stride_sweep_equals_full_sweep(self):
@@ -222,13 +239,13 @@ class TestRunSweep:
         # sweep index, so the stride-3 points are bitwise the full sweep's
         kwargs = dict(n_points=90, seed=31, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
         full = simulate(x_nm=25.0, **kwargs)
-        strided = simulate(x_nm=25.0, mask=nf.make_undersampling_mask(90, "stride", stride=3), **kwargs)
+        strided = simulate(x_nm=25.0, mask=nf.UndersamplingMask("stride", stride=3), **kwargs)
         assert strided.signals.tobytes() == full.signals[::3].tobytes()
 
     def test_shot_totals_are_one_draw_over_the_acquired_points(self):
         # the photon totals of a masked sweep are one poisson(lam) call on
         # the sweep's shot stream, over the acquired points in order
-        shots, mask = 10_000, nf.make_undersampling_mask(60, "stride", stride=4)
+        shots, mask = 10_000, nf.UndersamplingMask("stride", stride=4)
         nv = reference_nv(25.0)
         a, b = nv.contrast_alpha, nv.yield_beta
         clean = simulate(x_nm=25.0, n_points=60, shots_per_point=shots, mask=mask)
@@ -335,7 +352,7 @@ class TestRunSweep:
 
     def test_timestamps(self):
         plan = reference_plan(n_points=10, shots_per_point=1_000_000)
-        times = point_times_hours(plan)
+        times = point_times_hours(plan, 10)
         dwell = 1_000_000 * 500e-6 / 3600.0
         np.testing.assert_allclose(times, np.arange(10) * dwell, rtol=1e-12)
 

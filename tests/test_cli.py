@@ -425,9 +425,31 @@ class TestCliCommands:
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "config-validation: plan.mask: blocks strategy needs blocks <= n_points"
+            "config-validation: plan: mask: blocks strategy needs blocks <= n_points"
             f" ({n_points + 1} > {n_points})"
         ]
+
+    @pytest.mark.parametrize(
+        "mask, line",
+        [
+            ({"strategy": "stride", "stride": 1000},
+             "plan: mask: stride strategy needs stride < n_points (1000 >= 458)"),
+            ({"strategy": "blocks", "blocks": 1, "block_width": 1},
+             "plan: mask: blocks = block_width = 1 keeps only one point"),
+            ({"strategy": "full", "stride": 4}, "plan.mask: full strategy takes no stride"),
+            ({"strategy": "stride", "stride": 4, "blocks": 3}, "plan.mask: stride strategy takes no blocks"),
+        ],
+        ids=["stride-1000", "one-block-of-one", "full-with-stride", "stride-with-blocks"],
+    )
+    def test_mask_of_one_point_or_an_unread_key_is_one_config_line(self, tmp_path, capsys, mask, line):
+        # refused at load, before calibrate or simulate write anything
+        data = copy.deepcopy(DEFAULT_DATA)
+        data["plan"]["mask"] = mask
+        config = write_config(tmp_path, data)
+        rc = main(["run-all", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"config-validation: {line}"]
+        assert not (tmp_path / "o" / "record.csv").exists()
 
     @pytest.mark.parametrize("leaf", list(DEFAULT_LEAVES), ids=".".join)
     def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys, leaf):

@@ -45,13 +45,13 @@ def _shot_noise(cfg):
 
 
 def _stride(cfg):
-    mask = nf.make_undersampling_mask(cfg.plan.n_points, "stride", stride=4)
+    mask = nf.UndersamplingMask("stride", stride=4)
     plan = replace(cfg.plan, mask=mask, shot_noise=True, shots_per_point=5000, seed=12)
     return plan, {"gradient_per_ma": _reference_gradient(cfg)}
 
 
 def _blocks(cfg):
-    mask = nf.make_undersampling_mask(cfg.plan.n_points, "blocks", blocks=5, block_width=20)
+    mask = nf.UndersamplingMask("blocks", blocks=5, block_width=20)
     noise = nf.CurrentNoiseModel(white_sigma=0.002)
     plan = replace(cfg.plan, mask=mask, current_noise=noise, seed=13)
     return plan, {"gradient_per_ma": _reference_gradient(cfg)}
@@ -74,7 +74,7 @@ def _drift_wire(cfg):
 
 
 def _dense(cfg):
-    plan = replace(cfg.plan, n_points=15_000, mask=())
+    plan = replace(cfg.plan, n_points=15_000)
     return plan, {"gradient_per_ma": _reference_gradient(cfg)}
 
 

@@ -123,7 +123,7 @@ class TestFourierReconstruct:
 
     def test_block_mask_zero_fill(self):
         n = 458
-        mask = nf.make_undersampling_mask(n, "blocks", blocks=5, block_width=31)
+        mask = nf.UndersamplingMask("blocks", blocks=5, block_width=31)
         record = simulate(x_nm=30.0, n_points=n, mask=mask)
         profile = nf.fourier_reconstruct(record, zero_pad_factor=4)
         fit = nf.fit_lorentzian(profile)
@@ -172,7 +172,7 @@ class TestFourierReconstruct:
             nf.fourier_reconstruct(record)
 
     def test_mask_past_sidecar_n_points_rejected(self):
-        mask = nf.make_undersampling_mask(458, "blocks", blocks=5, block_width=31)
+        mask = nf.UndersamplingMask("blocks", blocks=5, block_width=31)
         record = simulate(x_nm=30.0, mask=mask)
         record.metadata["n_points"] = 300
         with pytest.raises(MetadataError, match="past n_points = 300"):
@@ -291,7 +291,7 @@ class TestCosineFit:
 
     def test_block_masked_record(self):
         # the periodogram seed zero-fills the gaps on the sidecar's K grid
-        mask = nf.make_undersampling_mask(458, "blocks", blocks=4, block_width=40)
+        mask = nf.UndersamplingMask("blocks", blocks=4, block_width=40)
         record = simulate(x_nm=30.0, mask=mask)
         fit = nf.fit_cosine(record)
         pixel = nf.fourier_reconstruct(record).pixel_size_nm  # of the full grid
@@ -352,7 +352,7 @@ class TestAliasDisambiguation:
 
     def test_unfold_stride4(self):
         x0 = 99.0
-        mask = nf.make_undersampling_mask(458, "stride", stride=4)
+        mask = nf.UndersamplingMask("stride", stride=4)
         fine_record = simulate(x_nm=x0, mask=mask)
         fine = nf.fourier_reconstruct(fine_record, zero_pad_factor=4)
         # folded: the fine FOV is ~25 nm, so 99 nm wraps
@@ -364,7 +364,7 @@ class TestAliasDisambiguation:
 
     def test_ambiguity_error(self):
         x0 = 99.0
-        mask = nf.make_undersampling_mask(458, "stride", stride=4)
+        mask = nf.UndersamplingMask("stride", stride=4)
         fine = nf.fourier_reconstruct(simulate(x_nm=x0, mask=mask), zero_pad_factor=4)
         # coarse scan so coarse that its pixel exceeds the alias period
         plan = reference_plan(n_points=60)
