@@ -9,7 +9,6 @@ from .acquisition import (
     CurrentNoiseModel,
     DriftModel,
     KSpaceRecord,
-    UndersamplingMask,
     load_record,
     run_sweep,
     save_record,

@@ -1,36 +1,27 @@
 """K-space sweep planning, execution and disturbance injection.
 
 A sweep holds the evolution time fixed and ramps the gradient-drive current
-linearly from 0 to i_max over n_points steps.  Each sampled current maps to
-a K value
+linearly from 0 to i_max over n_points steps, and acquires every point of
+the ramp.  Each sampled current maps to a K value
 
     K = w * 2 * gamma_cyc * tau * G(I)      (nm^-1)
 
 where w is the waveform's phase-efficiency factor and G(I) the calibrated
-projected gradient, linear in I.  An undersampling mask, held as its
-settings (``UndersamplingMask``), selects which points are actually
-acquired; ``run_sweep`` makes the increasing sweep indices from those
-settings and the plan's ``n_points``.  Each acquired point is stamped with
-the wall-clock time at which it starts (points * shots * sequence time),
-which is the schedule on which platform drift acts.  The record keeps no
-copy of the mask: an acquired point's sweep index is round(K/dK), with dK
-the sidecar's ``delta_k_per_nm``, so the sidecar's size does not grow with
-the sweep.
+projected gradient, linear in I.  Each point is stamped with the wall-clock
+time at which it starts (points * shots * sequence time), which is the
+schedule on which platform drift acts.
 
 The sweep is evaluated as arrays: the ramp, the current modulation, the
 drifted positions, the gradient, the echo phase and the expected signal are
-computed once for all masked points.
+computed once for all points.
 
 Determinism contract: a fixed plan reproduces a record bit-exactly.  Each
 noise source draws one stream per sweep, ``np.random.default_rng([seed,
-stream id])``.  Shot noise draws one Poisson total per acquired point, in
-acquisition order, with a single ``poisson`` call on stream
-``_STREAM_SHOTS``, so a point's shot noise depends on the mask.  White
-current noise draws ``n_points`` normals on stream ``_STREAM_CURRENT`` and
-each point takes the one at its sweep index, so it does not depend on the
-mask.  The drift random walk draws one step per acquired point in
-acquisition order on stream ``_STREAM_DRIFT``, so the drift a point sees
-follows the acquisition schedule.
+stream id])``.  Shot noise draws one Poisson total per point, in sweep
+order, with a single ``poisson`` call on stream ``_STREAM_SHOTS``.  White
+current noise draws ``n_points`` normals on stream ``_STREAM_CURRENT``, one
+per point.  The drift random walk draws one step per point in sweep order
+on stream ``_STREAM_DRIFT``.
 """
 
 from __future__ import annotations
@@ -132,33 +123,6 @@ class CurrentNoiseModel:
                 raise ValidationError(f"{name} must be >= 0")
 
 
-# the mask keys each strategy reads; it takes no other
-_MASK_KEYS = {"full": (), "stride": ("stride",), "blocks": ("blocks", "block_width")}
-
-
-@dataclass(frozen=True)
-class UndersamplingMask:
-    """Which sweep points are acquired: 'full', 'stride' (every stride-th
-    point) or 'blocks' (``blocks`` evenly spaced contiguous runs of
-    ``block_width``).  Every strategy keeps index 0."""
-
-    strategy: str = "full"
-    stride: int | None = None
-    blocks: int | None = None
-    block_width: int | None = None
-
-    def __post_init__(self):
-        reads = _MASK_KEYS.get(self.strategy)
-        if reads is None:
-            raise ValidationError(f"unknown mask strategy {self.strategy!r}")
-        for name in ("stride", "blocks", "block_width"):
-            value = getattr(self, name)
-            if name not in reads and value is not None:
-                raise ValidationError(f"{self.strategy} strategy takes no {name}")
-            if name in reads and (value is None or value < 1):
-                raise ValidationError(f"{self.strategy} strategy needs {name} >= 1")
-
-
 @dataclass(frozen=True, eq=False)
 class AcquisitionPlan:
     """Everything needed to run (and re-run, bit-exactly) one K sweep."""
@@ -167,7 +131,6 @@ class AcquisitionPlan:
     n_points: int
     sequence: EchoSequence
     waveform_template: GradientWaveform
-    mask: UndersamplingMask = UndersamplingMask()
     shots_per_point: int = 1_000_000
     shot_noise: bool = False
     seed: int = 20240901
@@ -183,37 +146,12 @@ class AcquisitionPlan:
             raise ValidationError("n_points must be >= 2")
         if self.n_points > MAX_N_POINTS:
             raise ValidationError(f"n_points must be <= {MAX_N_POINTS}")
-        # the mask checked against n_points by arithmetic: it keeps at least
-        # two points, and builds no array until a sweep runs
-        mask, n = self.mask, self.n_points
-        if not isinstance(mask, UndersamplingMask):
-            raise ValidationError("mask must be an UndersamplingMask")
-        if mask.strategy == "stride" and mask.stride >= n:
-            raise ValidationError(f"mask: stride strategy needs stride < n_points ({mask.stride} >= {n})")
-        if mask.strategy == "blocks" and mask.blocks > n:
-            raise ValidationError(f"mask: blocks strategy needs blocks <= n_points ({mask.blocks} > {n})")
-        if mask.strategy == "blocks" and mask.blocks == mask.block_width == 1:
-            raise ValidationError("mask: blocks = block_width = 1 keeps only one point")
         if self.shots_per_point < 1:
             raise ValidationError("shots_per_point must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "origin_um", _vec3(self.origin_um, "origin_um"))
         object.__setattr__(self, "imaging_axis", _unit3(self.imaging_axis, "imaging_axis"))
-
-
-def acquired_indices(plan: AcquisitionPlan) -> np.ndarray:
-    """The increasing int64 sweep indices that the plan's mask keeps."""
-    mask, n = plan.mask, plan.n_points
-    if mask.strategy == "stride":
-        return np.arange(0, n, mask.stride, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    if mask.strategy == "full":
-        return idx
-    # block b starts at round(b * n / blocks); an index is kept when the
-    # last block start at or before it lies within block_width of it
-    starts = np.round(np.arange(mask.blocks) * n / mask.blocks).astype(np.int64)
-    return idx[idx - starts[np.searchsorted(starts, idx, side="right") - 1] < mask.block_width]
 
 
 def sweep_currents(plan: AcquisitionPlan) -> np.ndarray:
@@ -228,10 +166,10 @@ def k_per_ma(efficiency: float, tau_us: float, gradient_per_ma: float) -> float:
     return efficiency * 2.0 * GAMMA_CYC_MHZ_PER_G * tau_us * gradient_per_ma / 1e3
 
 
-def point_times_hours(plan: AcquisitionPlan, n_acquired: int) -> np.ndarray:
-    """Wall-clock start time (hours) of each of n_acquired points, in acquisition order."""
+def point_times_hours(plan: AcquisitionPlan) -> np.ndarray:
+    """Wall-clock start time (hours) of each sweep point, in sweep order."""
     dwell_h = plan.shots_per_point * plan.sequence.total_time_us * 1e-6 / 3600.0
-    return np.arange(n_acquired) * dwell_h
+    return np.arange(plan.n_points) * dwell_h
 
 
 @dataclass(eq=False)
@@ -274,18 +212,17 @@ def run_sweep(
     axis: NvAxis | None = None,
     gradient_per_ma: float | None = None,
 ) -> KSpaceRecord:
-    """Execute the masked K sweep and return a KSpaceRecord.
+    """Execute the K sweep and return a KSpaceRecord.
 
     The one place a gradient per mA is resolved: a given ``gradient_per_ma``
     (a calibration) holds at every point; otherwise the wire geometry gives
     it, projected on ``axis`` and differentiated along the plan's imaging
     axis, at each drifted NV position.  K uses the gradient at the undrifted
-    NV.  With plan.shot_noise the photon totals of all acquired points are
+    NV.  With plan.shot_noise the photon totals of all points are
     drawn in one pass from the sweep's seeded shot stream; without it the
     exact expected signal is recorded with zero error.
     """
-    index = acquired_indices(plan)
-    times = point_times_hours(plan, len(index))
+    times = point_times_hours(plan)
     offsets = drift_trajectory(plan.drift, times, seed=plan.seed)
     if gradient_per_ma is not None:
         g0 = g_per_ma = float(gradient_per_ma)
@@ -315,18 +252,18 @@ def run_sweep(
 
     x0_nm = imaging_coordinate_nm(nv, plan.origin_um, plan.imaging_axis)
     currents = sweep_currents(plan)
-    sampled = currents[index]
     noise = plan.current_noise
     factor = 1.0
     if noise.relative_amplitude > 0.0:
+        sweep_fraction = np.arange(plan.n_points) / (plan.n_points - 1)
         factor += noise.relative_amplitude * np.sin(
-            2.0 * math.pi * noise.modulation_frequency_cycles * (index / (plan.n_points - 1))
+            2.0 * math.pi * noise.modulation_frequency_cycles * sweep_fraction
         )
     if noise.white_sigma > 0.0:
         white = np.random.default_rng([plan.seed, _STREAM_CURRENT]).standard_normal(plan.n_points)
-        factor += noise.white_sigma * white[index]
+        factor += noise.white_sigma * white
     phase = phase_from_coordinate(
-        x0_nm + offsets, g_per_ma * (sampled * factor), plan.sequence, plan.waveform_template
+        x0_nm + offsets, g_per_ma * (currents * factor), plan.sequence, plan.waveform_template
     )
     expected = echo_signal(nv, phase, plan.sequence)
     if plan.shot_noise:
@@ -335,12 +272,11 @@ def run_sweep(
         )
         signals, errors = signal_from_counts(mean, err, nv)
     else:
-        signals, errors = expected.expected_signal, np.zeros(len(index))
+        signals, errors = expected.expected_signal, np.zeros(plan.n_points)
 
     coeff = k_per_ma(w, plan.sequence.tau_us, g0)
-    k_sampled = sampled * coeff
-    # every plan field but the mask, whose indices are round(K/delta_k_per_nm)
-    metadata = {f.name: to_plain(getattr(plan, f.name)) for f in fields(plan) if f.name != "mask"}
+    k_values = currents * coeff
+    metadata = {f.name: to_plain(getattr(plan, f.name)) for f in fields(plan)}
     nv_doc = to_plain(nv)
     del nv_doc["position_um"]  # the sidecar keeps the NV's readout constants, not its position
     metadata.update(
@@ -350,11 +286,11 @@ def run_sweep(
         gradient_per_ma_g_per_um=g0,
         waveform_efficiency=w,
         delta_k_per_nm=float(currents[1] * coeff),
-        k_max_per_nm=float(k_sampled[-1]),
+        k_max_per_nm=float(k_values[-1]),
     )
     return KSpaceRecord(
-        k_values=k_sampled,
-        currents=sampled,
+        k_values=k_values,
+        currents=currents,
         signals=signals,
         errors=errors,
         t_hours=times,

@@ -10,7 +10,9 @@ gives only the input record (``--record``) and ``--quiet``.  The config file
 is the one place for those values, so every run is reproducible bit-exactly
 from (config, seed); the manifest records the config hash, per-stage
 timings and a SHA-256 inventory of every output file (timings and
-timestamps are the only non-deterministic manifest fields).
+timestamps are the only non-deterministic manifest fields).  A command
+whose directory already holds a manifest of the same config hash adds to
+it: the stages it did not run, and the outputs that still exist, stay.
 
 The stages and the layer functions they call are attributes of this module,
 looked up when called, so a wrapper set on one of these names sees its calls.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import time
@@ -40,9 +43,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquisition import load_record, run_sweep, save_record
+from .acquisition import drift_trajectory, load_record, run_sweep, save_record
 from .config import RunConfig, load_config, section_doc
-from .errors import MissingCalibrationError, NvFourierError, UsageError
+from .errors import AliasAmbiguityError, MissingCalibrationError, NvFourierError, UsageError
 from .field_model import calibrate_wire, gradient_at, load_calibration_csv, sample_field
 from .metrology import full_sensitivity_report
 from .reconstruction import (
@@ -53,6 +56,7 @@ from .reconstruction import (
     save_profile_csv,
 )
 from .serialize import to_plain, write_csv, write_json
+from .spin_dynamics import imaging_coordinate_nm
 
 ENV_OUTPUT_DIR = "NVFOURIER_OUT"
 
@@ -82,25 +86,55 @@ class Manifest:
         self.outputs.append(Path(path))
 
     def write(self, path: Path) -> None:
+        """Write the manifest to ``path``, merged into the one there when that
+        parses and has this config hash: its stages this command did not run,
+        its outputs that still exist and its derived values stay, and this
+        command's replace those of the same name."""
+        config_hash = self.cfg.config_hash
+        stages, outputs, derived = _earlier_manifest(path, config_hash) or ([], [], {})
+        ran = {stage["name"] for stage in self.stages}
+        stages = [stage for stage in stages if stage["name"] not in ran] + self.stages
+        written = {p.resolve() for p in self.outputs}
+        outputs = [p for p in outputs if p.resolve() not in written] + self.outputs
         doc = {
             "version": __version__,
-            "config_hash": self.cfg.config_hash,
+            "config_hash": config_hash,
             "seed": self.cfg.plan.seed,
             "config": self.cfg.resolved,
-            "stages": self.stages,
+            "stages": stages,
             "outputs": [
                 {
                     "path": str(p),
                     "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
                     "bytes": p.stat().st_size,
                 }
-                for p in self.outputs
-                if p.exists()
+                for p in outputs
+                if p.is_file()
             ],
-            "derived": self.derived,
+            "derived": {**derived, **self.derived},
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
         write_json(path, doc)
+
+
+def _earlier_manifest(path: Path, config_hash: str):
+    """The stages, output paths and derived values of the manifest at
+    ``path``, or None when there is none, it does not parse as a manifest,
+    or it has another config hash."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(doc, dict) or doc.get("config_hash") != config_hash:
+        return None
+    stages, outputs, derived = doc.get("stages"), doc.get("outputs"), doc.get("derived")
+    if not (
+        isinstance(stages, list) and all(isinstance(s, dict) and isinstance(s.get("name"), str) for s in stages)
+        and isinstance(outputs, list) and all(isinstance(o, dict) and isinstance(o.get("path"), str) for o in outputs)
+        and isinstance(derived, dict)
+    ):
+        return None
+    return stages, [Path(o["path"]) for o in outputs], derived
 
 
 @contextmanager
@@ -174,11 +208,25 @@ def stage_simulate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
     calibration = manifest.derived.get("calibration")
     gradient = cfg.gradient_per_ma if calibration is None else calibration["gradient_per_ma_g_per_um"]
     record = run_sweep(cfg.plan, cfg.nv, cfg.wire, cfg.nv_axis, gradient)
+    # the profile spans x in [0, 1/(2 dK)); a coordinate outside it folds
+    # back into it, and the peak lands at a false position
+    field_of_view = 1.0 / (2.0 * record.metadata["delta_k_per_nm"])
+    plan = cfg.plan
+    x_nm = imaging_coordinate_nm(cfg.nv, plan.origin_um, plan.imaging_axis) + drift_trajectory(
+        plan.drift, record.t_hours, seed=plan.seed
+    )
+    if not np.all((x_nm >= 0.0) & (x_nm < field_of_view)):
+        raise AliasAmbiguityError(
+            f"the NV's imaging coordinate spans [{x_nm.min():.4f}, {x_nm.max():.4f}] nm, outside the "
+            f"field of view [0, {field_of_view:.4f}) nm = (n_points - 1)/(2 K_max); raise "
+            "plan.n_points or lower plan.i_max_ma"
+        )
     record_path = out / "record.csv"
     sidecar = save_record(record, record_path)
     manifest.add_output(record_path)
     manifest.add_output(sidecar)
     manifest.derived["k_max_per_nm"] = record.k_max
+    manifest.derived["field_of_view_nm"] = field_of_view
     _say(
         args,
         f"simulated {len(record)} K points up to K_max = {record.k_max:.4f} 1/nm "

@@ -8,9 +8,7 @@ dataclass's declaration.  Loading rejects unknown keys with their full path,
 holds every leaf to its declared type (``_convert``), and lets the domain
 types check their own invariants.  The canonical form of a loaded config
 (``RunConfig.resolved``) is serialized from the typed objects, and its
-SHA-256 is the run's config hash.  The plan holds its undersampling mask as
-the settings under ``plan.mask``, not as the sweep indices they make, so
-neither the canonical form nor its hash grows with ``n_points``.
+SHA-256 is the run's config hash.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .acquisition import AcquisitionPlan, CurrentNoiseModel, DriftModel, UndersamplingMask
+from .acquisition import AcquisitionPlan, CurrentNoiseModel, DriftModel
 from .errors import ConfigError, ConfigParseError, ValidationError
 from .field_model import MicrowireModel, NvAxis
 from .reconstruction import WINDOWS, profile_length
@@ -42,8 +40,7 @@ class RunConfig:
     ``calibration_csv`` is the path to open: relative paths in a config file
     are resolved against the file's directory.  The canonical form keeps
     ``calibration_csv_as_written``, so the hash does not depend on where the
-    config file sits.  ``plan.mask`` holds the undersampling mask as its
-    settings, which the canonical form echoes under ``plan.mask``.
+    config file sits.
     """
 
     nv: NvCenter
@@ -73,12 +70,10 @@ class RunConfig:
     @property
     def resolved(self) -> dict:
         """Canonical form: each top-level YAML key with its resolved value."""
-        doc = {}
-        for section, (_, path, _) in _SECTIONS.items():
-            if "." not in section:
-                obj = functools.reduce(getattr, path.split("."), self) if path else self
-                doc[section] = section_doc(section, obj)
-        return doc
+        return {
+            section: section_doc(section, functools.reduce(getattr, path.split("."), self) if path else self)
+            for section, (_, path, _) in _SECTIONS.items()
+        }
 
     @property
     def config_hash(self) -> str:
@@ -90,7 +85,6 @@ class RunConfig:
 # YAML section -> (the dataclass it fills, the attribute path of the built
 # object on RunConfig, {YAML key: field}).  None takes every field under its
 # own name; a single field name means the top-level YAML value is that field.
-# "plan.mask" is the mapping under plan's "mask" key.
 _SECTIONS = {
     "nv": (NvCenter, "nv", None),
     "nv_axis": (NvAxis, "nv_axis", "orientation"),
@@ -107,9 +101,8 @@ _SECTIONS = {
     "plan": (
         AcquisitionPlan,
         "plan",
-        {key: key for key in ("i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed", "mask")},
+        {key: key for key in ("i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed")},
     ),
-    "plan.mask": (UndersamplingMask, "plan.mask", None),
     "drift": (DriftModel, "plan.drift", None),
     "current_noise": (CurrentNoiseModel, "plan.current_noise", None),
     "imaging": (AcquisitionPlan, "plan", {"origin_um": "origin_um", "axis": "imaging_axis"}),
@@ -141,20 +134,12 @@ def _keys(section: str) -> dict:
     return {name: name for name in _declared(builder)} if keys is None else keys
 
 
-def _own_keys(section: str) -> dict:
-    """YAML key -> field name of a mapping section, without the keys that
-    are sections of their own."""
-    return {key: name for key, name in _keys(section).items() if f"{section}.{key}" not in _SECTIONS}
-
-
-def key_tree(section: str | None = None) -> dict:
-    """The accepted YAML keys: each maps to its own key tree, or None for a leaf."""
-    if section is None:
-        names = [name for name in _SECTIONS if "." not in name]
-        return {name: None if isinstance(_SECTIONS[name][2], str) else key_tree(name) for name in names}
+def key_tree() -> dict:
+    """The accepted YAML keys: each section maps to its keys, each to None,
+    and a top-level leaf maps to None."""
     return {
-        key: key_tree(f"{section}.{key}") if f"{section}.{key}" in _SECTIONS else None
-        for key in _keys(section)
+        name: None if isinstance(keys, str) else dict.fromkeys(_keys(name))
+        for name, (_, _, keys) in _SECTIONS.items()
     }
 
 
@@ -170,18 +155,13 @@ def _check_keys(data: dict, tree: dict, path: str = "") -> None:
 
 
 def section_doc(section: str, obj):
-    """The YAML form of ``obj``, the object a section builds (None stays
-    None), with the keys that are sections of their own in their YAML form."""
+    """The YAML form of ``obj``, the object a section builds (None stays None)."""
     keys = _SECTIONS[section][2]
     if obj is None:
         return None
     if isinstance(keys, str):
         return to_plain(getattr(obj, keys))
-    return {
-        key: section_doc(f"{section}.{key}", getattr(obj, name))
-        if f"{section}.{key}" in _SECTIONS else to_plain(getattr(obj, name))
-        for key, name in _keys(section).items()
-    }
+    return {key: to_plain(getattr(obj, name)) for key, name in _keys(section).items()}
 
 
 def _finite_real(value) -> bool:
@@ -225,17 +205,13 @@ def _values(data: dict, section: str, derived=()) -> dict:
     """Field values of one section, typed, with defaults for absent keys.
 
     Fields named in ``derived`` may be absent or null (None) whatever their
-    declared type: the caller works them out from the other values.  A key
-    that is a section of its own is left to that section.
+    declared type: the caller works them out from the other values.
     """
     builder, _, keys = _SECTIONS[section]
     if isinstance(keys, str):  # a top-level leaf
         raw, keys = ({section: data[section]} if section in data else {}), {section: keys}
     else:
-        raw = data
-        for part in section.split("."):
-            raw = raw.get(part) or {}
-        keys = _own_keys(section)
+        raw, keys = data.get(section) or {}, _keys(section)
     declared = _declared(builder)
     values = {}
     for key, name in keys.items():  # every given value is checked before a missing key
@@ -281,7 +257,6 @@ def build_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             **_values(data, "imaging"),
             "sequence": sequence,
             "waveform_template": _build("waveform", waveform),
-            "mask": _build("plan.mask", _values(data, "plan.mask")),
             "drift": _build("drift", _values(data, "drift")),
             "current_noise": _build("current_noise", _values(data, "current_noise")),
         },

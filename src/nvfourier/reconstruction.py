@@ -29,11 +29,14 @@ prime passes.  The chirp and the chirp filter's spectrum depend on (n, z)
 alone and are cached per grid.  The result equals the DCT-I to round-off,
 not bit for bit with a real FFT of the even extension.
 
-Undersampling: ``fourier_reconstruct`` and ``fit_cosine`` place each sample
-at round(K/dK) on the uniform K grid from K = 0 (``_full_grid``).  Stride-masked
-records use their own compact spacing, giving an aliased profile that
-``disambiguate_alias`` unfolds against a coarse full prescan; block-masked
-records are zero-filled onto the sidecar's ``n_points``/``delta_k_per_nm`` grid.
+Gapped records: ``run_sweep`` acquires every ramp point, but a measured
+record can arrive with points missing.  ``fourier_reconstruct`` and
+``fit_cosine`` place each sample at round(K/dK) on the uniform K grid from
+K = 0 (``_full_grid``).  A record that keeps every stride-th point is
+uniform on its own compact spacing, giving an aliased profile that
+``disambiguate_alias`` unfolds against a coarse full prescan; a record with
+gaps in it is zero-filled onto the sidecar's ``n_points``/``delta_k_per_nm``
+grid.
 
 ``fit_cosine`` reads the position without a transform: it fits
 A cos(2*pi*K*x0 + phi) + c to the record's own K column, whose fitted
@@ -179,9 +182,10 @@ def _full_grid(record: KSpaceRecord) -> tuple[slice | np.ndarray, int, float]:
     their positions on it, its length and its spacing.
 
     Every sample sits at round(K/dK).  A record whose own K values are
-    uniform gives dK (stride masks land here: a compact grid with larger
-    dK); any other record takes dK and the grid length from its sidecar's
-    ``delta_k_per_nm`` and ``n_points``, and is refused without them.
+    uniform gives dK (a full sweep, or one that keeps every stride-th point:
+    a compact grid with larger dK); a gapped record takes dK and the grid
+    length from its sidecar's ``delta_k_per_nm`` and ``n_points``, and is
+    refused without them.
     """
     k = record.k_values
     if len(k) == 0:

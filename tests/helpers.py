@@ -87,7 +87,6 @@ def reference_plan(
     n_points=REF_N_POINTS,
     shot_noise=False,
     seed=20240901,
-    mask=nf.UndersamplingMask(),
     drift=None,
     current_noise=None,
     shots_per_point=1_000_000,
@@ -100,7 +99,6 @@ def reference_plan(
         n_points=n_points,
         sequence=seq,
         waveform_template=reference_waveform(seq.total_time_us),
-        mask=mask,
         shots_per_point=shots_per_point,
         shot_noise=shot_noise,
         seed=seed,
@@ -116,6 +114,25 @@ def simulate(x_nm=30.0, gradient_per_ma=REF_GRADIENT_PER_MA, t2_us=1200.0, **pla
     plan = reference_plan(**plan_kwargs)
     nv = reference_nv(x_nm, t2_us)
     return nf.run_sweep(plan, nv, gradient_per_ma=gradient_per_ma)
+
+
+def gapped(record, index):
+    """A noiseless full record cut to the sweep indices ``index``, as a
+    gapped measurement arrives: the sidecar keeps the full sweep's
+    ``n_points`` and ``delta_k_per_nm``, which place each sample back at
+    round(K/delta_k_per_nm)."""
+    return nf.KSpaceRecord(
+        k_values=record.k_values[index], currents=record.currents[index],
+        signals=record.signals[index], errors=record.errors[index],
+        t_hours=record.t_hours[index], metadata=dict(record.metadata),
+    )
+
+
+def block_indices(n_points, blocks, block_width):
+    """The sweep indices of ``blocks`` evenly spaced runs of ``block_width``
+    points; block b starts at round(b * n_points / blocks)."""
+    starts = np.round(np.arange(blocks) * n_points / blocks).astype(int)
+    return np.unique(np.minimum(starts[:, None] + np.arange(block_width), n_points - 1))
 
 
 def waveform_value(wf, seq, t_us):

@@ -6,6 +6,7 @@ is implemented exactly as stated; see notes in its docstring about the
 measured broadening of a one-pixel linear drift.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -233,3 +234,24 @@ def test_criterion_10_run_all_determinism(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
         compared += 1
     report(10, f"{compared} data files bit-identical across two runs at fixed seed")
+
+
+def test_criterion_11_paper_gradient(tmp_path):
+    # 13.5 G/um: 41.41 mA at 0.326 G/um per mA, on enough points that the
+    # field of view holds the NV at 30 nm
+    config = Path(__file__).parent.parent / "configs" / "gradient_13p5.yaml"
+    out = tmp_path / "out"
+    assert main(["run-all", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    gradient = derived["calibration"]["gradient_per_ma_g_per_um"] * 41.41
+    pixel = derived["reconstruction"]["pixel_nm"]
+    center = derived["reconstruction"]["center_nm"]
+    assert gradient == pytest.approx(13.5, abs=0.005)
+    assert pixel == pytest.approx(0.0529, abs=1e-4)
+    assert derived["field_of_view_nm"] > 2 * 30.0
+    assert abs(center - 30.0) <= pixel / 2
+    report(
+        11,
+        f"at {gradient:.2f} G/um: centre {center:.4f} nm (pixel {pixel:.4f} nm, "
+        f"field of view {derived['field_of_view_nm']:.1f} nm)",
+    )

@@ -6,7 +6,6 @@ import pytest
 
 import nvfourier as nf
 from nvfourier.acquisition import (
-    acquired_indices,
     drift_trajectory,
     k_per_ma,
     point_times_hours,
@@ -61,63 +60,9 @@ class TestKOfCurrent:
         assert np.allclose(diffs, diffs[0], rtol=1e-9)
 
 
-def indices(n_points, *args, **kwargs):
-    """The sweep indices a mask keeps in a reference plan of n_points."""
-    plan = reference_plan(n_points=n_points, mask=nf.UndersamplingMask(*args, **kwargs))
-    return acquired_indices(plan)
-
-
-class TestMasks:
-    def test_full(self):
-        assert indices(100, "full").tolist() == list(range(100))
-        assert reference_plan(n_points=100).mask == nf.UndersamplingMask("full")
-
-    def test_stride(self):
-        mask = indices(100, "stride", stride=4)
-        assert mask.dtype == np.int64 and len(mask) == 25
-        assert mask[:3].tolist() == [0, 4, 8]
-        assert indices(100, "stride", stride=99).tolist() == [0, 99]
-
-    def test_blocks(self):
-        mask = indices(1000, "blocks", blocks=5, block_width=20)
-        assert mask.dtype == np.int64 and len(mask) == 100
-        runs = np.split(np.asarray(mask), np.where(np.diff(mask) > 1)[0] + 1)
-        assert len(runs) == 5
-        assert all(len(r) == 20 for r in runs)
-        assert indices(100, "blocks", blocks=1, block_width=2).tolist() == [0, 1]
-
-    def test_empty_and_invalid(self):
-        with pytest.raises(ValidationError, match="stride strategy needs stride >= 1"):
-            nf.UndersamplingMask("stride")
-        with pytest.raises(ValidationError, match="unknown mask strategy"):
-            nf.UndersamplingMask("bogus")
-        with pytest.raises(ValidationError, match=r"blocks <= n_points \(101 > 100\)"):
-            indices(100, "blocks", blocks=101, block_width=1)
-        every = indices(100, "blocks", blocks=100, block_width=1)
-        assert every.tolist() == list(range(100))
-
-    def test_a_mask_keeps_at_least_two_points(self):
-        with pytest.raises(ValidationError, match=r"stride < n_points \(100 >= 100\)"):
-            indices(100, "stride", stride=100)
-        with pytest.raises(ValidationError, match="keeps only one point"):
-            indices(100, "blocks", blocks=1, block_width=1)
-
-    @pytest.mark.parametrize("spec", [
-        dict(strategy="full", stride=4),
-        dict(strategy="stride", stride=4, blocks=3),
-        dict(strategy="blocks", blocks=3, block_width=2, stride=4),
-    ], ids=["full-stride", "stride-blocks", "blocks-stride"])
-    def test_a_key_the_strategy_does_not_read_is_refused(self, spec):
-        with pytest.raises(ValidationError, match="strategy takes no"):
-            nf.UndersamplingMask(**spec)
-
-    def test_index_list_is_refused(self):
-        with pytest.raises(ValidationError, match="mask must be an UndersamplingMask"):
-            reference_plan(mask=[0, 3, 7])
-
-    def test_stale_mask_cannot_outlive_n_points(self):
-        # the plan holds the mask's settings, so a replaced n_points sweeps
-        # all of its own points up to the same K_max
+class TestPlan:
+    def test_replaced_n_points_sweeps_every_point(self):
+        # a replaced n_points sweeps all of its own points up to the same K_max
         plan = reference_plan()
         full = nf.run_sweep(plan, reference_nv(30.0), gradient_per_ma=0.326)
         for n_points in (1000, 100):
@@ -129,7 +74,7 @@ class TestMasks:
         # checked by the plan, before any array of that length is built
         with pytest.raises(ValidationError, match="n_points must be <= 1000000"):
             reference_plan(n_points=10**12)
-        assert len(indices(1_000_000)) == 1_000_000
+        assert len(sweep_currents(reference_plan(n_points=1_000_000))) == 1_000_000
 
 
 class TestDrift:
@@ -196,23 +141,6 @@ class TestRunSweep:
         assert np.max(np.abs(record.signals - expected)) < 1e-12
         np.testing.assert_array_equal(record.errors, np.zeros(len(record)))
 
-    def test_stride_mask_semantics(self):
-        n = 100
-        record = simulate(x_nm=30.0, n_points=n, mask=nf.UndersamplingMask("stride", stride=4))
-        assert len(record) == 25
-        full = simulate(x_nm=30.0, n_points=n)
-        np.testing.assert_array_equal(record.k_values, full.k_values[::4])
-        np.testing.assert_allclose(record.signals, full.signals[::4], atol=1e-15)
-
-    def test_order_independence(self):
-        # white current noise is keyed by sweep index: stride masks, run
-        # from the coarsest down, each reproduce the full sweep's points bitwise
-        kwargs = dict(n_points=60, seed=99, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
-        full = simulate(x_nm=25.0, **kwargs)
-        for stride in reversed(range(2, 60, 3)):
-            points = simulate(x_nm=25.0, mask=nf.UndersamplingMask("stride", stride=stride), **kwargs)
-            assert points.signals.tobytes() == full.signals[::stride].tobytes()
-
     def test_noise_streams_built_only_when_noise_is_on(self, monkeypatch):
         streams = []
         default_rng = np.random.default_rng
@@ -228,29 +156,18 @@ class TestRunSweep:
         simulate(x_nm=30.0, n_points=40, seed=7, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
         assert streams == [[7, nf.acquisition._STREAM_CURRENT]]
         streams.clear()
-        # shot noise: one stream for the whole sweep, masked or not
+        # shot noise: one stream for the whole sweep
         simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True, shots_per_point=10**6)
-        simulate(x_nm=30.0, n_points=40, seed=7, shot_noise=True,
-                 mask=nf.UndersamplingMask("stride", stride=5))
-        assert streams == [[7, nf.acquisition._STREAM_SHOTS]] * 2
-
-    def test_noisy_stride_sweep_equals_full_sweep(self):
-        # white current noise depends only on the seed, n_points and the
-        # sweep index, so the stride-3 points are bitwise the full sweep's
-        kwargs = dict(n_points=90, seed=31, current_noise=nf.CurrentNoiseModel(white_sigma=0.01))
-        full = simulate(x_nm=25.0, **kwargs)
-        strided = simulate(x_nm=25.0, mask=nf.UndersamplingMask("stride", stride=3), **kwargs)
-        assert strided.signals.tobytes() == full.signals[::3].tobytes()
+        assert streams == [[7, nf.acquisition._STREAM_SHOTS]]
 
     def test_shot_totals_are_one_draw_over_the_acquired_points(self):
-        # the photon totals of a masked sweep are one poisson(lam) call on
-        # the sweep's shot stream, over the acquired points in order
-        shots, mask = 10_000, nf.UndersamplingMask("stride", stride=4)
+        # the photon totals of a sweep are one poisson(lam) call on the
+        # sweep's shot stream, over the points in sweep order
+        shots = 10_000
         nv = reference_nv(25.0)
         a, b = nv.contrast_alpha, nv.yield_beta
-        clean = simulate(x_nm=25.0, n_points=60, shots_per_point=shots, mask=mask)
-        noisy = simulate(x_nm=25.0, n_points=60, shots_per_point=shots, mask=mask,
-                         shot_noise=True, seed=8)
+        clean = simulate(x_nm=25.0, n_points=60, shots_per_point=shots)
+        noisy = simulate(x_nm=25.0, n_points=60, shots_per_point=shots, shot_noise=True, seed=8)
         lam = b * (1.0 + a * clean.signals) / (1.0 + a) * shots
         totals = np.random.default_rng([8, nf.acquisition._STREAM_SHOTS]).poisson(lam)
         np.testing.assert_allclose(noisy.signals, ((1.0 + a) * totals / shots / b - 1.0) / a,
@@ -352,7 +269,7 @@ class TestRunSweep:
 
     def test_timestamps(self):
         plan = reference_plan(n_points=10, shots_per_point=1_000_000)
-        times = point_times_hours(plan, 10)
+        times = point_times_hours(plan)
         dwell = 1_000_000 * 500e-6 / 3600.0
         np.testing.assert_allclose(times, np.arange(10) * dwell, rtol=1e-12)
 

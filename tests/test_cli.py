@@ -10,12 +10,12 @@ import pytest
 import yaml
 
 from nvfourier import cli, errors
-from nvfourier.acquisition import run_sweep, save_record
+from nvfourier.acquisition import load_record, run_sweep, save_record
 from nvfourier.cli import Manifest, main
 from nvfourier.config import _LOADER, key_tree, load_config
 from nvfourier.errors import ConfigError, ConfigParseError
 
-from helpers import minimal_config_dict
+from helpers import block_indices, gapped, minimal_config_dict
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
@@ -46,10 +46,7 @@ ACCEPTED_KEYS = {
     "calibration_csv": None,
     "sequence": dict.fromkeys(["total_time_us", "pi_pulse_time_us", "sync_offset_us", "pi_fidelity"]),
     "waveform": dict.fromkeys(["shape", "period_us", "active_fraction", "antisymmetric"]),
-    "plan": {
-        **dict.fromkeys(["i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed"]),
-        "mask": dict.fromkeys(["strategy", "stride", "blocks", "block_width"]),
-    },
+    "plan": dict.fromkeys(["i_max_ma", "n_points", "shots_per_point", "shot_noise", "seed"]),
     "drift": dict.fromkeys([
         "linear_rate_nm_per_hour", "random_walk_sigma_nm_per_sqrt_hour",
         "temperature_coupling_nm_per_k", "temperature_amplitude_k", "temperature_period_hours",
@@ -418,38 +415,35 @@ class TestCliCommands:
         assert not (tmp_path / "o" / "record.csv").exists()
 
     def test_more_blocks_than_points_is_one_config_line(self, tmp_path, capsys):
+        # a sweep acquires every point of its ramp: plan.mask is no key
         data = minimal_config_dict()
         n_points = data["plan"]["n_points"]
         data["plan"]["mask"] = {"strategy": "blocks", "blocks": n_points + 1, "block_width": 1}
         config = write_config(tmp_path, data)
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "config-validation: plan: mask: blocks strategy needs blocks <= n_points"
-            f" ({n_points + 1} > {n_points})"
-        ]
+        assert capsys.readouterr().err.splitlines() == ["config-validation: unknown key 'mask' at plan.mask"]
 
     @pytest.mark.parametrize(
-        "mask, line",
+        "mask",
         [
-            ({"strategy": "stride", "stride": 1000},
-             "plan: mask: stride strategy needs stride < n_points (1000 >= 458)"),
-            ({"strategy": "blocks", "blocks": 1, "block_width": 1},
-             "plan: mask: blocks = block_width = 1 keeps only one point"),
-            ({"strategy": "full", "stride": 4}, "plan.mask: full strategy takes no stride"),
-            ({"strategy": "stride", "stride": 4, "blocks": 3}, "plan.mask: stride strategy takes no blocks"),
+            {"strategy": "stride", "stride": 1000},
+            {"strategy": "blocks", "blocks": 1, "block_width": 1},
+            {"strategy": "full", "stride": 4},
+            {"strategy": "stride", "stride": 4, "blocks": 3},
         ],
         ids=["stride-1000", "one-block-of-one", "full-with-stride", "stride-with-blocks"],
     )
-    def test_mask_of_one_point_or_an_unread_key_is_one_config_line(self, tmp_path, capsys, mask, line):
-        # refused at load, before calibrate or simulate write anything
+    def test_mask_of_one_point_or_an_unread_key_is_one_config_line(self, tmp_path, capsys, mask):
+        # whatever it holds, plan.mask is refused at load, before calibrate
+        # or simulate write anything
         data = copy.deepcopy(DEFAULT_DATA)
         data["plan"]["mask"] = mask
         config = write_config(tmp_path, data)
         rc = main(["run-all", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
-        assert capsys.readouterr().err.splitlines() == [f"config-validation: {line}"]
-        assert not (tmp_path / "o" / "record.csv").exists()
+        assert capsys.readouterr().err.splitlines() == ["config-validation: unknown key 'mask' at plan.mask"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("leaf", list(DEFAULT_LEAVES), ids=".".join)
     def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys, leaf):
@@ -662,6 +656,15 @@ def _simulated_record(tmp_path, data):
     return config, out
 
 
+def _blocks_record(tmp_path):
+    """The minimal config's record cut to 4 blocks of 10 sweep points, saved
+    over the simulated one."""
+    config, out = _simulated_record(tmp_path, minimal_config_dict())
+    record = load_record(out / "record.csv")
+    save_record(gapped(record, block_indices(len(record), blocks=4, block_width=10)), out / "record.csv")
+    return config, out
+
+
 def _cosine_config():
     data = minimal_config_dict()
     data["sequence"]["total_time_us"] = 80.0
@@ -698,9 +701,7 @@ def test_fit_cosine_reads_only_the_record(tmp_path, capsys):
     ],
 )
 def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, value, message):
-    data = minimal_config_dict()
-    data["plan"]["mask"] = {"strategy": "blocks", "blocks": 4, "block_width": 10}
-    config, out = _simulated_record(tmp_path, data)
+    config, out = _blocks_record(tmp_path)
     side = out / "record.meta.json"
     if key is not None:
         meta = json.loads(side.read_text())
@@ -715,16 +716,14 @@ def test_bad_k_grid_sidecar_value_is_one_metadata_line(tmp_path, capsys, key, va
 
 
 # profile.csv of the blocks record below, as written when the sidecar still
-# held the mask's index list
+# held the acquired sweep indices
 BLOCKS_PROFILE_SHA256 = "67baa0e15dbfee18895bde8e38a85b466b4e9f5eee19dd21c0dafe072af41395"
 
 
 def test_blocks_record_reconstructs_without_the_sidecar_mask(tmp_path):
     # the sidecar holds no index list: the K column and the sidecar's grid
     # keys place a gapped record at round(K/delta_k_per_nm)
-    data = minimal_config_dict()
-    data["plan"]["mask"] = {"strategy": "blocks", "blocks": 4, "block_width": 10}
-    config, out = _simulated_record(tmp_path, data)
+    config, out = _blocks_record(tmp_path)
     assert "mask" not in read_strict_json(out / "record.meta.json")
     assert main(["reconstruct", "--config", str(config), "--out", str(out), "--quiet"]) == 0
     assert hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest() == BLOCKS_PROFILE_SHA256
@@ -737,8 +736,8 @@ def _numbers_zeroed(text):
 
 
 def test_sidecar_and_manifest_do_not_grow_with_n_points(tmp_path):
-    # the sidecar holds no mask index list, and the manifest echoes the
-    # mask's settings: the two sweeps differ only in the digits of numbers
+    # the sidecar holds no index list: the two sweeps differ only in the
+    # digits of numbers
     sidecars, manifests = [], []
     for n_points in (458, 20_000):
         data = copy.deepcopy(DEFAULT_DATA)
@@ -748,11 +747,7 @@ def test_sidecar_and_manifest_do_not_grow_with_n_points(tmp_path):
         for sub in ("simulate", "sensitivity"):
             assert main([sub, "--config", str(config), "--out", str(out), "--quiet"]) == 0
         sidecars.append((out / "record.meta.json").read_text())
-        manifest = (out / "manifest.json").read_text()
-        assert read_strict_json(out / "manifest.json")["config"]["plan"]["mask"] == {
-            "strategy": "full", "stride": None, "blocks": None, "block_width": None
-        }
-        manifests.append(manifest)
+        manifests.append((out / "manifest.json").read_text())
     assert _numbers_zeroed(sidecars[0]) == _numbers_zeroed(sidecars[1])
     assert _numbers_zeroed(manifests[0]) == _numbers_zeroed(manifests[1])
     assert len(sidecars[1]) < 2048
@@ -792,6 +787,7 @@ class TestRunAll:
         manifest = json.loads((out / "manifest.json").read_text())
         derived = manifest["derived"]
         assert derived["k_max_per_nm"] == pytest.approx(2.2834, rel=5e-3)
+        assert derived["field_of_view_nm"] == pytest.approx(457 / (2.0 * derived["k_max_per_nm"]), rel=1e-12)
         assert derived["reconstruction"]["center_nm"] == pytest.approx(30.0, abs=0.11)
         assert 0.22 <= derived["reconstruction"]["fwhm_nm"] <= 0.44
         resolution = derived["reconstruction"]
@@ -843,6 +839,86 @@ class TestManifestStage:
         assert [list(s) for s in manifest.stages] == [["name", "seconds"]]
         assert manifest.stages[0]["name"] == "simulate"
         assert manifest.stages[0]["seconds"] >= 0.0
+
+
+class TestManifestMerge:
+    def test_simulate_then_reconstruct_lists_both(self, tmp_path):
+        config = write_config(tmp_path, minimal_config_dict())
+        out = tmp_path / "out"
+        for sub in ("simulate", "reconstruct"):
+            assert main([sub, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        manifest = read_strict_json(out / "manifest.json")
+        assert [stage["name"] for stage in manifest["stages"]] == ["simulate", "reconstruct"]
+        listed = {Path(entry["path"]).name: entry for entry in manifest["outputs"]}
+        assert {"record.csv", "record.meta.json", "profile.csv", "peak_fit.json"} <= set(listed)
+        for entry in manifest["outputs"]:
+            assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+        assert {"k_max_per_nm", "field_of_view_nm", "reconstruction"} <= set(manifest["derived"])
+
+    def test_a_rerun_stage_replaces_its_entry(self, tmp_path):
+        config = write_config(tmp_path, minimal_config_dict())
+        out = tmp_path / "out"
+        for sub in ("simulate", "sensitivity", "simulate"):
+            assert main([sub, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        manifest = read_strict_json(out / "manifest.json")
+        assert [stage["name"] for stage in manifest["stages"]] == ["sensitivity", "simulate"]
+        paths = [entry["path"] for entry in manifest["outputs"]]
+        assert len(paths) == len(set(paths)) == 3
+
+    def test_another_config_starts_a_fresh_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        first = write_config(tmp_path, minimal_config_dict(), name="first.yaml")
+        assert main(["simulate", "--config", str(first), "--out", str(out), "--quiet"]) == 0
+        data = minimal_config_dict()
+        data["sensitivity"] = {"sigma_s": 0.05}
+        second = write_config(tmp_path, data, name="second.yaml")
+        assert main(["sensitivity", "--config", str(second), "--out", str(out), "--quiet"]) == 0
+        manifest = read_strict_json(out / "manifest.json")
+        assert [stage["name"] for stage in manifest["stages"]] == ["sensitivity"]
+        assert [Path(entry["path"]).name for entry in manifest["outputs"]] == ["sensitivity.json"]
+        assert set(manifest["derived"]) == {"sensitivity"}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[1, 2]", '{"config_hash": "@hash", "stages": [["simulate"]], "outputs": [], "derived": {}}',
+         '{"config_hash": "@hash", "stages": [], "outputs": [{"path": 5}], "derived": {}}'],
+        ids=["not-json", "not-an-object", "bad-stage", "bad-output"],
+    )
+    def test_a_corrupt_manifest_is_replaced(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, minimal_config_dict())
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text.replace("@hash", load_config(config).config_hash))
+        assert main(["sensitivity", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = read_strict_json(out / "manifest.json")
+        assert [stage["name"] for stage in manifest["stages"]] == ["sensitivity"]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # 13.5 G/um on the shipped 458 points: a 24.2 nm field of view
+        {"plan": {"i_max_ma": 41.41}},
+        # 16.5 h of 1 nm/h drift moves the NV from 12 nm past the 26 nm field of view
+        {"drift": {"linear_rate_nm_per_hour": 1.0}},
+    ],
+    ids=["paper-gradient-on-458-points", "drift-out-of-view"],
+)
+def test_sweep_outside_its_field_of_view_is_one_alias_line(tmp_path, capsys, changes):
+    data = minimal_config_dict()
+    if "plan" in changes:
+        data = copy.deepcopy(DEFAULT_DATA) | {"calibration_csv": str(CALIBRATION_CSV)}
+    for section, values in changes.items():
+        data.setdefault(section, {}).update(values)
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    rc = main(["run-all", "--config", str(config), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("alias-ambiguity: ") and "field of view" in err[0], err
+    assert not (out / "record.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 class TestEnvOutputDir(object):

@@ -2,9 +2,9 @@
 
 Each record case builds a plan from the shipped reference config, runs the sweep,
 writes the record with ``save_record`` and hashes the CSV and the sidecar
-bytes.  Together the cases cover noiseless and shot-noise sweeps, full,
-stride and blocks masks, every drift term under the wire geometry with
-modulated and white current noise, and a dense sweep.  A change that moves
+bytes.  Together the cases cover noiseless and shot-noise sweeps, every
+drift term under the wire geometry with modulated and white current noise,
+and a dense sweep.  A change that moves
 any record byte must re-pin these digests and say so in CHANGES.md.
 
 The config hashes pin the canonical config of the minimal test config and of
@@ -44,19 +44,6 @@ def _shot_noise(cfg):
     return plan, {"gradient_per_ma": _reference_gradient(cfg)}
 
 
-def _stride(cfg):
-    mask = nf.UndersamplingMask("stride", stride=4)
-    plan = replace(cfg.plan, mask=mask, shot_noise=True, shots_per_point=5000, seed=12)
-    return plan, {"gradient_per_ma": _reference_gradient(cfg)}
-
-
-def _blocks(cfg):
-    mask = nf.UndersamplingMask("blocks", blocks=5, block_width=20)
-    noise = nf.CurrentNoiseModel(white_sigma=0.002)
-    plan = replace(cfg.plan, mask=mask, current_noise=noise, seed=13)
-    return plan, {"gradient_per_ma": _reference_gradient(cfg)}
-
-
 def _drift_wire(cfg):
     drift = nf.DriftModel(
         linear_rate_nm_per_hour=0.004,
@@ -88,16 +75,6 @@ CASES = {
         _shot_noise,
         "1ca94f8a477e0ebb5e294f44809d7d48aad2db4b7dd0961e730d8e8f2eebe01c",
         "03a43cea183c1b1d0ebc55809dca11d8872e6676235d3f53eeb61115b55d3831",
-    ),
-    "stride": (
-        _stride,
-        "c0573f4d9053be0404c31e376fda4cb16381cd9e246705e7da039261007d3388",
-        "426c878c5e8fe1b43b8d7a9a216c49ce8bf3c1268ddb782a7999ff69e0666386",
-    ),
-    "blocks": (
-        _blocks,
-        "8647289885ddf6309ca80859f65cf6b6d13ad0154770396b358247a103102f39",
-        "68e1b1c195e330d9863c82ee4541ffd2c868e9ee495b8f78ab1746d60e9c86fb",
     ),
     "drift_wire": (
         _drift_wire,
@@ -132,8 +109,8 @@ def test_record_digest(name, tmp_path):
 
 
 CONFIG_HASHES = {
-    "minimal": "2df3c50469e222ad83dc462d8d5703c2664e63a73bd9ca302d9412c19084b9f2",
-    "default_run": "2a72d5333b9c8711afa353112640cc5f822bc1ce456c9e59eee429d66c38dc04",
+    "minimal": "ea78cfe84ce873ea4aff35c5c5003a7482d7c22e31b653b72ee09e2ae191e25b",
+    "default_run": "efc579ca70894c61771559d95e96e733d935267ff8501fdd485c01f65a6bbc16",
 }
 
 RUN_ALL_DIGESTS = {

@@ -20,7 +20,15 @@ from nvfourier.errors import (
 )
 from nvfourier.reconstruction import lorentzian
 
-from helpers import REF_GRADIENT_PER_MA, dct_oracle, reference_nv, reference_plan, simulate
+from helpers import (
+    REF_GRADIENT_PER_MA,
+    block_indices,
+    dct_oracle,
+    gapped,
+    reference_nv,
+    reference_plan,
+    simulate,
+)
 
 
 def synthetic_record(signals, dk=0.005):
@@ -123,8 +131,7 @@ class TestFourierReconstruct:
 
     def test_block_mask_zero_fill(self):
         n = 458
-        mask = nf.UndersamplingMask("blocks", blocks=5, block_width=31)
-        record = simulate(x_nm=30.0, n_points=n, mask=mask)
+        record = gapped(simulate(x_nm=30.0, n_points=n), block_indices(n, blocks=5, block_width=31))
         profile = nf.fourier_reconstruct(record, zero_pad_factor=4)
         fit = nf.fit_lorentzian(profile)
         assert abs(fit.center_nm - 30.0) <= profile.pixel_size_nm / 2
@@ -172,8 +179,7 @@ class TestFourierReconstruct:
             nf.fourier_reconstruct(record)
 
     def test_mask_past_sidecar_n_points_rejected(self):
-        mask = nf.UndersamplingMask("blocks", blocks=5, block_width=31)
-        record = simulate(x_nm=30.0, mask=mask)
+        record = gapped(simulate(x_nm=30.0), block_indices(458, blocks=5, block_width=31))
         record.metadata["n_points"] = 300
         with pytest.raises(MetadataError, match="past n_points = 300"):
             nf.fourier_reconstruct(record)
@@ -291,8 +297,7 @@ class TestCosineFit:
 
     def test_block_masked_record(self):
         # the periodogram seed zero-fills the gaps on the sidecar's K grid
-        mask = nf.UndersamplingMask("blocks", blocks=4, block_width=40)
-        record = simulate(x_nm=30.0, mask=mask)
+        record = gapped(simulate(x_nm=30.0), block_indices(458, blocks=4, block_width=40))
         fit = nf.fit_cosine(record)
         pixel = nf.fourier_reconstruct(record).pixel_size_nm  # of the full grid
         assert abs(fit.implied_position_nm - 30.0) <= pixel / 20.0
@@ -352,8 +357,7 @@ class TestAliasDisambiguation:
 
     def test_unfold_stride4(self):
         x0 = 99.0
-        mask = nf.UndersamplingMask("stride", stride=4)
-        fine_record = simulate(x_nm=x0, mask=mask)
+        fine_record = gapped(simulate(x_nm=x0), slice(None, None, 4))
         fine = nf.fourier_reconstruct(fine_record, zero_pad_factor=4)
         # folded: the fine FOV is ~25 nm, so 99 nm wraps
         folded_peak = nf.fit_lorentzian(fine).center_nm
@@ -364,8 +368,7 @@ class TestAliasDisambiguation:
 
     def test_ambiguity_error(self):
         x0 = 99.0
-        mask = nf.UndersamplingMask("stride", stride=4)
-        fine = nf.fourier_reconstruct(simulate(x_nm=x0, mask=mask), zero_pad_factor=4)
+        fine = nf.fourier_reconstruct(gapped(simulate(x_nm=x0), slice(None, None, 4)), zero_pad_factor=4)
         # coarse scan so coarse that its pixel exceeds the alias period
         plan = reference_plan(n_points=60)
         blurry = nf.AcquisitionPlan(
