@@ -3,12 +3,13 @@ sensitivity into reproducible runs.
 
 Subcommands: calibrate, simulate, reconstruct, fit-cosine, sensitivity,
 run-all.  Each command is one session: it loads the config, resolves the
-output directory, runs its stages in order and writes the manifest, which a
-command that fails does not write.  Every stage takes ``(cfg, out, manifest,
-args)`` and reads every value that shapes its results from ``cfg``; ``args``
-gives only the input record (``--record``) and ``--quiet``.  The config file
-is the one place for those values, so every run is reproducible bit-exactly
-from (config, seed); the manifest records the config hash, per-stage
+output directory, runs its stages in order and writes the manifest.  A
+command that fails writes no manifest and removes the files its finished
+stages wrote.  Every stage takes ``(cfg, out, manifest, args)`` and reads
+every value that shapes its results from ``cfg``; ``args`` gives only the
+input record (``--record``) and ``--quiet``.  The config file is the one
+place for those values, so every run is reproducible bit-exactly from
+(config, seed); the manifest records the config hash, per-stage
 timings and a SHA-256 inventory of every output file (timings and
 timestamps are the only non-deterministic manifest fields).  A command
 whose directory already holds a manifest of the same config hash adds to
@@ -140,8 +141,9 @@ def _earlier_manifest(path: Path, config_hash: str):
 @contextmanager
 def _session(args):
     """Load the config (with --seed), resolve the output directory and start
-    the manifest; write the manifest when the body finishes, not when it
-    raises.  The directory is made by the first file written to it."""
+    the manifest.  Write it when the body finishes; when the body raises,
+    remove the files it lists, which this command wrote, and write none.
+    The directory is made by the first file written to it."""
     if not args.config:
         raise UsageError("--config PATH is required")
     cfg = load_config(args.config)
@@ -149,7 +151,12 @@ def _session(args):
         cfg.plan = replace(cfg.plan, seed=int(args.seed))
     out = Path(args.out or os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir)
     manifest = Manifest(cfg)
-    yield cfg, out, manifest
+    try:
+        yield cfg, out, manifest
+    except BaseException:
+        for path in manifest.outputs:
+            path.unlink(missing_ok=True)
+        raise
     manifest.write(out / "manifest.json")
 
 

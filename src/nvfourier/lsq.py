@@ -1,8 +1,7 @@
 """Levenberg-Marquardt least squares with an analytic Jacobian.
 
-The one solver of the package: the Lorentzian and cosine fits of
-``reconstruction`` and the wire calibration of ``field_model`` all call
-``curve_fit``.  It needs numpy only.
+``curve_fit`` fits the Lorentzian peak of ``reconstruction`` and calibrates
+the wire of ``field_model``.  It needs numpy only.
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ gaps in it is zero-filled onto the sidecar's ``n_points``/``delta_k_per_nm``
 grid.
 
 ``fit_cosine`` reads the position without a transform: it fits
-A cos(2*pi*K*x0 + phi) + c to the record's own K column, whose fitted
-frequency is x0 in nm.
+a cos(2*pi*K*x0) + c, phase zero at K = 0, to the record's own K column,
+whose fitted frequency is x0 in nm.
 """
 
 from __future__ import annotations
@@ -57,14 +57,15 @@ from .errors import (
     AliasAmbiguityError,
     DegenerateFitError,
     EmptyRecordError,
+    FitConvergenceError,
     InsufficientSpanError,
     MetadataError,
     NoPeakError,
     NonUniformKError,
     ValidationError,
 )
-# both fits look curve_fit up on this module at call time, so a wrapper set
-# on reconstruction.curve_fit sees every evaluation of their models
+# fit_lorentzian looks curve_fit up on this module at call time, so a wrapper
+# set on reconstruction.curve_fit sees every evaluation of its model
 from .lsq import curve_fit
 from .serialize import to_plain, write_csv, write_json
 
@@ -85,10 +86,10 @@ _PLAN_CACHE_SIZE = 4
 # relative tolerance for the uniform-K-grid check
 _GRID_RTOL = 1e-9
 
-# residual norm, relative to the mean-subtracted signal, at or below which a
-# cosine fit counts as exact; noiseless 60-point sweeps (0.6-1.0 mA, NV at
-# 26-46 nm) fit to at most 1.4e-11
-_EXACT_FIT_RTOL = 1e-6
+# fit_cosine stops once a Gauss-Newton step moves x0 by at most this fraction
+# of it: 3-6 steps on a noisy shipped sweep, <= 10 over the scipy oracle's domain
+_COSINE_XTOL = 1e-12
+_COSINE_MAX_STEPS = 20
 
 # sideband_analysis: a satellite must reach this fraction of the main peak;
 # a left/right pair must match in offset within this many grid steps; and
@@ -136,11 +137,10 @@ class PeakFit:
 
 @dataclass
 class CosineFit:
-    """Cosine fit of a raw K sweep: A*cos(2*pi*K*x0 + phi) + c, x0 in nm."""
+    """Cosine fit of a raw K sweep: a*cos(2*pi*K*x0) + c, x0 in nm."""
 
     model: ClassVar[str] = "cosine"
 
-    phase_rad: float
     amplitude: float
     offset: float
     implied_position_nm: float
@@ -410,37 +410,26 @@ def fit_lorentzian(
     )
 
 
-def _cosine(k, amplitude, frequency, phase, offset):
-    return amplitude * np.cos(2.0 * np.pi * frequency * k + phase) + offset
-
-
-def _cosine_jac(k, amplitude, frequency, phase, offset):
-    theta = 2.0 * np.pi * frequency * k + phase
-    slope = -amplitude * np.sin(theta)
-    jac = np.empty((4, len(k)))  # filled as _lorentzian_jac's, for the same layout
-    jac[0] = np.cos(theta)
-    jac[1] = (2.0 * np.pi) * k * slope
-    jac[2] = slope
-    jac[3] = 1.0
-    return jac.T
-
-
 def fit_cosine(record: KSpaceRecord) -> CosineFit:
-    """Cosine fit of signal vs K, for single-oscillation raw sweeps.
+    """Fit a*cos(2*pi*K*x0) + c to a raw sweep's signal vs K; x0 is the NV
+    position in nm (Rife and Boorstyn, IEEE Trans. Inf. Theory 20, 591
+    (1974)).  The phase is zero at K = 0, where no current flows.
 
-    The signal is cos(2*pi*K*x0), so the fitted frequency in cycles per
-    (1/nm) is the NV position x0 in nm (single-tone estimation: Rife and
-    Boorstyn, IEEE Trans. Inf. Theory 20, 591 (1974)); no sidecar key is
-    read for a record on a uniform K grid.  The initial frequency comes from
-    the dominant bin of the periodogram of the mean-subtracted signal on the
-    K grid ``fourier_reconstruct`` places it on (``_full_grid``), or at its
-    mean K spacing where that grid is refused.
+    x0 starts at the tallest bin of the zero-padded periodogram on
+    ``fourier_reconstruct``'s K grid (``_full_grid``, or the mean K spacing
+    where that grid is refused), and (a, c) at their linear least squares
+    there.  Undamped Gauss-Newton steps follow: each sums its 3x3 normal
+    equations by numpy's pairwise ``sum`` and solves them by Cramer's rule
+    in Python floats, so no BLAS kernel moves a bit.  The step that moves x0
+    by at most ``_COSINE_XTOL`` of it is the last; the cofactors where it
+    lands give the standard errors, the diagonal of inv(JᵀJ)·RSS/(n - 3).
     """
     n = len(record)
     if n < 6:
         raise InsufficientSpanError(f"cosine fit needs >= 6 points, got {n}")
-    k = record.k_values
-    s = record.signals
+    k, s = record.k_values, record.signals
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("cosine fit needs finite signals")
     centered = s - float(np.mean(s))
     scale = max(float(np.max(np.abs(s))), 1.0)
     if float(np.max(np.abs(centered))) <= 1e-12 * scale:
@@ -448,53 +437,57 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     span = float(k[-1] - k[0])  # > 0: a record's K values increase
 
     # zero-padded periodogram, gaps zero-filled: near-Nyquist sweeps need the
-    # finer initial frequency to land in the right least-squares basin
+    # finer start to land in the right least-squares basin
     try:
         where, n_grid, dk = _full_grid(record)
     except (MetadataError, NonUniformKError, ValidationError):
         where, n_grid, dk = slice(None), n, span / (n - 1)
     placed = np.zeros(n_grid)
     placed[where] = centered
-    n_pad = 8 * n_grid
-    transform = np.fft.rfft(placed, n=n_pad)
-    spectrum = np.abs(transform)
-    bin_idx = int(np.argmax(spectrum[1:])) + 1
-    f0 = bin_idx / (n_pad * dk)
-    phase0 = float(np.angle(transform[bin_idx]))
-    amp0 = 2.0 * float(spectrum[bin_idx]) / n
-    p0 = [amp0, f0, phase0, float(np.mean(s))]
-    popt, pcov = curve_fit(_cosine, k, s, p0, _cosine_jac)
-    amp, freq, phase, offset = popt
-    if amp < 0:
-        amp, phase = -amp, phase + math.pi
-    if freq < 0:
-        freq, phase = -freq, -phase
-    phase = math.remainder(phase, 2.0 * math.pi)
-    residual_norm = float(np.linalg.norm(s - _cosine(k, amp, freq, phase, offset)))
-    perr = np.sqrt(np.maximum(np.diag(pcov), 0.0))
-    if residual_norm <= _EXACT_FIT_RTOL * float(np.linalg.norm(centered)):
-        # an exact fit has no residual variance to scale the covariance by,
-        # whether or not JᵀJ could be inverted
-        perr = np.zeros_like(perr)
-    if not np.isfinite(perr[0]) or (perr[0] > 0 and abs(amp) < perr[0]):
+    spectrum = np.abs(np.fft.rfft(placed, n=8 * n_grid))
+    x0 = (int(np.argmax(spectrum[1:])) + 1) / (8 * n_grid * dk)
+    two_pi_k = 2.0 * np.pi * k
+    u = np.cos(two_pi_k * x0)
+    su, suu, ss, sus = (float(v.sum()) for v in (u, u * u, s, u * s))
+    det = n * suu - su * su
+    if det <= 0.0:
+        raise DegenerateFitError("cosine fit start has a singular basis")
+    a, c = (n * sus - su * ss) / det, (suu * ss - su * sus) / det
+
+    # the pass after the last step takes none: its residual and cofactors
+    # give the RSS and the standard errors
+    step = math.inf
+    for steps in range(_COSINE_MAX_STEPS + 1):
+        theta = two_pi_k * x0
+        u = np.cos(theta)
+        g = (-a) * two_pi_k * np.sin(theta)  # d(model)/d(x0)
+        r = s - (a * u + c)
+        m00, m01, m02 = float((g * g).sum()), float((g * u).sum()), float(g.sum())
+        m11, m12 = float((u * u).sum()), float(u.sum())
+        # cofactors of the symmetric JᵀJ, whose third diagonal entry is n
+        c00, c01, c02 = m11 * n - m12 * m12, m02 * m12 - m01 * n, m01 * m12 - m11 * m02
+        c11, c12, c22 = m00 * n - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01
+        det = m00 * c00 + m01 * c01 + m02 * c02
+        if not 0.0 < det < math.inf:
+            raise DegenerateFitError("cosine fit normal equations are singular")
+        if abs(step) <= _COSINE_XTOL * abs(x0):
+            break
+        if steps == _COSINE_MAX_STEPS:
+            raise FitConvergenceError(f"cosine fit did not converge in {steps} steps")
+        b0, b1, b2 = float((g * r).sum()), float((u * r).sum()), float(r.sum())
+        step = (c00 * b0 + c01 * b1 + c02 * b2) / det
+        x0 += step
+        a += (c01 * b0 + c11 * b1 + c12 * b2) / det
+        c += (c02 * b0 + c12 * b1 + c22 * b2) / det
+
+    rss = float((r * r).sum())
+    sd_x0, sd_a, sd_c = (math.sqrt(max(cof / det * rss / (n - 3), 0.0)) for cof in (c00, c11, c22))
+    if abs(a) < sd_a:
         raise DegenerateFitError("fitted amplitude indistinguishable from zero")
-    if freq * span < 0.8:
-        raise InsufficientSpanError(
-            f"record spans {freq * span:.2f} oscillation periods; need >= 1"
-        )
-    return CosineFit(
-        phase_rad=float(phase),
-        amplitude=float(amp),
-        offset=float(offset),
-        implied_position_nm=float(freq),
-        uncertainties={
-            "implied_position_nm": float(perr[1]),
-            "amplitude": float(perr[0]),
-            "phase_rad": float(perr[2]),
-            "offset": float(perr[3]),
-        },
-        residual_norm=residual_norm,
-    )
+    if x0 * span < 0.8:
+        raise InsufficientSpanError(f"record spans {x0 * span:.2f} oscillation periods; need >= 1")
+    uncertainties = {"implied_position_nm": sd_x0, "amplitude": sd_a, "offset": sd_c}
+    return CosineFit(a, c, x0, uncertainties, residual_norm=math.sqrt(rss))
 
 
 # ---------------------------------------------------------------------------

@@ -356,10 +356,9 @@ class TestCliCommands:
         assert main(["fit-cosine", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         doc = read_strict_json(out / "cosine_fit.json")
         assert set(doc) == {
-            "model", "phase_rad", "amplitude", "offset", "implied_position_nm",
-            "uncertainties", "residual_norm",
+            "model", "amplitude", "offset", "implied_position_nm", "uncertainties", "residual_norm",
         }
-        assert set(doc["uncertainties"]) == {"implied_position_nm", "amplitude", "phase_rad", "offset"}
+        assert set(doc["uncertainties"]) == {"implied_position_nm", "amplitude", "offset"}
         assert doc["implied_position_nm"] == pytest.approx(100.0, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -917,8 +916,9 @@ def test_sweep_outside_its_field_of_view_is_one_alias_line(tmp_path, capsys, cha
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("alias-ambiguity: ") and "field of view" in err[0], err
-    assert not (out / "record.csv").exists()
-    assert not (out / "manifest.json").exists()
+    # the calibrate stage finished before simulate refused; its files go too
+    for name in ("record.csv", "manifest.json", "calibration_report.json", "gradient_curve.csv"):
+        assert not (out / name).exists(), name
 
 
 class TestEnvOutputDir(object):

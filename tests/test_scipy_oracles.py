@@ -3,9 +3,12 @@
 ``fourier_reconstruct`` computes its DCT-I as a chirp-z transform, so its
 profile must equal ``scipy.fft.dct(type=1)`` to a bound derived from FFT
 round-off.  ``lsq.curve_fit`` is an in-house
-Levenberg-Marquardt solver; both peak fits must land where scipy's MINPACK
-``curve_fit`` lands, with no more residual, and the wire calibration where
-scipy's fit to the same weighted model lands when run to convergence.
+Levenberg-Marquardt solver; the Lorentzian fit must land where scipy's
+MINPACK ``curve_fit`` lands, with no more residual, and the wire calibration
+where scipy's fit to the same weighted model lands when run to convergence.
+``fit_cosine``'s Gauss-Newton steps must land where scipy's
+``least_squares`` on the same phase-anchored model lands, with no more
+residual.
 
 The Lorentzian comparison runs on unwindowed profiles at zero-pad 2 and
 above, where the main lobe spans several grid steps and the fit has a
@@ -24,12 +27,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
-from scipy.optimize import curve_fit as scipy_curve_fit
+from scipy.optimize import curve_fit as scipy_curve_fit, least_squares
 
 import nvfourier as nf
 from nvfourier import lsq, reconstruction
 from nvfourier.config import load_config
-from nvfourier.errors import DegenerateFitError, FitConvergenceError
+from nvfourier.errors import FitConvergenceError
 from nvfourier.field_model import load_calibration_csv
 
 from helpers import dct_oracle
@@ -183,44 +186,42 @@ def test_fit_lorentzian_matches_scipy(n, x0_frac, sigma_pixels, noise, zero_pad,
     assert ours.uncertainties == pytest.approx(theirs.uncertainties, rel=1e-2)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(20, 120),
     k_max=st.floats(0.5, 10.0),
     periods_frac=st.floats(0.0, 1.0),
     amplitude=st.floats(0.05, 1.0),
-    phase=st.floats(-math.pi, math.pi),
     offset=st.floats(-0.5, 0.5),
     noise_frac=st.floats(0.0, 0.1),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(
-    n=60, k_max=0.6, periods_frac=0.1, amplitude=0.08, phase=0.0, offset=0.9, noise_frac=0.0, seed=0
-)
-def test_fit_cosine_matches_scipy(
-    n, k_max, periods_frac, amplitude, phase, offset, noise_frac, seed
-):
+@example(n=60, k_max=0.6, periods_frac=0.1, amplitude=0.08, offset=0.9, noise_frac=0.0, seed=0)
+# one period across the sweep, and 0.45 cycles per step
+@example(n=20, k_max=0.5, periods_frac=0.0, amplitude=0.05, offset=0.5, noise_frac=0.1, seed=1)
+@example(n=120, k_max=10.0, periods_frac=1.0, amplitude=0.05, offset=-0.5, noise_frac=0.1, seed=2)
+def test_fit_cosine_matches_scipy(n, k_max, periods_frac, amplitude, offset, noise_frac, seed):
     # from one period across the sweep up to 0.45 cycles per step (Nyquist: 0.5)
     periods = 1.0 + periods_frac * (0.45 * (n - 1) - 1.0)
+    frequency = periods / k_max
     k = np.arange(n) * (k_max / (n - 1))  # record_of's grid
-    signals = amplitude * np.cos(2.0 * math.pi * periods / k_max * k + phase) + offset
+    signals = amplitude * np.cos(2.0 * math.pi * frequency * k) + offset
     signals = signals + noise_frac * amplitude * np.random.default_rng(seed).standard_normal(n)
-    record = record_of(signals, k_max)
-    ours = nf.fit_cosine(record)
-    try:
-        theirs = with_scipy(nf.fit_cosine, record)
-    except DegenerateFitError:
-        # scipy's covariance of a nearly exact fit (residual just above
-        # _EXACT_FIT_RTOL) can be infinite; there is nothing to compare
-        return
+    ours = nf.fit_cosine(record_of(signals, k_max))
+    # scipy's trust-region solver on the same anchored model, started at the
+    # truth and run to the minimum with a central-difference Jacobian
+    theirs = least_squares(
+        lambda p: p[1] * np.cos(2.0 * math.pi * p[0] * k) + p[2] - signals,
+        [frequency, amplitude, offset], method="trf", jac="3-point",
+        ftol=1e-14, xtol=1e-14, gtol=1e-14,
+    )
     position_sd = ours.uncertainties["implied_position_nm"]
-    assert abs(ours.implied_position_nm - theirs.implied_position_nm) <= max(
-        1e-6 * theirs.implied_position_nm, STOP_SD * position_sd
+    assert abs(ours.implied_position_nm - theirs.x[0]) <= max(
+        1e-6 * theirs.x[0], STOP_SD * position_sd
     )
     # an exact fit leaves only rounding, which no relative bound can compare
     rounding = (1e-9 * float(np.linalg.norm(signals - signals.mean()))) ** 2
-    assert ours.residual_norm**2 <= theirs.residual_norm**2 * (1.0 + 1e-8) + rounding
+    assert ours.residual_norm**2 <= float(theirs.fun @ theirs.fun) * (1.0 + 1e-8) + rounding
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -262,3 +263,12 @@ def test_starved_solver_raises(monkeypatch):
     monkeypatch.setattr(lsq, "_LM_MAX_STEPS", 2)
     with pytest.raises(FitConvergenceError):
         nf.fit_lorentzian(profile)
+
+
+def test_starved_cosine_fit_raises(monkeypatch):
+    k = np.arange(458) * (K_MAX / 457)  # record_of's grid
+    record = record_of(np.cos(2.0 * math.pi * 30.0 * k) + 0.01 * np.random.default_rng(0).standard_normal(458))
+    nf.fit_cosine(record)
+    monkeypatch.setattr(reconstruction, "_COSINE_MAX_STEPS", 1)
+    with pytest.raises(FitConvergenceError):
+        nf.fit_cosine(record)
