@@ -199,7 +199,7 @@ def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None
     )
     manifest.add_output(curve_path)
 
-    residual_rms = float(np.sqrt(report.rss / len(samples)))
+    residual_rms = float(np.sqrt(np.mean(np.square(report.residuals_mhz))))
     manifest.derived["calibration"] = {
         "gradient_per_ma_g_per_um": float(gradient),
         "converged": report.converged,

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -14,8 +16,9 @@ from nvfourier.acquisition import load_record, run_sweep, save_record
 from nvfourier.cli import Manifest, main
 from nvfourier.config import _LOADER, key_tree, load_config
 from nvfourier.errors import ConfigError, ConfigParseError
+from nvfourier.field_model import load_calibration_csv
 
-from helpers import block_indices, gapped, minimal_config_dict
+from helpers import block_indices, gapped, minimal_config_dict, save_calibration_csv
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
@@ -490,6 +493,22 @@ class TestCalibrateCommand:
         curve = (out / "gradient_curve.csv").read_text().splitlines()
         assert curve[0].startswith("x_um,")
         assert len(curve) == 102
+
+    def test_manifest_residual_rms_is_in_mhz(self, tmp_path):
+        # the shipped samples with 0.02 MHz of Gaussian noise on each shift
+        rng = np.random.default_rng(3)
+        noisy = tmp_path / "noisy.csv"
+        save_calibration_csv(noisy, [
+            replace(s, delta_f_mhz=s.delta_f_mhz + s.sigma_mhz * rng.standard_normal())
+            for s in load_calibration_csv(CALIBRATION_CSV)
+        ])
+        out = tmp_path / "out"
+        rc = main(["calibrate", "--config", str(calibration_config(tmp_path, noisy)), "--out", str(out), "--quiet"])
+        assert rc == 0
+        residuals = json.loads((out / "calibration_report.json").read_text())["residuals_mhz"]
+        rms = json.loads((out / "manifest.json").read_text())["derived"]["calibration"]["residual_rms_mhz"]
+        assert 0.0 < rms < 0.1
+        assert rms == pytest.approx(math.sqrt(sum(r * r for r in residuals) / len(residuals)), rel=1e-12)
 
     def test_malformed_csv_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,11 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nvfourier as nf
+from nvfourier.config import load_config
 from nvfourier.constants import MU0_OVER_2PI_G_UM_PER_MA
-from nvfourier.errors import DataFormatError, GeometryError, UnderDeterminedError, ValidationError
+from nvfourier.errors import (DataFormatError, DegenerateFitError, FitConvergenceError, GeometryError,
+                              UnderDeterminedError, ValidationError)
 
 from helpers import numeric_gradient_at, save_calibration_csv
 
@@ -16,6 +21,7 @@ def wire_y(current=1.0, anchor=(0.0, 0.0, 0.0), polarity=1):
 
 
 AXIS_MZ = nf.NvAxis([0.0, 0.0, -1.0])
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_run.yaml"
 
 coordinate = st.floats(-5.0, 5.0, allow_nan=False)
 vector = st.tuples(coordinate, coordinate, coordinate)
@@ -277,27 +283,57 @@ class TestCalibration:
         with pytest.raises(UnderDeterminedError):
             nf.calibrate_wire(samples, self.guess, AXIS_MZ)
 
-    def test_only_the_jacobian_calls_gradient_at(self, monkeypatch):
-        counts = {"gradient_at": 0, "jacobian": 0}
-        gradient_at, curve_fit = nf.field_model.gradient_at, nf.field_model.curve_fit
+    def test_one_stacked_field_and_gradient_call_per_shift(self, monkeypatch):
+        calls = {"field_at": [], "gradient_at": []}
+        for name in calls:
+            def counting(wire, points, *args, _name=name, _fn=getattr(nf.field_model, name)):
+                calls[_name].append(np.shape(points))
+                return _fn(wire, points, *args)
 
-        def counting_gradient_at(*args):
-            counts["gradient_at"] += 1
-            return gradient_at(*args)
-
-        def counting_curve_fit(model, xdata, ydata, p0, jac):
-            def counting_jac(*args):
-                counts["jacobian"] += 1
-                return jac(*args)
-
-            return curve_fit(model, xdata, ydata, p0, counting_jac)
-
-        monkeypatch.setattr(nf.field_model, "gradient_at", counting_gradient_at)
-        monkeypatch.setattr(nf.field_model, "curve_fit", counting_curve_fit)
+            monkeypatch.setattr(nf.field_model, name, counting)
         samples = make_synthetic_samples(self.shifted_truth(), AXIS_MZ, self.xs)
         _, report = nf.calibrate_wire(samples, self.guess, AXIS_MZ)
-        assert report.iterations >= 1 and counts["jacobian"] >= 1
-        assert counts["gradient_at"] == counts["jacobian"]
+        # every step is followed by one more evaluation, at the shift it reached
+        assert report.iterations >= 2
+        for shapes in calls.values():
+            assert shapes == [(len(self.xs), 3)] * (report.iterations + 1)
+
+    def test_starved_budget_raises(self, monkeypatch):
+        samples = make_synthetic_samples(self.shifted_truth(), AXIS_MZ, self.xs)
+        nf.calibrate_wire(samples, self.guess, AXIS_MZ)
+        monkeypatch.setattr(nf.field_model, "_CALIBRATION_MAX_STEPS", 1)
+        with pytest.raises(FitConvergenceError):
+            nf.calibrate_wire(samples, self.guess, AXIS_MZ)
+
+    def test_axis_along_the_wire_is_degenerate(self):
+        # the field is azimuthal, so its projection on the wire direction is 0
+        samples = make_synthetic_samples(self.shifted_truth(), AXIS_MZ, self.xs)
+        with pytest.raises(DegenerateFitError):
+            nf.calibrate_wire(samples, self.guess, nf.NvAxis([0.0, 1.0, 0.0]))
+
+    def test_shipped_samples_fit_exactly(self):
+        cfg = load_config(DEFAULT_CONFIG)
+        samples = nf.field_model.load_calibration_csv(cfg.calibration_csv)
+        _, report = nf.calibrate_wire(samples, cfg.wire, cfg.nv_axis)
+        assert report.standoff_shift_um == 0.0 and report.current_scale == 1.0
+        assert report.rss == 0.0 and report.iterations == 1
+        # from the samples' sigma, not from the zero residual
+        assert report.uncertainties["standoff_shift_um"] == pytest.approx(0.0299, rel=1e-2)
+        assert report.uncertainties["current_scale"] == pytest.approx(0.0152, rel=1e-2)
+
+    def test_uncertainties_cover_the_spread_of_refits(self):
+        # the shipped samples, each perturbed by its own sigma
+        cfg = load_config(DEFAULT_CONFIG)
+        samples = nf.field_model.load_calibration_csv(cfg.calibration_csv)
+        rng = np.random.default_rng(0)
+        fits, errors = [], []
+        for _ in range(300):
+            noisy = [replace(s, delta_f_mhz=s.delta_f_mhz + s.sigma_mhz * rng.standard_normal())
+                     for s in samples]
+            _, report = nf.calibrate_wire(noisy, cfg.wire, cfg.nv_axis)
+            fits.append([report.standoff_shift_um, report.current_scale])
+            errors.append([report.uncertainties["standoff_shift_um"], report.uncertainties["current_scale"]])
+        np.testing.assert_allclose(np.std(fits, axis=0), np.median(errors, axis=0), rtol=0.1)
 
 
 class TestCalibrationCsv:

@@ -114,7 +114,7 @@ CONFIG_HASHES = {
 }
 
 RUN_ALL_DIGESTS = {
-    "calibration_report.json": "4d7b57e0d41dad23845c47eddc4e21f477e769c7100922888a856cceb616b96d",
+    "calibration_report.json": "49ea0f01f3d55336e5d2fe246fa03759a4823e36995b6e861b4ab5dabcce1cd6",
     "peak_fit.json": "26d0b9f1c8822d941ce10d588aaa20740c150be0ef107a15589b964150e2f8a9",
     "sensitivity.json": "ae6aa99d5faa9092292937a4bb4df86aa376f5d13545f42465622efa6c54fced",
     "profile.csv": "40cfe2f78fe0f57ede88a2929a30c317c5d0300a793b821c897dc28af105fed4",

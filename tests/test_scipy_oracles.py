@@ -2,10 +2,12 @@
 
 ``fourier_reconstruct`` computes its DCT-I as a chirp-z transform, so its
 profile must equal ``scipy.fft.dct(type=1)`` to a bound derived from FFT
-round-off.  ``lsq.curve_fit`` is an in-house
+round-off.  ``reconstruction.curve_fit`` is an in-house
 Levenberg-Marquardt solver; the Lorentzian fit must land where scipy's
-MINPACK ``curve_fit`` lands, with no more residual, and the wire calibration
-where scipy's fit to the same weighted model lands when run to convergence.
+MINPACK ``curve_fit`` lands, with no more residual.  The wire calibration's
+variable-projection fit must land where scipy's fit to the same weighted
+model lands when run to convergence, with the same covariance from the
+samples' sigma.
 ``fit_cosine``'s Gauss-Newton steps must land where scipy's
 ``least_squares`` on the same phase-anchored model lands, with no more
 residual.
@@ -30,7 +32,7 @@ from scipy.fft import dct
 from scipy.optimize import curve_fit as scipy_curve_fit, least_squares
 
 import nvfourier as nf
-from nvfourier import lsq, reconstruction
+from nvfourier import reconstruction
 from nvfourier.config import load_config
 from nvfourier.errors import FitConvergenceError
 from nvfourier.field_model import load_calibration_csv
@@ -242,11 +244,11 @@ def test_calibrate_wire_matches_scipy(seed):
         return scale * nf.odmr_shift(1.0) * np.array(b)
 
     # scipy's trust-region solver with a central-difference Jacobian, run to
-    # the minimum; its covariance is the same inv(JᵀJ)·RSS/(m - n) of the
-    # weighted problem
+    # the minimum; with absolute_sigma its covariance is the same inv(JᵀWJ)
+    # of the samples' sigma
     popt, pcov = scipy_curve_fit(
         shifts, np.arange(len(samples)), [s.delta_f_mhz for s in samples], p0=[0.0, 1.0],
-        sigma=[s.sigma_mhz for s in samples], method="trf", jac="3-point",
+        sigma=[s.sigma_mhz for s in samples], absolute_sigma=True, method="trf", jac="3-point",
         ftol=1e-14, xtol=1e-14, gtol=1e-14,
     )
     ours = [report.standoff_shift_um, report.current_scale]
@@ -260,7 +262,7 @@ def test_calibrate_wire_matches_scipy(seed):
 def test_starved_solver_raises(monkeypatch):
     profile = localization_profile(458, 0.3, 0.2, 0.01, 4, 0)
     nf.fit_lorentzian(profile)
-    monkeypatch.setattr(lsq, "_LM_MAX_STEPS", 2)
+    monkeypatch.setattr(reconstruction, "_LM_MAX_STEPS", 2)
     with pytest.raises(FitConvergenceError):
         nf.fit_lorentzian(profile)
 
