@@ -38,9 +38,13 @@ uniform on its own compact spacing, giving an aliased profile that
 gaps in it is zero-filled onto the sidecar's ``n_points``/``delta_k_per_nm``
 grid.
 
+``fit_lorentzian`` fits A*w^2/((x-x0)^2+w^2) + c to the profile's main
+lobe.  The model is linear in A and c, so only x0 and w are searched, with
+A and c in closed form at each (x0, w) (variable projection).
 ``fit_cosine`` reads the position without a transform: it fits
 a cos(2*pi*K*x0) + c, phase zero at K = 0, to the record's own K column,
-whose fitted frequency is x0 in nm.
+whose fitted frequency is x0 in nm.  Neither fit calls BLAS, so their bytes
+do not depend on the OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -88,11 +92,12 @@ _GRID_RTOL = 1e-9
 _COSINE_XTOL = 1e-12
 _COSINE_MAX_STEPS = 20
 
-# Levenberg-Marquardt constants of curve_fit: initial damping, MINPACK's
-# default stopping tolerances, and the budget of trial steps.  A resolved
-# peak takes about ten steps; a peak narrower than the grid step (zero-pad 1,
-# or a hann profile split by its nulls at +-1 pixel) has no minimum, and the
-# fit then crawls towards a spike for hundreds of steps or more
+# Levenberg-Marquardt constants of fit_lorentzian and curve_fit: initial
+# damping, MINPACK's default stopping tolerances, and the budget of trial
+# steps.  A resolved peak takes about ten steps; a peak narrower than the grid
+# step (zero-pad 1, or a hann profile split by its nulls at +-1 pixel) has no
+# minimum, and the fit then crawls towards a spike, stopping where a step
+# gains too little
 _LM_LAMBDA0 = 1e-3
 _LM_FTOL = 1.5e-8
 _LM_XTOL = 1.5e-8
@@ -158,21 +163,6 @@ class CosineFit:
 
 def lorentzian(x, amplitude, center, half_width, offset):
     return amplitude * half_width**2 / ((x - center) ** 2 + half_width**2) + offset
-
-
-def _lorentzian_jac(x, amplitude, center, half_width, offset):
-    d = x - center
-    q = 1.0 / (d * d + half_width * half_width)
-    shape = half_width * half_width * q
-    dq = d * q
-    # rows filled in place; the transpose keeps the Fortran layout that
-    # curve_fit's Jᵀ·J, and so the fitted bits, were pinned with
-    jac = np.empty((4, len(x)))
-    jac[0] = shape
-    jac[1] = (2.0 * amplitude) * shape * dq
-    jac[2] = (2.0 * amplitude * half_width) * dq * dq
-    jac[3] = 1.0
-    return jac.T
 
 
 def _median(values) -> float:
@@ -359,8 +349,8 @@ def default_fit_window(profile: RealSpaceProfile) -> tuple[float, float]:
     return x - half, x + half
 
 
-# fit_lorentzian looks its solver up on this module at call time, so a
-# wrapper set on reconstruction.curve_fit sees every evaluation of its model
+# no fit in the package calls curve_fit; the benchmark's traced run wraps
+# reconstruction.curve_fit by name, and its wrapper needs the name to exist
 def curve_fit(model, xdata, ydata, p0, jac):
     """Levenberg-Marquardt least squares of ``model(xdata, *p)`` to ``ydata``.
 
@@ -431,18 +421,17 @@ def _covariance(j: np.ndarray, rss: float) -> np.ndarray:
     return np.full((n, n), np.inf)
 
 
-def fit_lorentzian(
-    profile: RealSpaceProfile, initial_window: tuple[float, float] | None = None
-) -> PeakFit:
-    """Least-squares Lorentzian fit of the profile peak inside a window.
+def _lorentzian_start(
+    profile: RealSpaceProfile, initial_window: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The samples inside the fit window, and the Lorentzian's start there:
+    [amplitude, center, half-width, offset].
 
-    The window defaults to the main lobe (see default_fit_window).
-    Initialization: tallest in-window bin for the center (ties break to the
-    lowest x), 3-bin parabolic curvature for the width, in-window median for
-    the offset.
+    Tallest in-window bin for the center (ties break to the lowest x), 3-bin
+    parabolic curvature for the width, in-window median for the offset.
+    Raises ValidationError unless the window is an increasing (lo, hi) pair,
+    and NoPeakError when it holds no peak to fit.
     """
-    if initial_window is None:
-        initial_window = default_fit_window(profile)
     lo, hi = float(initial_window[0]), float(initial_window[1])
     if not hi > lo:
         raise ValidationError("initial_window must be an increasing (lo, hi) pair")
@@ -467,26 +456,143 @@ def fit_lorentzian(
     if curvature < 0:
         width0 = math.sqrt(max(-2.0 * amp0 / curvature, (dx / 2.0) ** 2))
     else:
-        width0 = profile.pixel_size_nm / 2.0
-    p0 = [amp0, float(xs[ipk]), width0, offset0]
-    popt, pcov = curve_fit(lorentzian, xs, ys, p0, _lorentzian_jac)
-    amp, center, half_width, offset = popt
-    if half_width < 0:  # width enters squared; fold the sign
-        half_width = -half_width
-    perr = np.sqrt(np.maximum(np.diag(pcov), 0.0))
-    resid = ys - lorentzian(xs, *popt)
+        width0 = float(profile.pixel_size_nm) / 2.0
+    return xs, ys, [amp0, float(xs[ipk]), width0, offset0]
+
+
+def fit_lorentzian(
+    profile: RealSpaceProfile, initial_window: tuple[float, float] | None = None
+) -> PeakFit:
+    """Least-squares Lorentzian fit of the profile peak inside a window.
+
+    The window defaults to the main lobe (see default_fit_window), and the
+    fit starts where ``_lorentzian_start`` puts it.
+
+    The model is separable (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): only the center x0 and half-width w are searched, and at each
+    (x0, w) the amplitude and offset are their 2x2 linear least squares.
+    Each step is Kaufman's (BIT 15, 49 (1975)): the Jacobian columns of x0
+    and w, projected off the shape and the constant, give a 2x2 system whose
+    diagonal is damped by (1 + λ), as in ``curve_fit``, with its schedule of
+    λ, its stop rules and its budget of ``_LM_MAX_STEPS`` trial steps.
+    Every sum is numpy's pairwise ``sum`` of elementwise products and the
+    algebra runs in Python floats, so no BLAS kernel moves a bit.  The
+    uncertainties are the diagonal of inv(JᵀJ)·RSS/(m - 4) for the full
+    Jacobian of (amplitude, x0, w, offset) where the fit stops, infinite
+    when JᵀJ is singular.
+    """
+    if initial_window is None:
+        initial_window = default_fit_window(profile)
+    xs, ys, (_, center, half_width, _) = _lorentzian_start(profile, initial_window)
+
+    # Rows of one buffer, so that each batch of sums is one product and one
+    # sum along the rows: the data, ones, and at the last point evaluated the
+    # shape s, s·u and u² with u = (x - x0)·s, and the residual.  A step is
+    # taken only from an accepted point, which is the last one evaluated.
+    m = len(ys)  # >= 5, so the covariance has m - 4 >= 1 degrees of freedom
+    rows = np.empty((6, m))
+    rows[0], rows[1] = ys, 1.0
+    shape, resid = rows[2], rows[5]
+    d = np.empty(m)
+    y_sum = float(ys.sum())
+
+    def project(x0, w):
+        """(amplitude, offset, Σs, Σs², RSS) at (x0, w), leaving x - x0 in d
+        and s and the residual in their rows; the RSS is infinite where s
+        cannot be told from a constant."""
+        np.subtract(xs, x0, out=d)
+        w2 = w * w
+        np.multiply(d, d, out=shape)
+        np.add(shape, w2, out=shape)
+        np.divide(w2, shape, out=shape)
+        sy_sum, s_sum, ss_sum = (rows[:3] * shape).sum(-1).tolist()
+        det = m * ss_sum - s_sum * s_sum
+        if not det > 0.0:
+            return math.nan, math.nan, s_sum, ss_sum, math.inf
+        amp = (m * sy_sum - s_sum * y_sum) / det
+        offset = (ss_sum * y_sum - s_sum * sy_sum) / det
+        np.multiply(shape, amp, out=resid)
+        np.add(resid, offset, out=resid)
+        np.subtract(rows[0], resid, out=resid)
+        return amp, offset, s_sum, ss_sum, float((resid * resid).sum())
+
+    amp, offset, s_sum, ss_sum, rss = project(center, half_width)
+    if not math.isfinite(rss):
+        raise ValidationError("fit data or starting point give a non-finite residual")
+    lam = _LM_LAMBDA0
+    steps, fresh, done = 0, True, False
+    while True:
+        if fresh:
+            # the Jacobian columns of x0 and w are gx = A·∂s/∂x0 = kx·s·u and
+            # gw = A·∂s/∂w = kw·u², u = (x - x0)·s; first the sums of s·u and
+            # of u² against 1, s, s·u, u² and the residual
+            np.multiply(d, shape, out=d)
+            np.multiply(shape, d, out=rows[3])
+            np.multiply(d, d, out=rows[4])
+            (a1, a_s, aa, ab, a_r), (b1, b_s, _, bb, b_r) = (
+                (rows[3:5, np.newaxis] * rows[np.newaxis, 1:]).sum(-1).tolist()
+            )
+            kx = 2.0 * amp / (half_width * half_width)
+            kw = kx / half_width
+            gx_sum, sgx, grad_x = kx * a1, kx * a_s, kx * a_r
+            gw_sum, sgw, grad_w = kw * b1, kw * b_s, kw * b_r
+            gxx, gxw, gww = kx * kx * aa, kx * kw * ab, kw * kw * bb
+            # b = inv(P)·[Σs·g, Σg] regresses each column on (s, 1), whose
+            # normal matrix is P = [[Σs², Σs], [Σs, m]]; S = [[sxx, sxw],
+            # [sxw, sww]] is the Schur complement of P in JᵀJ, the normal
+            # matrix of the projected columns
+            det_p = m * ss_sum - s_sum * s_sum
+            ba_x, bc_x = (m * sgx - s_sum * gx_sum) / det_p, (ss_sum * gx_sum - s_sum * sgx) / det_p
+            ba_w, bc_w = (m * sgw - s_sum * gw_sum) / det_p, (ss_sum * gw_sum - s_sum * sgw) / det_p
+            sxx = gxx - (sgx * ba_x + gx_sum * bc_x)
+            sxw = gxw - (sgx * ba_w + gx_sum * bc_w)
+            sww = gww - (sgw * ba_w + gw_sum * bc_w)
+            xtol_bound = _LM_XTOL**2 * (sxx * center * center + sww * half_width * half_width)
+            fresh = False
+        if done:
+            break
+        if steps == _LM_MAX_STEPS:
+            raise FitConvergenceError(f"least-squares fit did not converge in {steps} steps")
+        steps += 1
+        dxx, dww = sxx * (1.0 + lam), sww * (1.0 + lam)
+        det = dxx * dww - sxw * sxw
+        if not 0.0 < det < math.inf:
+            raise FitConvergenceError("fit normal equations are singular")
+        step_x = (dww * grad_x - sxw * grad_w) / det
+        step_w = (dxx * grad_w - sxw * grad_x) / det
+        small_step = sxx * step_x * step_x + sww * step_w * step_w <= xtol_bound
+        trial = project(center + step_x, half_width + step_w)
+        if trial[-1] < rss:
+            done = small_step or rss - trial[-1] <= _LM_FTOL * rss
+            center, half_width = center + step_x, half_width + step_w
+            amp, offset, s_sum, ss_sum, rss = trial
+            lam /= 10.0
+            fresh = True
+        elif small_step:
+            done = True
+        else:
+            lam *= 10.0
+
+    det_s = sxx * sww - sxw * sxw
+    if det_s > 0.0:
+        # inv(JᵀJ) is inv(S) for (x0, w) and inv(P) + B·inv(S)·Bᵀ for
+        # (amplitude, offset); det_p > 0 at every accepted point
+        variances = (
+            sww / det_s,
+            sxx / det_s,
+            m / det_p + (sww * ba_x * ba_x - 2.0 * sxw * ba_x * ba_w + sxx * ba_w * ba_w) / det_s,
+            ss_sum / det_p + (sww * bc_x * bc_x - 2.0 * sxw * bc_x * bc_w + sxx * bc_w * bc_w) / det_s,
+        )
+        sd_x, sd_w, sd_a, sd_c = (math.sqrt(max(v, 0.0) * rss / (m - 4)) for v in variances)
+    else:
+        sd_x = sd_w = sd_a = sd_c = math.inf
     return PeakFit(
-        center_nm=float(center),
-        fwhm_nm=float(2.0 * half_width),
-        amplitude=float(amp),
-        offset=float(offset),
-        uncertainties={
-            "center_nm": float(perr[1]),
-            "fwhm_nm": float(2.0 * perr[2]),
-            "amplitude": float(perr[0]),
-            "offset": float(perr[3]),
-        },
-        residual_norm=float(np.linalg.norm(resid)),
+        center_nm=center,
+        fwhm_nm=2.0 * abs(half_width),  # width enters squared; fold the sign
+        amplitude=amp,
+        offset=offset,
+        uncertainties={"center_nm": sd_x, "fwhm_nm": 2.0 * sd_w, "amplitude": sd_a, "offset": sd_c},
+        residual_norm=math.sqrt(rss),
     )
 
 

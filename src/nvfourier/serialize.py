@@ -7,25 +7,25 @@ through ``write_json``: a plain document, two-space indent, sorted keys and a
 trailing newline.  Every CSV table goes through ``write_csv`` and
 ``read_csv``: a header line of column names, then one line of numbers per
 sample, each the ``repr`` of a Python float so that it reads back bit for
-bit, with LF line endings on every platform.  Both stream the table: the
-writer formats ``_BLOCK_ROWS`` rows at a time and the reader parses one line
-at a time, so beyond the arrays themselves their memory does not grow with
-the number of rows.  ``write_json`` and ``write_csv`` create the missing
-parent directories of the file they write, so an output directory appears
-with its first file.
+bit, with LF line endings on every platform.  Both stream the table
+``_BLOCK_ROWS`` rows at a time, so beyond the arrays themselves their memory
+does not grow with the number of rows.  ``write_json`` and ``write_csv``
+create the missing parent directories of the file they write, so an output
+directory appears with its first file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
 
-_BLOCK_ROWS = 1024  # rows that write_csv formats per write
+_BLOCK_ROWS = 1024  # rows that write_csv formats per write and read_csv parses at once
 
 
 def to_plain(obj):
@@ -78,7 +78,7 @@ def read_csv(path, columns) -> np.ndarray:
         missing = [name for name in columns if name not in header]
         if missing:
             raise DataFormatError(f"{path}: missing columns {missing}")
-        data = np.fromiter(_cells(path, lines, len(header)), dtype=float)
+        data = np.fromiter(chain.from_iterable(_cells(path, lines, len(header))), dtype=float)
     if not data.size:
         raise DataFormatError(f"{path}: row 2: no data rows")
     data = data.reshape(-1, len(header))
@@ -92,20 +92,41 @@ def read_csv(path, columns) -> np.ndarray:
 
 
 def _cells(path, lines, width):
-    """The cells of each data row as floats, in file order.
+    """The cells of the data rows as floats, in file order, one list per
+    block of up to ``_BLOCK_ROWS`` rows.
 
-    ``lines`` is the open table after its header line.  A row with other
-    than ``width`` fields or a cell that is not a number raises
-    DataFormatError at once.
+    ``lines`` is the open table after its header line.  A block whose every
+    row has ``width`` fields is parsed in one pass, as if it were one row;
+    a block with a row of other than ``width`` fields, or a cell that is not
+    a number, is read again row by row to raise DataFormatError for its
+    first fault.
     """
-    for number, text in _rows(lines):
+    rows = _rows(lines)
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        texts = [text for _, text in block]
+        values = None
+        if set(map(str.count, texts, repeat(","))) == {width - 1}:
+            try:
+                values = list(map(float, ",".join(texts).split(",")))
+            except ValueError:
+                pass
+        if values is None:
+            _raise_first_fault(path, block, width)
+        yield values
+
+
+def _raise_first_fault(path, block, width):
+    """Raise DataFormatError for the first of the (row number, text) rows
+    in ``block`` with other than ``width`` fields or a cell that is not a
+    number, naming its row."""
+    for number, text in block:
         cells = text.split(",")
         if len(cells) != width:
             raise DataFormatError(
                 f"{path}: row {number}: {len(cells)} fields where the header has {width}"
             )
         try:
-            yield from map(float, cells)
+            list(map(float, cells))
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {number}: {exc}") from exc
 
@@ -118,7 +139,7 @@ def _rows(lines):
 
     A row is held back until the next line that is not blank shows it is not
     the last.  Of a run of blank lines inside the table only the first is
-    passed on: as a row it always has a fault, so nothing is read after it.
+    passed on: as a row it always has a fault.
     """
     held = blank = None
     for number, line in enumerate(lines, start=2):

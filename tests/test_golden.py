@@ -115,7 +115,7 @@ CONFIG_HASHES = {
 
 RUN_ALL_DIGESTS = {
     "calibration_report.json": "49ea0f01f3d55336e5d2fe246fa03759a4823e36995b6e861b4ab5dabcce1cd6",
-    "peak_fit.json": "26d0b9f1c8822d941ce10d588aaa20740c150be0ef107a15589b964150e2f8a9",
+    "peak_fit.json": "ca4276f4a6deb20c4024763ea19caae07e058ed96d5d9544f1796bc1acb9f45a",
     "sensitivity.json": "ae6aa99d5faa9092292937a4bb4df86aa376f5d13545f42465622efa6c54fced",
     "profile.csv": "40cfe2f78fe0f57ede88a2929a30c317c5d0300a793b821c897dc28af105fed4",
     "gradient_curve.csv": "93fad828a1cf08d546102e62d3e121cd4b4869a1fad26a652c6df5ec13a24c98",

@@ -11,11 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-import nvfourier as nf
-from nvfourier import reconstruction
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default_run.yaml"
@@ -69,24 +65,3 @@ def test_session_loads_no_numpy_ma(tmp_path, session):
     assert rcs == [0] * len(session)
     assert has_numpy_ma is False
 
-
-def test_fits_look_up_curve_fit_at_call_time(monkeypatch):
-    # a wrapper installed on the module attribute sees the fit's model
-    # evaluations, as the benchmark's per-layer tracer needs
-    evaluations = []
-    fit_with = reconstruction.curve_fit
-
-    def counting(model, *args, **kwargs):
-        def counted(*a, **k):
-            evaluations.append(1)
-            return model(*a, **k)
-
-        return fit_with(counted, *args, **kwargs)
-
-    monkeypatch.setattr(reconstruction, "curve_fit", counting)
-    x = np.linspace(0.0, 10.0, 101)
-    profile = nf.RealSpaceProfile(
-        x_grid_nm=x, amplitude=reconstruction.lorentzian(x, 1.0, 5.0, 0.4, 0.0), pixel_size_nm=0.4
-    )
-    nf.fit_lorentzian(profile)
-    assert len(evaluations) > 0

@@ -230,6 +230,19 @@ class TestLorentzianFit:
         assert fit2.center_nm == pytest.approx(fit1.center_nm, abs=1e-10)
         assert fit2.fwhm_nm == pytest.approx(fit1.fwhm_nm, rel=1e-10)
 
+    def test_amplitude_units_do_not_move_the_fit(self):
+        # the damping scales with the diagonal of the normal matrix, so
+        # rescaling the profile rescales amplitude, offset and their errors
+        # and leaves the center and width where they were
+        profile = nf.fourier_reconstruct(simulate(x_nm=30.0, shot_noise=True, seed=3), zero_pad_factor=4)
+        fit = nf.fit_lorentzian(profile)
+        for scale in (1e-6, 1e3):
+            scaled = nf.RealSpaceProfile(profile.x_grid_nm, scale * profile.amplitude, profile.pixel_size_nm)
+            refit = nf.fit_lorentzian(scaled)
+            assert refit.center_nm == pytest.approx(fit.center_nm, rel=1e-12)
+            assert refit.fwhm_nm == pytest.approx(fit.fwhm_nm, rel=1e-9)
+            assert refit.amplitude == pytest.approx(scale * fit.amplitude, rel=1e-9)
+
     def test_flat_profile_no_peak(self):
         x = np.linspace(0.0, 10.0, 101)
         profile = nf.RealSpaceProfile(x_grid_nm=x, amplitude=np.ones(101), pixel_size_nm=0.1)
@@ -331,11 +344,27 @@ def shot_noise_record(seed):
     return nf.run_sweep(plan, cfg.nv, cfg.wire, cfg.nv_axis, REF_GRADIENT_PER_MA)
 
 
+def printed_under_kernels(code, *args):
+    """What ``code`` prints, run with ``args`` in a fresh interpreter under
+    each of two forced OpenBLAS kernels.  Only these two are forced, since an
+    AVX-512 kernel crashes a CPU without AVX-512."""
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    printed = {}
+    for kernel in ("Prescott", "Haswell"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_CORETYPE": kernel}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed[kernel] = proc.stdout.splitlines()
+    return printed
+
+
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_fit_cosine_is_the_same_under_every_blas_kernel(tmp_path):
     # the fit sums with np.sum and solves by Cramer's rule in Python floats,
-    # so the BLAS kernel cannot move a bit of it; only these two kernels are
-    # forced, since an AVX-512 kernel crashes a CPU without AVX-512
+    # so the BLAS kernel cannot move a bit of it
     path = tmp_path / "record.csv"
     nf.save_record(shot_noise_record(1000), path)
     code = (
@@ -345,15 +374,27 @@ def test_fit_cosine_is_the_same_under_every_blas_kernel(tmp_path):
         "for f in dataclasses.fields(fit):\n"
         "    print(f.name, repr(getattr(fit, f.name)))\n"
     )
-    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    printed = {}
-    for kernel in ("Prescott", "Haswell"):
-        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_CORETYPE": kernel}
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        printed[kernel] = proc.stdout.splitlines()
+    printed = printed_under_kernels(code, path)
+    assert printed["Prescott"] == printed["Haswell"]
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_fit_lorentzian_is_the_same_under_every_blas_kernel():
+    # the fit sums elementwise products with .sum() and does its 2x2 algebra
+    # in Python floats, so the BLAS kernel cannot move a bit of it
+    code = (
+        "import dataclasses, math\n"
+        "import numpy as np\n"
+        "import nvfourier as nf\n"
+        "n = 458\n"
+        "k = np.arange(n) * (2.0 / (n - 1))\n"
+        "signals = np.cos(2.0 * math.pi * 30.0 * k) + 0.05 * np.random.default_rng(0).standard_normal(n)\n"
+        "record = nf.KSpaceRecord(k, np.arange(n, dtype=float), signals, np.zeros(n), np.zeros(n), {})\n"
+        "fit = nf.fit_lorentzian(nf.fourier_reconstruct(record, zero_pad_factor=4))\n"
+        "for f in dataclasses.fields(fit):\n"
+        "    print(f.name, repr(getattr(fit, f.name)))\n"
+    )
+    printed = printed_under_kernels(code)
     assert printed["Prescott"] == printed["Haswell"]
 
 

@@ -2,9 +2,10 @@
 
 ``fourier_reconstruct`` computes its DCT-I as a chirp-z transform, so its
 profile must equal ``scipy.fft.dct(type=1)`` to a bound derived from FFT
-round-off.  ``reconstruction.curve_fit`` is an in-house
-Levenberg-Marquardt solver; the Lorentzian fit must land where scipy's
-MINPACK ``curve_fit`` lands, with no more residual.  The wire calibration's
+round-off.  ``fit_lorentzian`` searches the center and width alone, with
+the amplitude and offset in closed form; from the same window and start it
+must land where scipy's MINPACK ``curve_fit`` on all four parameters lands,
+with no more residual.  The wire calibration's
 variable-projection fit must land where scipy's fit to the same weighted
 model lands when run to convergence, with the same covariance from the
 samples' sigma.
@@ -58,16 +59,6 @@ def record_of(signals, k_max=K_MAX):
         k_values=np.arange(n) * (k_max / (n - 1)), currents=np.arange(n, dtype=float),
         signals=signals, errors=np.zeros(n), t_hours=np.zeros(n), metadata={},
     )
-
-
-def with_scipy(fit, *args):
-    """Run ``fit`` with scipy's curve_fit in place of the in-house solver."""
-    def scipy_fit(model, xdata, ydata, p0, jac):
-        return scipy_curve_fit(model, xdata, ydata, p0=p0, maxfev=20000)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reconstruction, "curve_fit", scipy_fit)
-        return fit(*args)
 
 
 def localization_profile(n, x0_frac, sigma_pixels, noise, zero_pad, seed):
@@ -179,13 +170,19 @@ def test_dct_matches_direct_cosine_sum(n, zero_pad, window):
 def test_fit_lorentzian_matches_scipy(n, x0_frac, sigma_pixels, noise, zero_pad, seed):
     profile = localization_profile(n, x0_frac, sigma_pixels, noise, zero_pad, seed)
     ours = nf.fit_lorentzian(profile)
-    theirs = with_scipy(nf.fit_lorentzian, profile)
+    xs, ys, p0 = reconstruction._lorentzian_start(profile, reconstruction.default_fit_window(profile))
+    popt, pcov = scipy_curve_fit(reconstruction.lorentzian, xs, ys, p0=p0, maxfev=20000)
+    _, center, half_width, _ = popt
+    fwhm = 2.0 * abs(half_width)
     sd = ours.uncertainties
-    assert abs(ours.center_nm - theirs.center_nm) <= max(1e-5 * PIXEL, STOP_SD * sd["center_nm"])
-    assert abs(ours.fwhm_nm - theirs.fwhm_nm) <= max(2e-4 * theirs.fwhm_nm, STOP_SD * sd["fwhm_nm"])
-    assert ours.residual_norm**2 <= theirs.residual_norm**2 * (1.0 + 1e-8)
+    assert abs(ours.center_nm - center) <= max(1e-5 * PIXEL, STOP_SD * sd["center_nm"])
+    assert abs(ours.fwhm_nm - fwhm) <= max(2e-4 * fwhm, STOP_SD * sd["fwhm_nm"])
+    resid = ys - reconstruction.lorentzian(xs, *popt)
+    assert ours.residual_norm**2 <= float((resid * resid).sum()) * (1.0 + 1e-8)
     # scipy's covariance uses a finite-difference Jacobian one step back
-    assert ours.uncertainties == pytest.approx(theirs.uncertainties, rel=1e-2)
+    sd_a, sd_x, sd_w, sd_c = np.sqrt(np.diag(pcov))
+    theirs = {"center_nm": sd_x, "fwhm_nm": 2.0 * sd_w, "amplitude": sd_a, "offset": sd_c}
+    assert ours.uncertainties == pytest.approx(theirs, rel=1e-2)
 
 
 @settings(max_examples=40, deadline=None)
