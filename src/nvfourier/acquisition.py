@@ -331,7 +331,9 @@ def load_record(csv_path) -> KSpaceRecord:
     if not side.exists():
         raise MetadataError(f"missing metadata sidecar: {side}")
     try:
-        metadata = json.loads(side.read_text())
+        metadata = json.loads(side.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MetadataError(f"{side}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MetadataError(f"{side}: {exc}") from exc
     if not isinstance(metadata, dict):

@@ -47,7 +47,7 @@ from . import __version__
 from .acquisition import drift_trajectory, load_record, run_sweep, save_record
 from .config import RunConfig, load_config, section_doc
 from .errors import AliasAmbiguityError, MissingCalibrationError, NvFourierError, UsageError
-from .field_model import calibrate_wire, gradient_at, load_calibration_csv, sample_field
+from .field_model import _dot, calibrate_wire, gradient_at, load_calibration_csv, sample_field
 from .metrology import full_sensitivity_report
 from .reconstruction import (
     fit_cosine,
@@ -187,9 +187,9 @@ def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None
     # predicted field/gradient curve along the imaging axis through the samples
     e = cfg.plan.imaging_axis
     positions = np.array([s.position_um for s in samples])
-    proj = np.vecdot(positions, e)
+    proj = _dot(positions, e)
     centroid = np.mean(positions, axis=0)
-    base = centroid - float(np.dot(centroid, e)) * e
+    base = centroid - _dot(centroid, e) * e
     points = base + np.linspace(proj.min(), proj.max(), 101)[:, None] * e
     curve = sample_field(fitted, points, cfg.nv_axis, e)
     curve_path = out / "gradient_curve.csv"

@@ -301,7 +301,9 @@ def load_config(path) -> RunConfig:
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
     try:
-        data = yaml.load(p.read_text(), Loader=_LOADER)
+        data = yaml.load(p.read_text(encoding="utf-8"), Loader=_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{p}: not UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"{p}: invalid YAML{_yaml_fault(exc)}") from exc
     if data is None:

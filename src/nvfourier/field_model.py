@@ -62,9 +62,20 @@ def _check_finite(obj, *names: str) -> None:
             raise ValidationError(f"{name} must be finite")
 
 
+def _dot(u, v):
+    """u . v of 3-vectors, or of each row of an (n, 3) stack, summed in index
+    order: a stack's rows equal the single calls bit for bit, on every CPU.
+
+    Elementwise products and sums, not np.dot, np.vecdot or np.linalg.norm,
+    which run through the BLAS ddot whose kernel decides the last bits.
+    """
+    u, v = u.T, v.T  # a 3-vector's entries index as scalars, a stack's as columns
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _unit3(v, name: str) -> np.ndarray:
     arr = _vec3(v, name)
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(_dot(arr, arr))
     if norm == 0.0:
         raise ValidationError(f"{name} must be nonzero")
     return arr / norm
@@ -119,7 +130,7 @@ class FieldSample:
 
 def _perp_displacement(wire: MicrowireModel, points_um: np.ndarray) -> np.ndarray:
     rel = points_um - wire.anchor_point_um
-    return rel - np.vecdot(rel, wire.direction)[..., np.newaxis] * wire.direction
+    return rel - _dot(rel, wire.direction)[..., np.newaxis] * wire.direction
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,7 +151,7 @@ def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
     the wire axis, where the 1/r law diverges.
     """
     rho = _perp_displacement(wire, _vec3(point_um, "point_um", stack=True))
-    r2 = np.vecdot(rho, rho)
+    r2 = _dot(rho, rho)
     if np.any(r2 <= MIN_WIRE_DISTANCE_UM**2):
         raise GeometryError(
             f"point is {math.sqrt(np.min(r2)):.3e} um from the wire axis "
@@ -152,7 +163,7 @@ def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
 
 def project_on_axis(b_g, axis: NvAxis):
     """Signed projection of a field vector (G), or of each row of a stack, on the NV axis."""
-    b = np.vecdot(_vec3(b_g, "b_g", stack=True), axis.orientation)
+    b = _dot(_vec3(b_g, "b_g", stack=True), axis.orientation)
     return b if b.ndim else float(b)
 
 
@@ -173,18 +184,18 @@ def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis):
     """
     e = _unit3(imaging_axis, "imaging_axis")
     rho = _perp_displacement(wire, _vec3(point_um, "point_um", stack=True))
-    r2 = np.vecdot(rho, rho)
+    r2 = _dot(rho, rho)
     if np.any(r2 <= MIN_WIRE_DISTANCE_UM**2):
         raise GeometryError("gradient requested on the wire axis")
-    e_perp = e - np.dot(e, wire.direction) * wire.direction
+    e_perp = e - _dot(e, wire.direction) * wire.direction
     a = axis.orientation
     d = wire.direction
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma
     # d/ds [ a . (d x (rho + s*e_perp)) / |rho + s*e_perp|^2 ] at s = 0;
     # float_power keeps r2**2 equal to the scalar float power
-    term1 = float(np.dot(a, _cross(d, e_perp))) / r2
+    term1 = float(_dot(a, _cross(d, e_perp))) / r2
     term2 = (
-        -2.0 * np.vecdot(a, _cross(d, rho)) * np.vecdot(rho, e_perp) / np.float_power(r2, 2.0)
+        -2.0 * _dot(a, _cross(d, rho)) * _dot(rho, e_perp) / np.float_power(r2, 2.0)
     )
     g = pref * (term1 + term2)
     return g if g.ndim else float(g)
@@ -244,8 +255,8 @@ def _standoff_axis(guess: MicrowireModel, positions) -> np.ndarray:
     """
     centroid = np.mean(positions, axis=0)
     rel = centroid - guess.anchor_point_um
-    perp = rel - np.dot(rel, guess.direction) * guess.direction
-    norm = float(np.linalg.norm(perp))
+    perp = rel - _dot(rel, guess.direction) * guess.direction
+    norm = math.sqrt(_dot(perp, perp))
     if norm <= MIN_WIRE_DISTANCE_UM:
         raise GeometryError("sample centroid lies on the wire axis; standoff direction undefined")
     return perp / norm

@@ -5,20 +5,24 @@ lists and numpy scalars into Python numbers, so the result compares equal
 to what ``json.loads`` reads back.  Every JSON file the package writes goes
 through ``write_json``: a plain document, two-space indent, sorted keys and a
 trailing newline.  Every CSV table goes through ``write_csv`` and
-``read_csv``: a header line of column names, then one line of numbers per
-sample, each the ``repr`` of a Python float so that it reads back bit for
-bit, with LF line endings on every platform.  Both stream the table
-``_BLOCK_ROWS`` rows at a time, so beyond the arrays themselves their memory
-does not grow with the number of rows.  ``write_json`` and ``write_csv``
-create the missing parent directories of the file they write, so an output
-directory appears with its first file.
+``read_csv``: UTF-8 text, a header line of column names, then one line of
+numbers per sample, each the ``repr`` of a Python float so that it reads
+back bit for bit, with LF line endings on every platform.  Both stream the
+table ``_BLOCK_ROWS`` rows at a time, so beyond the arrays themselves their
+memory does not grow with the number of rows.  The writer is at the floor
+of ``repr`` itself, which takes nearly all of its time.  The reader parses
+each block with numpy's C reader, which converts a cell as ``float`` does,
+and reads rows one at a time only where numpy refuses a block: to name the
+fault, or to read a cell ``float`` takes and numpy does not.
+``write_json`` and ``write_csv`` create the missing parent directories of
+the file they write, so an output directory appears with its first file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +60,7 @@ def write_csv(path, header, *columns) -> None:
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal lengths {lengths}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
             cols = [map(repr, a[start:start + _BLOCK_ROWS].tolist()) for a in arrays]
@@ -66,22 +70,32 @@ def write_csv(path, header, *columns) -> None:
 def read_csv(path, columns) -> np.ndarray:
     """The named columns of a CSV table as an (n, len(columns)) float array.
 
-    Columns are picked by name from the first line that is not blank, the
-    header, whose names are stripped.  A missing column, a row with a
-    different number of fields from the header, a cell that is not a finite
-    number, or a table with no data rows raises DataFormatError; a row's
+    The table is the file's text stripped of leading and trailing whitespace
+    and cut into lines where ``str.splitlines`` cuts.  Columns are picked by
+    name from its first line, the header, whose names are stripped.  A
+    missing column, a row with a different number of fields from the header,
+    a cell that ``float`` does not read as a finite number, a table with no
+    data rows, or a file that is not UTF-8 raises DataFormatError; a row's
     fault names its line, counted from the header as row 1, as ``row N``.
     """
-    with open(path) as lines:
-        first = next((line for line in lines if not line.isspace()), None)
-        header = [name.strip() for name in first.split(",")] if first else []
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise DataFormatError(f"{path}: missing columns {missing}")
-        data = np.fromiter(chain.from_iterable(_cells(path, lines, len(header))), dtype=float)
-    if not data.size:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = chain.from_iterable(_lines(f))
+            first = next((line for line in lines if line.strip()), None)
+            header = [name.strip() for name in first.split(",")] if first else []
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise DataFormatError(f"{path}: missing columns {missing}")
+            blocks = [
+                _parse(path, 2 + i * _BLOCK_ROWS, block, len(header))
+                for i, block in enumerate(iter(lambda: list(islice(lines, _BLOCK_ROWS)), []))
+            ]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8: {exc.reason}") from exc
+    if not blocks:
         raise DataFormatError(f"{path}: row 2: no data rows")
-    data = data.reshape(-1, len(header))
+    data = np.concatenate(blocks)
+    del blocks  # one copy of the table beside the picked columns, not two
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -91,65 +105,47 @@ def read_csv(path, columns) -> np.ndarray:
     return data[:, [header.index(name) for name in columns]]
 
 
-def _cells(path, lines, width):
-    """The cells of the data rows as floats, in file order, one list per
-    block of up to ``_BLOCK_ROWS`` rows.
-
-    ``lines`` is the open table after its header line.  A block whose every
-    row has ``width`` fields is parsed in one pass, as if it were one row;
-    a block with a row of other than ``width`` fields, or a cell that is not
-    a number, is read again row by row to raise DataFormatError for its
-    first fault.
-    """
-    rows = _rows(lines)
-    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        texts = [text for _, text in block]
-        values = None
-        if set(map(str.count, texts, repeat(","))) == {width - 1}:
-            try:
-                values = list(map(float, ",".join(texts).split(",")))
-            except ValueError:
-                pass
-        if values is None:
-            _raise_first_fault(path, block, width)
-        yield values
+def _lines(f):
+    """The lines of the open text file ``f`` without their line ends, a list
+    per read, cut as ``str.splitlines`` cuts the file stripped of trailing
+    whitespace.  The last line of a read and the whitespace after it are
+    carried into the next read, which is at least as long, so the file's
+    blank end is dropped and its last row loses its trailing whitespace."""
+    tail = ""
+    while chunk := f.read(max(_BLOCK_ROWS * 16, len(tail))):
+        text = tail + chunk
+        body = text.rstrip()
+        lines = body.splitlines()
+        tail = lines.pop() + text[len(body):] if lines else text
+        yield lines
+    yield tail.rstrip().splitlines()
 
 
-def _raise_first_fault(path, block, width):
-    """Raise DataFormatError for the first of the (row number, text) rows
-    in ``block`` with other than ``width`` fields or a cell that is not a
-    number, naming its row."""
-    for number, text in block:
-        cells = text.split(",")
+def _parse(path, number, block, width):
+    """The lines in ``block``, rows ``number`` on, as a (len(block), width)
+    float array, parsed by numpy's C reader, which converts a cell as
+    ``float`` does.  Where numpy refuses the block, gives another shape (it
+    skips empty lines) or would strip ``\\x1f`` as whitespace, ``float``
+    reads the rows one at a time, which also reads cells numpy refuses, such
+    as ``1_0``, and raises DataFormatError for the first fault."""
+    text = "".join(block)
+    if text and "\x1f" not in text:  # numpy warns on a block of empty lines
+        try:
+            values = np.loadtxt(block, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(block), width):
+                return values
+    rows = []
+    for number, line in enumerate(block, start=number):
+        cells = line.split(",")
         if len(cells) != width:
             raise DataFormatError(
                 f"{path}: row {number}: {len(cells)} fields where the header has {width}"
             )
         try:
-            list(map(float, cells))
+            rows.append(list(map(float, cells)))
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {number}: {exc}") from exc
-
-
-def _rows(lines):
-    """(row number, text) of each line after the header, the header being
-    row 1, cut as if the whole file had been stripped of leading and
-    trailing whitespace: the blank lines at the end are dropped and the last
-    row loses its trailing whitespace.
-
-    A row is held back until the next line that is not blank shows it is not
-    the last.  Of a run of blank lines inside the table only the first is
-    passed on: as a row it always has a fault.
-    """
-    held = blank = None
-    for number, line in enumerate(lines, start=2):
-        if line.isspace():
-            blank = blank or (number, line.rstrip("\n"))
-            continue
-        if held:
-            yield held
-        if blank:
-            yield blank
-        held, blank = (number, line.rstrip("\n")), None
-    if held:
-        yield held[0], held[1].rstrip()
+    return np.array(rows)

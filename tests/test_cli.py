@@ -570,6 +570,32 @@ def test_malformed_input_is_one_data_format_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith(f"data-format: {path}: row {line or 2}: "), err
 
 
+# (subcommand, input file that gets a byte no UTF-8 text holds, error code)
+NOT_UTF8_INPUTS = {
+    "record": ("reconstruct", "out/record.csv", "data-format"),
+    "sidecar": ("reconstruct", "out/record.meta.json", "metadata"),
+    "config": ("simulate", "calibrate.yaml", "config-parse"),
+    "calibration": ("calibrate", "samples.csv", "data-format"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_INPUTS))
+def test_input_not_utf8_is_one_line(tmp_path, capsys, case):
+    command, name, code = NOT_UTF8_INPUTS[case]
+    samples = tmp_path / "samples.csv"
+    samples.write_text(CALIBRATION_CSV.read_text())
+    config = calibration_config(tmp_path, samples)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    rc = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"{code}: {path}: not UTF-8"), err
+
+
 @pytest.mark.parametrize("case", ["out-is-a-file", "samples-is-a-directory", "config-is-a-directory"])
 def test_os_error_is_one_io_error_line(tmp_path, capsys, case):
     a_file = tmp_path / "a_file"

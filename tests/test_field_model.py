@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,17 +29,23 @@ vector = st.tuples(coordinate, coordinate, coordinate)
 direction = vector.filter(lambda v: np.linalg.norm(v) > 0.1)
 
 
+def dot(u, v):
+    """u . v of two 3-vectors as Python floats, summed in index order."""
+    (u0, u1, u2), (v0, v1, v2) = map(float, u), map(float, v)
+    return u0 * v0 + u1 * v1 + u2 * v2
+
+
 def scalar_gradient(wire, point, axis, imaging_axis):
-    """gradient_at for one point in Python float arithmetic (np.dot, float ** 2)."""
-    e = np.asarray(imaging_axis, dtype=float) / float(np.linalg.norm(imaging_axis))
+    """gradient_at for one point in Python float arithmetic (float sums, float ** 2)."""
+    e = np.asarray(imaging_axis, dtype=float) / math.sqrt(dot(imaging_axis, imaging_axis))
     d, a = wire.direction, axis.orientation
     rel = np.asarray(point, dtype=float) - wire.anchor_point_um
-    rho = rel - np.dot(rel, d) * d
-    r2 = float(np.dot(rho, rho))
-    e_perp = e - np.dot(e, d) * d
+    rho = rel - dot(rel, d) * d
+    r2 = dot(rho, rho)
+    e_perp = e - dot(e, d) * d
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma
-    term1 = float(np.dot(a, np.cross(d, e_perp))) / r2
-    term2 = -2.0 * float(np.dot(a, np.cross(d, rho))) * float(np.dot(rho, e_perp)) / r2**2
+    term1 = dot(a, np.cross(d, e_perp)) / r2
+    term2 = -2.0 * dot(a, np.cross(d, rho)) * dot(rho, e_perp) / r2**2
     return pref * (term1 + term2)
 
 

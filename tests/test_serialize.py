@@ -3,12 +3,14 @@ replaced, bit-exact round trips, and bounded memory."""
 
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nvfourier import serialize
 from nvfourier.errors import DataFormatError
 from nvfourier.serialize import read_csv, write_csv
 
@@ -81,14 +83,64 @@ def tables(draw):
 table = st.lists(st.sampled_from([*CELL_TOKENS, ",", "\n", "\r"]), max_size=40).map("".join) | tables()
 
 
+def assert_matches_oracle(path, text, columns):
+    """Same array bytes as the whole-file reader, or DataFormatError with the same message."""
+    path.write_text(text, newline="")  # keep every \r as written
+    assert outcome(read_csv, path, columns) == outcome(read_csv_oracle, path, columns)
+
+
+# two rows a block, so faults, inner blank lines and trailing blank lines
+# fall in later blocks, and 32 characters a read, so reads end mid-line
+two_row_blocks = mock.patch.object(serialize, "_BLOCK_ROWS", 2)
+
+# cells that float() and numpy's C reader might read apart: float() reads
+# 1_0 and ٣ and numpy does not; numpy strips \x1f as whitespace and float()
+# does not; \x0c, \x1c, \x85 and \u2028 end a line for str.splitlines
+EDGE_CELLS = [
+    "1_0", "٣", "0x10", "infinity", "+nan", "\x0c1", "1e999",
+    "1\x1f", "\x1f1", "\x1c1", "1\x85", "\u20281",
+]
+
+decimal = st.builds(
+    "{}{}.{}e{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=20),
+    st.text("0123456789", max_size=20),
+    st.integers(-330, 330),
+)
+
+
 class TestReadCsv:
     @settings(max_examples=300, deadline=None)
     @given(text=table, columns=st.sampled_from([["a"], ["b", "a"]]))
     def test_matches_whole_file_reader(self, scratch, text, columns):
         """Same array bytes, or DataFormatError with the same message."""
-        path = scratch / "table.csv"
-        path.write_text(text, newline="")  # keep every \r as written
-        assert outcome(read_csv, path, columns) == outcome(read_csv_oracle, path, columns)
+        assert_matches_oracle(scratch / "table.csv", text, columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=table, columns=st.sampled_from([["a"], ["b", "a"]]))
+    def test_matches_whole_file_reader_across_blocks(self, scratch, text, columns):
+        with two_row_blocks:
+            assert_matches_oracle(scratch / "table.csv", text, columns)
+
+    @pytest.mark.parametrize("block_rows", [serialize._BLOCK_ROWS, 2])
+    @pytest.mark.parametrize("cell", EDGE_CELLS)
+    def test_edge_cell_matches_whole_file_reader(self, scratch, cell, block_rows):
+        with mock.patch.object(serialize, "_BLOCK_ROWS", block_rows):
+            for text in [f"a,b\n3,4\n5,6\n{cell},2\n7,8\n", f"a,b\n{cell},2\n", f"a\n{cell}\n"]:
+                assert_matches_oracle(scratch / "edge.csv", text, ["a"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(decimal, min_size=1, max_size=40))
+    def test_decimal_strings_read_as_float_reads_them(self, scratch, cells):
+        """Up to 40 digits and exponents to +-330: the same doubles as float(), bit for bit."""
+        cells = [cell for cell in cells if np.isfinite(float(cell))]
+        assume(cells)
+        path = scratch / "decimals.csv"
+        path.write_text("a\n" + "\n".join(cells) + "\n")
+        with two_row_blocks:
+            assert read_csv(path, ["a"]).tobytes() == np.array([[float(c)] for c in cells]).tobytes()
+        assert read_csv(path, ["a"]).tobytes() == np.array([[float(c)] for c in cells]).tobytes()
 
     @pytest.mark.parametrize(
         "text, message",
