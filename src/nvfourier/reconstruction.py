@@ -38,13 +38,13 @@ uniform on its own compact spacing, giving an aliased profile that
 gaps in it is zero-filled onto the sidecar's ``n_points``/``delta_k_per_nm``
 grid.
 
-``fit_lorentzian`` fits A*w^2/((x-x0)^2+w^2) + c to the profile's main
-lobe.  The model is linear in A and c, so only x0 and w are searched, with
-A and c in closed form at each (x0, w) (variable projection).
+Two fits share one damped variable-projection solver, ``_separable_fit``,
+with the amplitude and offset in closed form.  ``fit_lorentzian`` fits
+A*w^2/((x-x0)^2+w^2) + c to the profile's main lobe, searching x0 and w.
 ``fit_cosine`` reads the position without a transform: it fits
 a cos(2*pi*K*x0) + c, phase zero at K = 0, to the record's own K column,
-whose fitted frequency is x0 in nm.  Neither fit calls BLAS, so their bytes
-do not depend on the OpenBLAS kernel.
+searching x0 alone.  Neither fit calls BLAS, so their bytes do not depend
+on the OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -87,12 +87,7 @@ _PLAN_CACHE_SIZE = 4
 # relative tolerance for the uniform-K-grid check
 _GRID_RTOL = 1e-9
 
-# fit_cosine stops once a Gauss-Newton step moves x0 by at most this fraction
-# of it: 3-6 steps on a noisy shipped sweep, <= 10 over the scipy oracle's domain
-_COSINE_XTOL = 1e-12
-_COSINE_MAX_STEPS = 20
-
-# Levenberg-Marquardt constants of fit_lorentzian and curve_fit: initial
+# Levenberg-Marquardt constants of _separable_fit and curve_fit: initial
 # damping, MINPACK's default stopping tolerances, and the budget of trial
 # steps.  A resolved peak takes about ten steps; a peak narrower than the grid
 # step (zero-pad 1, or a hann profile split by its nulls at +-1 pixel) has no
@@ -421,6 +416,123 @@ def _covariance(j: np.ndarray, rss: float) -> np.ndarray:
     return np.full((n, n), np.inf)
 
 
+def _separable_fit(ys: np.ndarray, start: list, shape, columns):
+    """Least squares of ys ≈ a·s(θ) + c over θ = (x, w), or x alone (w = 0).
+
+    The model is separable (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): a and c are their 2x2 linear least squares at each θ, so only θ
+    is searched.  ``shape(x, w, out)`` writes s(θ) into ``out``.  Called
+    after s is written at an accepted θ, ``columns(x, w, a, s, out)`` writes
+    each Jacobian column ∂(a·s)/∂θᵢ as kᵢ·out[i] and returns (kx, kw), with
+    kw = 0 for an absent w.  Each step is Kaufman's (BIT 15, 49 (1975)): the
+    columns projected off s and the constant give a 2x2 system whose
+    diagonal is damped by (1 + λ), with ``curve_fit``'s λ schedule, stop
+    rules and budget of ``_LM_MAX_STEPS`` trial steps.  Every sum is numpy's
+    pairwise ``sum`` of elementwise products and the algebra runs in Python
+    floats, so no BLAS kernel moves a bit.
+
+    Returns (x, w), a, c, the RSS and the standard errors of (x, w, a, c):
+    the diagonal of inv(JᵀJ)·RSS/(m - k - 2) for k unknowns where the fit
+    stops, infinite when JᵀJ is singular; an absent w's error means nothing.
+    Raises ValidationError when the RSS at the start is not finite, and
+    FitConvergenceError when a damped system is singular or the budget runs
+    out.
+    """
+    # Rows of one buffer, so that each batch of sums is one product into a
+    # scratch array and one sum along the rows: the data, ones, and at the
+    # last θ evaluated the shape s, the columns of x and w, and the residual.
+    # A step is taken only from an accepted θ, which is the last one
+    # evaluated.  An absent w's column stays zero.
+    m, k = len(ys), len(start)
+    rows = np.zeros((6, m))
+    rows[0], rows[1] = ys, 1.0
+    s, resid, out = rows[2], rows[5], rows[3:5]
+    head, head_products = rows[:3], np.empty((3, m))
+    pairs, pair_products = (rows[3:5, np.newaxis], rows[np.newaxis, 1:]), np.empty((2, 5, m))
+    y_sum = float(ys.sum())
+
+    def project(x, w):
+        """(a, c, Σs, Σs², det P, RSS) at (x, w), leaving s and the residual in
+        their rows; the RSS is infinite where s is a constant, det P <= 0."""
+        shape(x, w, s)
+        sy_sum, s_sum, ss_sum = np.multiply(head, s, out=head_products).sum(-1).tolist()
+        det = m * ss_sum - s_sum * s_sum
+        if not det > 0.0:
+            return math.nan, math.nan, s_sum, ss_sum, det, math.inf
+        amp = (m * sy_sum - s_sum * y_sum) / det
+        offset = (ss_sum * y_sum - s_sum * sy_sum) / det
+        np.multiply(s, amp, out=resid)
+        np.add(resid, offset, out=resid)
+        np.subtract(rows[0], resid, out=resid)
+        return amp, offset, s_sum, ss_sum, det, float((resid * resid).sum())
+
+    x, w = start if k == 2 else (start[0], 0.0)
+    amp, offset, s_sum, ss_sum, det_p, rss = project(x, w)
+    if not math.isfinite(rss):
+        raise ValidationError("fit data or starting point give a non-finite residual")
+    lam, fresh, done = _LM_LAMBDA0, True, False
+    for steps in range(_LM_MAX_STEPS + 1):
+        if fresh:
+            # the columns are gx = kx·rows[3] and gw = kw·rows[4]; first the
+            # sums of each against 1, s, both columns and the residual
+            kx, kw = columns(x, w, amp, s, out)
+            (a1, a_s, aa, ab, a_r), (b1, b_s, _, bb, b_r) = (
+                np.multiply(*pairs, out=pair_products).sum(-1).tolist()
+            )
+            gx_sum, sgx, grad_x = kx * a1, kx * a_s, kx * a_r
+            gw_sum, sgw, grad_w = kw * b1, kw * b_s, kw * b_r
+            gxx, gxw, gww = kx * kx * aa, kx * kw * ab, kw * kw * bb
+            # b = inv(P)·[Σs·g, Σg] regresses each column on (s, 1), whose
+            # normal matrix is P = [[Σs², Σs], [Σs, m]]; S = [[sxx, sxw],
+            # [sxw, sww]] is the Schur complement of P in JᵀJ, the normal
+            # matrix of the projected columns
+            ba_x, bc_x = (m * sgx - s_sum * gx_sum) / det_p, (ss_sum * gx_sum - s_sum * sgx) / det_p
+            ba_w, bc_w = (m * sgw - s_sum * gw_sum) / det_p, (ss_sum * gw_sum - s_sum * sgw) / det_p
+            sxx = gxx - (sgx * ba_x + gx_sum * bc_x)
+            sxw = gxw - (sgx * ba_w + gx_sum * bc_w)
+            # an absent w takes a unit diagonal: S stays regular, w's step is
+            # 0, and x's step and errors are those of the 1x1 system
+            sww = gww - (sgw * ba_w + gw_sum * bc_w) if k == 2 else 1.0
+            xtol_bound = _LM_XTOL**2 * (sxx * x * x + sww * w * w)
+            fresh = False
+        if done:
+            break
+        if steps == _LM_MAX_STEPS:
+            raise FitConvergenceError(f"least-squares fit did not converge in {steps} steps")
+        dxx, dww = sxx * (1.0 + lam), sww * (1.0 + lam)
+        det = dxx * dww - sxw * sxw
+        if not 0.0 < det < math.inf:
+            raise FitConvergenceError("fit normal equations are singular")
+        step_x = (dww * grad_x - sxw * grad_w) / det
+        step_w = (dxx * grad_w - sxw * grad_x) / det
+        small_step = sxx * step_x * step_x + sww * step_w * step_w <= xtol_bound
+        trial = project(x + step_x, w + step_w)
+        if trial[-1] < rss:
+            done = small_step or rss - trial[-1] <= _LM_FTOL * rss
+            x, w = x + step_x, w + step_w
+            amp, offset, s_sum, ss_sum, det_p, rss = trial
+            lam /= 10.0
+            fresh = True
+        elif small_step:
+            done = True
+        else:
+            lam *= 10.0
+
+    det_s = sxx * sww - sxw * sxw
+    errors = [math.inf] * 4
+    if det_s > 0.0:
+        # inv(JᵀJ) is inv(S) for (x, w) and inv(P) + B·inv(S)·Bᵀ for (a, c);
+        # det P > 0 at every accepted θ
+        variances = (
+            sww / det_s,
+            sxx / det_s,
+            m / det_p + (sww * ba_x * ba_x - 2.0 * sxw * ba_x * ba_w + sxx * ba_w * ba_w) / det_s,
+            ss_sum / det_p + (sww * bc_x * bc_x - 2.0 * sxw * bc_x * bc_w + sxx * bc_w * bc_w) / det_s,
+        )
+        errors = [math.sqrt(max(v, 0.0) * rss / (m - k - 2)) for v in variances]
+    return (x, w), amp, offset, rss, errors
+
+
 def _lorentzian_start(
     profile: RealSpaceProfile, initial_window: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -466,126 +578,37 @@ def fit_lorentzian(
     """Least-squares Lorentzian fit of the profile peak inside a window.
 
     The window defaults to the main lobe (see default_fit_window), and the
-    fit starts where ``_lorentzian_start`` puts it.
-
-    The model is separable (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)): only the center x0 and half-width w are searched, and at each
-    (x0, w) the amplitude and offset are their 2x2 linear least squares.
-    Each step is Kaufman's (BIT 15, 49 (1975)): the Jacobian columns of x0
-    and w, projected off the shape and the constant, give a 2x2 system whose
-    diagonal is damped by (1 + λ), as in ``curve_fit``, with its schedule of
-    λ, its stop rules and its budget of ``_LM_MAX_STEPS`` trial steps.
-    Every sum is numpy's pairwise ``sum`` of elementwise products and the
-    algebra runs in Python floats, so no BLAS kernel moves a bit.  The
-    uncertainties are the diagonal of inv(JᵀJ)·RSS/(m - 4) for the full
-    Jacobian of (amplitude, x0, w, offset) where the fit stops, infinite
-    when JᵀJ is singular.
+    fit starts where ``_lorentzian_start`` puts it.  ``_separable_fit``
+    searches the center x0 and half-width w, with the amplitude and offset in
+    closed form at each (x0, w) and damped 2x2 steps.  The uncertainties are
+    the diagonal of inv(JᵀJ)·RSS/(m - 4) for the full Jacobian of
+    (amplitude, x0, w, offset) where the fit stops, infinite when JᵀJ is
+    singular.
     """
     if initial_window is None:
         initial_window = default_fit_window(profile)
     xs, ys, (_, center, half_width, _) = _lorentzian_start(profile, initial_window)
+    d = np.empty(len(xs))  # x - x0 at the last (x0, w) evaluated
 
-    # Rows of one buffer, so that each batch of sums is one product and one
-    # sum along the rows: the data, ones, and at the last point evaluated the
-    # shape s, s·u and u² with u = (x - x0)·s, and the residual.  A step is
-    # taken only from an accepted point, which is the last one evaluated.
-    m = len(ys)  # >= 5, so the covariance has m - 4 >= 1 degrees of freedom
-    rows = np.empty((6, m))
-    rows[0], rows[1] = ys, 1.0
-    shape, resid = rows[2], rows[5]
-    d = np.empty(m)
-    y_sum = float(ys.sum())
-
-    def project(x0, w):
-        """(amplitude, offset, Σs, Σs², RSS) at (x0, w), leaving x - x0 in d
-        and s and the residual in their rows; the RSS is infinite where s
-        cannot be told from a constant."""
+    def shape(x0, w, out):
         np.subtract(xs, x0, out=d)
         w2 = w * w
-        np.multiply(d, d, out=shape)
-        np.add(shape, w2, out=shape)
-        np.divide(w2, shape, out=shape)
-        sy_sum, s_sum, ss_sum = (rows[:3] * shape).sum(-1).tolist()
-        det = m * ss_sum - s_sum * s_sum
-        if not det > 0.0:
-            return math.nan, math.nan, s_sum, ss_sum, math.inf
-        amp = (m * sy_sum - s_sum * y_sum) / det
-        offset = (ss_sum * y_sum - s_sum * sy_sum) / det
-        np.multiply(shape, amp, out=resid)
-        np.add(resid, offset, out=resid)
-        np.subtract(rows[0], resid, out=resid)
-        return amp, offset, s_sum, ss_sum, float((resid * resid).sum())
+        np.multiply(d, d, out=out)
+        np.add(out, w2, out=out)
+        np.divide(w2, out, out=out)
 
-    amp, offset, s_sum, ss_sum, rss = project(center, half_width)
-    if not math.isfinite(rss):
-        raise ValidationError("fit data or starting point give a non-finite residual")
-    lam = _LM_LAMBDA0
-    steps, fresh, done = 0, True, False
-    while True:
-        if fresh:
-            # the Jacobian columns of x0 and w are gx = A·∂s/∂x0 = kx·s·u and
-            # gw = A·∂s/∂w = kw·u², u = (x - x0)·s; first the sums of s·u and
-            # of u² against 1, s, s·u, u² and the residual
-            np.multiply(d, shape, out=d)
-            np.multiply(shape, d, out=rows[3])
-            np.multiply(d, d, out=rows[4])
-            (a1, a_s, aa, ab, a_r), (b1, b_s, _, bb, b_r) = (
-                (rows[3:5, np.newaxis] * rows[np.newaxis, 1:]).sum(-1).tolist()
-            )
-            kx = 2.0 * amp / (half_width * half_width)
-            kw = kx / half_width
-            gx_sum, sgx, grad_x = kx * a1, kx * a_s, kx * a_r
-            gw_sum, sgw, grad_w = kw * b1, kw * b_s, kw * b_r
-            gxx, gxw, gww = kx * kx * aa, kx * kw * ab, kw * kw * bb
-            # b = inv(P)·[Σs·g, Σg] regresses each column on (s, 1), whose
-            # normal matrix is P = [[Σs², Σs], [Σs, m]]; S = [[sxx, sxw],
-            # [sxw, sww]] is the Schur complement of P in JᵀJ, the normal
-            # matrix of the projected columns
-            det_p = m * ss_sum - s_sum * s_sum
-            ba_x, bc_x = (m * sgx - s_sum * gx_sum) / det_p, (ss_sum * gx_sum - s_sum * sgx) / det_p
-            ba_w, bc_w = (m * sgw - s_sum * gw_sum) / det_p, (ss_sum * gw_sum - s_sum * sgw) / det_p
-            sxx = gxx - (sgx * ba_x + gx_sum * bc_x)
-            sxw = gxw - (sgx * ba_w + gx_sum * bc_w)
-            sww = gww - (sgw * ba_w + gw_sum * bc_w)
-            xtol_bound = _LM_XTOL**2 * (sxx * center * center + sww * half_width * half_width)
-            fresh = False
-        if done:
-            break
-        if steps == _LM_MAX_STEPS:
-            raise FitConvergenceError(f"least-squares fit did not converge in {steps} steps")
-        steps += 1
-        dxx, dww = sxx * (1.0 + lam), sww * (1.0 + lam)
-        det = dxx * dww - sxw * sxw
-        if not 0.0 < det < math.inf:
-            raise FitConvergenceError("fit normal equations are singular")
-        step_x = (dww * grad_x - sxw * grad_w) / det
-        step_w = (dxx * grad_w - sxw * grad_x) / det
-        small_step = sxx * step_x * step_x + sww * step_w * step_w <= xtol_bound
-        trial = project(center + step_x, half_width + step_w)
-        if trial[-1] < rss:
-            done = small_step or rss - trial[-1] <= _LM_FTOL * rss
-            center, half_width = center + step_x, half_width + step_w
-            amp, offset, s_sum, ss_sum, rss = trial
-            lam /= 10.0
-            fresh = True
-        elif small_step:
-            done = True
-        else:
-            lam *= 10.0
+    def columns(x0, w, amp, s, out):
+        # A·∂s/∂x0 = kx·s·u and A·∂s/∂w = kw·u², u = (x - x0)·s
+        np.multiply(d, s, out=d)
+        np.multiply(s, d, out=out[0])
+        np.multiply(d, d, out=out[1])
+        kx = 2.0 * amp / (w * w)
+        return kx, kx / w
 
-    det_s = sxx * sww - sxw * sxw
-    if det_s > 0.0:
-        # inv(JᵀJ) is inv(S) for (x0, w) and inv(P) + B·inv(S)·Bᵀ for
-        # (amplitude, offset); det_p > 0 at every accepted point
-        variances = (
-            sww / det_s,
-            sxx / det_s,
-            m / det_p + (sww * ba_x * ba_x - 2.0 * sxw * ba_x * ba_w + sxx * ba_w * ba_w) / det_s,
-            ss_sum / det_p + (sww * bc_x * bc_x - 2.0 * sxw * bc_x * bc_w + sxx * bc_w * bc_w) / det_s,
-        )
-        sd_x, sd_w, sd_a, sd_c = (math.sqrt(max(v, 0.0) * rss / (m - 4)) for v in variances)
-    else:
-        sd_x = sd_w = sd_a = sd_c = math.inf
+    # the window holds m >= 5 samples, so m - 4 >= 1 degrees of freedom
+    (center, half_width), amp, offset, rss, (sd_x, sd_w, sd_a, sd_c) = _separable_fit(
+        ys, [center, half_width], shape, columns
+    )
     return PeakFit(
         center_nm=center,
         fwhm_nm=2.0 * abs(half_width),  # width enters squared; fold the sign
@@ -603,12 +626,9 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
 
     x0 starts at the tallest bin of the zero-padded periodogram on
     ``fourier_reconstruct``'s K grid (``_full_grid``, or the mean K spacing
-    where that grid is refused), and (a, c) at their linear least squares
-    there.  Undamped Gauss-Newton steps follow: each sums its 3x3 normal
-    equations by numpy's pairwise ``sum`` and solves them by Cramer's rule
-    in Python floats, so no BLAS kernel moves a bit.  The step that moves x0
-    by at most ``_COSINE_XTOL`` of it is the last; the cofactors where it
-    lands give the standard errors, the diagonal of inv(JᵀJ)·RSS/(n - 3).
+    where that grid is refused).  ``_separable_fit`` then takes damped steps
+    on x0 alone, with (a, c) in closed form at each x0; its standard errors
+    are the diagonal of inv(JᵀJ)·RSS/(n - 3).
     """
     n = len(record)
     if n < 6:
@@ -633,41 +653,19 @@ def fit_cosine(record: KSpaceRecord) -> CosineFit:
     spectrum = np.abs(np.fft.rfft(placed, n=8 * n_grid))
     x0 = (int(np.argmax(spectrum[1:])) + 1) / (8 * n_grid * dk)
     two_pi_k = 2.0 * np.pi * k
-    u = np.cos(two_pi_k * x0)
-    su, suu, ss, sus = (float(v.sum()) for v in (u, u * u, s, u * s))
-    det = n * suu - su * su
-    if det <= 0.0:
-        raise DegenerateFitError("cosine fit start has a singular basis")
-    a, c = (n * sus - su * ss) / det, (suu * ss - su * sus) / det
+    phase = np.empty(n)
 
-    # the pass after the last step takes none: its residual and cofactors
-    # give the RSS and the standard errors
-    step = math.inf
-    for steps in range(_COSINE_MAX_STEPS + 1):
-        theta = two_pi_k * x0
-        u = np.cos(theta)
-        g = (-a) * two_pi_k * np.sin(theta)  # d(model)/d(x0)
-        r = s - (a * u + c)
-        m00, m01, m02 = float((g * g).sum()), float((g * u).sum()), float(g.sum())
-        m11, m12 = float((u * u).sum()), float(u.sum())
-        # cofactors of the symmetric JᵀJ, whose third diagonal entry is n
-        c00, c01, c02 = m11 * n - m12 * m12, m02 * m12 - m01 * n, m01 * m12 - m11 * m02
-        c11, c12, c22 = m00 * n - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01
-        det = m00 * c00 + m01 * c01 + m02 * c02
-        if not 0.0 < det < math.inf:
-            raise DegenerateFitError("cosine fit normal equations are singular")
-        if abs(step) <= _COSINE_XTOL * abs(x0):
-            break
-        if steps == _COSINE_MAX_STEPS:
-            raise FitConvergenceError(f"cosine fit did not converge in {steps} steps")
-        b0, b1, b2 = float((g * r).sum()), float((u * r).sum()), float(r.sum())
-        step = (c00 * b0 + c01 * b1 + c02 * b2) / det
-        x0 += step
-        a += (c01 * b0 + c11 * b1 + c12 * b2) / det
-        c += (c02 * b0 + c12 * b1 + c22 * b2) / det
+    def shape(x0, w, out):
+        np.multiply(two_pi_k, x0, out=phase)
+        np.cos(phase, out=out)
 
-    rss = float((r * r).sum())
-    sd_x0, sd_a, sd_c = (math.sqrt(max(cof / det * rss / (n - 3), 0.0)) for cof in (c00, c11, c22))
+    def columns(x0, w, amp, _, out):
+        # a·∂s/∂x0 = -a·2πK·sin(2πK·x0)
+        np.sin(phase, out=out[0])
+        np.multiply(out[0], two_pi_k, out=out[0])
+        return -amp, 0.0
+
+    (x0, _), a, c, rss, (sd_x0, _, sd_a, sd_c) = _separable_fit(s, [x0], shape, columns)
     if abs(a) < sd_a:
         raise DegenerateFitError("fitted amplitude indistinguishable from zero")
     if x0 * span < 0.8:

@@ -277,9 +277,9 @@ class TestCosineFit:
 
     def test_nan_signal_fails_at_the_first_evaluation(self, monkeypatch):
         # a record built by hand with a non-finite sample is refused before
-        # any Gauss-Newton step: with no step budget at all it is still a
+        # any damped step: with no step budget at all it is still a
         # validation error, not fit-non-convergence
-        monkeypatch.setattr(reconstruction, "_COSINE_MAX_STEPS", 0)
+        monkeypatch.setattr(reconstruction, "_LM_MAX_STEPS", 0)
         for bad in (np.nan, np.inf):
             signals = np.cos(np.linspace(0.0, 6.0 * np.pi, 50))
             signals[7] = bad
@@ -344,6 +344,30 @@ def shot_noise_record(seed):
     return nf.run_sweep(plan, cfg.nv, cfg.wire, cfg.nv_axis, REF_GRADIENT_PER_MA)
 
 
+def drifting_record(seed, shot_noise):
+    """The shipped plan under a random walk of 0.04 nm/sqrt(h), swept at
+    REF_GRADIENT_PER_MA."""
+    cfg = load_config(DEFAULT_CONFIG)
+    drift = nf.DriftModel(random_walk_sigma_nm_per_sqrt_hour=0.04)
+    plan = dataclasses.replace(cfg.plan, shot_noise=shot_noise, seed=seed, drift=drift)
+    return nf.run_sweep(plan, cfg.nv, cfg.wire, cfg.nv_axis, REF_GRADIENT_PER_MA)
+
+
+@pytest.mark.parametrize(
+    "shot_noise, seed",
+    [(True, seed) for seed in (1007, 1008, 1021, 1027)]
+    + [(False, seed) for seed in (1007, 1008, 1019, 1021, 1027)],
+)
+def test_fit_cosine_converges_on_a_drifting_record(shot_noise, seed):
+    # reconstruct accepts each of these records, but from the periodogram
+    # start the RSS over x0 has several nearby minima, and undamped
+    # Gauss-Newton steps on them ended in fit-non-convergence; damped steps
+    # converge (noiseless seed 1008 takes 391)
+    fit = nf.fit_cosine(drifting_record(seed, shot_noise))
+    assert isinstance(fit, nf.CosineFit)
+    assert all(math.isfinite(sd) for sd in fit.uncertainties.values())
+
+
 def printed_under_kernels(code, *args):
     """What ``code`` prints, run with ``args`` in a fresh interpreter under
     each of two forced OpenBLAS kernels.  Only these two are forced, since an
@@ -363,8 +387,8 @@ def printed_under_kernels(code, *args):
 
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_fit_cosine_is_the_same_under_every_blas_kernel(tmp_path):
-    # the fit sums with np.sum and solves by Cramer's rule in Python floats,
-    # so the BLAS kernel cannot move a bit of it
+    # the fit sums elementwise products with .sum() and does its 2x2 algebra
+    # in Python floats, so the BLAS kernel cannot move a bit of it
     path = tmp_path / "record.csv"
     nf.save_record(shot_noise_record(1000), path)
     code = (

@@ -9,9 +9,9 @@ with no more residual.  The wire calibration's
 variable-projection fit must land where scipy's fit to the same weighted
 model lands when run to convergence, with the same covariance from the
 samples' sigma.
-``fit_cosine``'s Gauss-Newton steps must land where scipy's
-``least_squares`` on the same phase-anchored model lands, with no more
-residual.
+``fit_cosine``'s damped steps on x0, with the amplitude and offset in
+closed form, must land where scipy's ``least_squares`` on the same
+phase-anchored model lands, with no more residual.
 
 The Lorentzian comparison runs on unwindowed profiles at zero-pad 2 and
 above, where the main lobe spans several grid steps and the fit has a
@@ -268,6 +268,6 @@ def test_starved_cosine_fit_raises(monkeypatch):
     k = np.arange(458) * (K_MAX / 457)  # record_of's grid
     record = record_of(np.cos(2.0 * math.pi * 30.0 * k) + 0.01 * np.random.default_rng(0).standard_normal(458))
     nf.fit_cosine(record)
-    monkeypatch.setattr(reconstruction, "_COSINE_MAX_STEPS", 1)
+    monkeypatch.setattr(reconstruction, "_LM_MAX_STEPS", 1)
     with pytest.raises(FitConvergenceError):
         nf.fit_cosine(record)
