@@ -235,8 +235,10 @@ def run_sweep(
         raise ValidationError("an NvAxis is required when computing gradients from a wire")
     else:
         unit_wire = replace(wire, current_ma=1.0)  # polarity kept: it signs the drive
-        drifted = nv.position_um + np.multiply.outer(offsets * NM_TO_UM, plan.imaging_axis)
-        g = gradient_at(unit_wire, np.vstack([nv.position_um, drifted]), axis, plan.imaging_axis)
+        # the undrifted NV, then the drifted positions: pos + 0.0 * e is pos
+        shifts_um = np.concatenate(([0.0], offsets * NM_TO_UM))
+        positions = nv.position_um + np.multiply.outer(shifts_um, plan.imaging_axis)
+        g = gradient_at(unit_wire, positions, axis, plan.imaging_axis)
         g0, g_per_ma = float(g[0]), g[1:]
     if g0 <= 0:
         raise ValidationError(
@@ -276,7 +278,7 @@ def run_sweep(
 
     coeff = k_per_ma(w, plan.sequence.tau_us, g0)
     k_values = currents * coeff
-    metadata = {f.name: to_plain(getattr(plan, f.name)) for f in fields(plan)}
+    metadata = to_plain(plan)
     nv_doc = to_plain(nv)
     del nv_doc["position_um"]  # the sidecar keeps the NV's readout constants, not its position
     metadata.update(

@@ -78,10 +78,11 @@ class Manifest:
 
     @contextmanager
     def stage(self, name: str):
-        """Time the body; a stage that raises is not recorded."""
-        t0 = time.perf_counter()
+        """Time the body in wall-clock and CPU seconds; a stage that raises is not recorded."""
+        t0, cpu0 = time.perf_counter(), time.process_time()
         yield
-        self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
+        seconds, cpu_seconds = time.perf_counter() - t0, time.process_time() - cpu0
+        self.stages.append({"name": name, "seconds": seconds, "cpu_seconds": cpu_seconds})
 
     def add_output(self, path) -> None:
         self.outputs.append(Path(path))
@@ -187,7 +188,7 @@ def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None
     # predicted field/gradient curve along the imaging axis through the samples
     e = cfg.plan.imaging_axis
     positions = np.array([s.position_um for s in samples])
-    proj = _dot(positions, e)
+    proj = _dot(positions.T, e)
     centroid = np.mean(positions, axis=0)
     base = centroid - _dot(centroid, e) * e
     points = base + np.linspace(proj.min(), proj.max(), 101)[:, None] * e

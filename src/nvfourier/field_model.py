@@ -10,7 +10,11 @@ with azimuthal direction given by the right-hand rule times the wire
 polarity.  Everything downstream (ODMR shift, gradients, calibration) is a
 projection of this field onto the NV quantum axis.  Each field function takes
 one point, giving floats, or an (n, 3) stack of points, giving arrays whose
-entries are bitwise equal to the per-point calls.
+entries are bitwise equal to the per-point calls.  The 3-vector geometry
+(wire anchor and direction, NV axis, imaging axis and the vectors built from
+them) runs in Python floats, and a stack runs as its three coordinate
+columns, so one formula serves a point and a stack, in the same order of
+floating-point operations, at numpy's per-call cost only for the columns.
 
 Calibration follows the multi-NV workflow: measure the ODMR frequency shift
 of several NV centers around the wire, then least-squares fit the wire's
@@ -50,7 +54,7 @@ def _vec3(v, name: str, stack: bool = False) -> np.ndarray:
     if arr.shape != (3,) and not (stack and arr.ndim == 2 and arr.shape[1] == 3):
         kind = "a 3-vector or an (n, 3) stack" if stack else "a 3-vector"
         raise ValidationError(f"{name} must be {kind}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite")
     return arr
 
@@ -62,23 +66,43 @@ def _check_finite(obj, *names: str) -> None:
             raise ValidationError(f"{name} must be finite")
 
 
+def _components(v: np.ndarray):
+    """A 3-vector's coordinates as three Python floats, an (n, 3) stack's as its three columns."""
+    return v.tolist() if v.ndim == 1 else v.T
+
+
 def _dot(u, v):
-    """u . v of 3-vectors, or of each row of an (n, 3) stack, summed in index
-    order: a stack's rows equal the single calls bit for bit, on every CPU.
+    """u . v of two 3-vectors, each given by its three components (Python
+    floats, or coordinate columns of a stack), summed in index order.
 
     Elementwise products and sums, not np.dot, np.vecdot or np.linalg.norm,
     which run through the BLAS ddot whose kernel decides the last bits.
     """
-    u, v = u.T, v.T  # a 3-vector's entries index as scalars, a stack's as columns
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _unit3(v, name: str) -> np.ndarray:
-    arr = _vec3(v, name)
-    norm = math.sqrt(_dot(arr, arr))
+def _cross(u, v):
+    """u x v by components, with np.cross's own products and differences."""
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def _reject(v, d):
+    """v minus its part along the unit vector d, by components."""
+    t = _dot(v, d)
+    return v[0] - t * d[0], v[1] - t * d[1], v[2] - t * d[2]
+
+
+def _unit_floats(v, name: str) -> list[float]:
+    """The unit vector along the finite, nonzero 3-vector v, as three Python floats."""
+    x, y, z = _vec3(v, name).tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise ValidationError(f"{name} must be nonzero")
-    return arr / norm
+    return [x / norm, y / norm, z / norm]
+
+
+def _unit3(v, name: str) -> np.ndarray:
+    return np.array(_unit_floats(v, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,19 +152,15 @@ class FieldSample:
     delta_f_mhz: float
 
 
+def _perp(wire: MicrowireModel, points_um: np.ndarray):
+    """rho, the part of points_um - anchor perpendicular to the wire, by components."""
+    anchor, d = wire.anchor_point_um.tolist(), wire.direction.tolist()
+    x, y, z = _components(points_um)
+    return _reject((x - anchor[0], y - anchor[1], z - anchor[2]), d)
+
+
 def _perp_displacement(wire: MicrowireModel, points_um: np.ndarray) -> np.ndarray:
-    rel = points_um - wire.anchor_point_um
-    return rel - _dot(rel, wire.direction)[..., np.newaxis] * wire.direction
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v of a 3-vector u with a 3-vector or an (n, 3) stack v.
-
-    The products and differences are np.cross's own, so the result is
-    bitwise equal to it, without np.cross's per-call set-up.
-    """
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([u[1] * v2 - u[2] * v1, u[2] * v0 - u[0] * v2, u[0] * v1 - u[1] * v0], axis=-1)
+    return np.stack(_perp(wire, points_um), axis=-1)
 
 
 def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
@@ -150,7 +170,7 @@ def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
     Raises GeometryError when any point lies within MIN_WIRE_DISTANCE_UM of
     the wire axis, where the 1/r law diverges.
     """
-    rho = _perp_displacement(wire, _vec3(point_um, "point_um", stack=True))
+    rho = _perp(wire, _vec3(point_um, "point_um", stack=True))
     r2 = _dot(rho, rho)
     if np.any(r2 <= MIN_WIRE_DISTANCE_UM**2):
         raise GeometryError(
@@ -158,13 +178,12 @@ def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
             f"(minimum {MIN_WIRE_DISTANCE_UM:g} um)"
         )
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma / r2
-    return pref[..., np.newaxis] * _cross(wire.direction, rho)
+    return np.stack([pref * c for c in _cross(wire.direction.tolist(), rho)], axis=-1)
 
 
 def project_on_axis(b_g, axis: NvAxis):
     """Signed projection of a field vector (G), or of each row of a stack, on the NV axis."""
-    b = _dot(_vec3(b_g, "b_g", stack=True), axis.orientation)
-    return b if b.ndim else float(b)
+    return _dot(_components(_vec3(b_g, "b_g", stack=True)), axis.orientation.tolist())
 
 
 def odmr_shift(b_projected_g):
@@ -182,18 +201,17 @@ def gradient_at(wire: MicrowireModel, point_um, axis: NvAxis, imaging_axis):
     point, giving a float, or an (n, 3) stack, giving n gradients that are
     bitwise equal to the per-point calls.
     """
-    e = _unit3(imaging_axis, "imaging_axis")
-    rho = _perp_displacement(wire, _vec3(point_um, "point_um", stack=True))
+    e = _unit_floats(imaging_axis, "imaging_axis")
+    rho = _perp(wire, _vec3(point_um, "point_um", stack=True))
     r2 = _dot(rho, rho)
     if np.any(r2 <= MIN_WIRE_DISTANCE_UM**2):
         raise GeometryError("gradient requested on the wire axis")
-    e_perp = e - _dot(e, wire.direction) * wire.direction
-    a = axis.orientation
-    d = wire.direction
+    d, a = wire.direction.tolist(), axis.orientation.tolist()
+    e_perp = _reject(e, d)
     pref = MU0_OVER_2PI_G_UM_PER_MA * wire.signed_current_ma
     # d/ds [ a . (d x (rho + s*e_perp)) / |rho + s*e_perp|^2 ] at s = 0;
-    # float_power keeps r2**2 equal to the scalar float power
-    term1 = float(_dot(a, _cross(d, e_perp))) / r2
+    # float_power keeps r2**2 equal to the scalar float power, not r2 * r2
+    term1 = _dot(a, _cross(d, e_perp)) / r2
     term2 = (
         -2.0 * _dot(a, _cross(d, rho)) * _dot(rho, e_perp) / np.float_power(r2, 2.0)
     )
@@ -253,13 +271,11 @@ def _standoff_axis(guess: MicrowireModel, positions) -> np.ndarray:
     samples all on one side of the wire it captures the dominant geometric
     uncertainty.
     """
-    centroid = np.mean(positions, axis=0)
-    rel = centroid - guess.anchor_point_um
-    perp = rel - _dot(rel, guess.direction) * guess.direction
+    perp = _perp(guess, np.mean(positions, axis=0))
     norm = math.sqrt(_dot(perp, perp))
     if norm <= MIN_WIRE_DISTANCE_UM:
         raise GeometryError("sample centroid lies on the wire axis; standoff direction undefined")
-    return perp / norm
+    return np.array(perp) / norm
 
 
 def calibrate_wire(

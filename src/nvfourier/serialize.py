@@ -2,7 +2,8 @@
 
 ``to_plain`` is ``dataclasses.asdict`` with ndarrays and tuples turned into
 lists and numpy scalars into Python numbers, so the result compares equal
-to what ``json.loads`` reads back.  Every JSON file the package writes goes
+to what ``json.loads`` reads back; it reads each dataclass type's field
+names once, not on every value.  Every JSON file the package writes goes
 through ``write_json``: a plain document, two-space indent, sorted keys and a
 trailing newline.  Every CSV table goes through ``write_csv`` and
 ``read_csv``: UTF-8 text, a header line of column names, then one line of
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
 
@@ -30,12 +32,23 @@ import numpy as np
 from .errors import DataFormatError
 
 _BLOCK_ROWS = 1024  # rows that write_csv formats per write and read_csv parses at once
+_SCALARS = (float, int, bool, str, type(None))  # to_plain returns these as they are
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of dataclass type ``cls``, or None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
 def to_plain(obj):
     """Nested dicts, lists and Python scalars holding the same values as ``obj``."""
-    if is_dataclass(obj):
-        return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)}
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    names = _field_names(cls)
+    if names is not None:
+        return {name: to_plain(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {key: to_plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):

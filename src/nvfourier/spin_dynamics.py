@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import GAMMA_CYC_MHZ_PER_G, NM_TO_UM
 from .errors import ValidationError
-from .field_model import _check_finite, _dot, _unit3, _vec3
+from .field_model import _check_finite, _dot, _unit_floats, _vec3
 
 WAVEFORM_SHAPES = ("sine", "rectangular")
 
@@ -187,8 +187,8 @@ def phase_efficiency(wf: GradientWaveform, seq: EchoSequence) -> float:
 
 def imaging_coordinate_nm(nv: NvCenter, origin_um=(0.0, 0.0, 0.0), imaging_axis=(1.0, 0.0, 0.0)) -> float:
     """NV coordinate (nm) along the imaging axis, relative to the origin."""
-    e = _unit3(imaging_axis, "imaging_axis")
-    return float(_dot(nv.position_um - _vec3(origin_um, "origin_um"), e)) / NM_TO_UM
+    e = _unit_floats(imaging_axis, "imaging_axis")
+    return _dot((nv.position_um - _vec3(origin_um, "origin_um")).tolist(), e) / NM_TO_UM
 
 
 def phase_from_coordinate(x_nm, peak_gradient_g_per_um, seq: EchoSequence, wf: GradientWaveform):

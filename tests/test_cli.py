@@ -867,6 +867,7 @@ class TestRunAll:
             m.pop("created_utc")
             for stage in m["stages"]:
                 stage.pop("seconds")
+                stage.pop("cpu_seconds")
             for entry in m["outputs"]:
                 entry["path"] = Path(entry["path"]).name
         assert m1 == m2
@@ -880,9 +881,10 @@ class TestManifestStage:
         with pytest.raises(ConfigError):
             with manifest.stage("reconstruct"):
                 raise ConfigError("stage failed")
-        assert [list(s) for s in manifest.stages] == [["name", "seconds"]]
+        assert [list(s) for s in manifest.stages] == [["name", "seconds", "cpu_seconds"]]
         assert manifest.stages[0]["name"] == "simulate"
         assert manifest.stages[0]["seconds"] >= 0.0
+        assert manifest.stages[0]["cpu_seconds"] >= 0.0
 
 
 class TestManifestMerge:

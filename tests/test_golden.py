@@ -4,8 +4,10 @@ Each record case builds a plan from the shipped reference config, runs the sweep
 writes the record with ``save_record`` and hashes the CSV and the sidecar
 bytes.  Together the cases cover noiseless and shot-noise sweeps, every
 drift term under the wire geometry with modulated and white current noise,
-and a dense sweep.  A change that moves
-any record byte must re-pin these digests and say so in CHANGES.md.
+the same under a tilted geometry, and a dense sweep.  A change that moves
+any record byte must re-pin these digests and say so in CHANGES.md.  One
+more digest pins ``sample_field`` on a seeded stack of points around the NV
+under the tilted geometry.
 
 The config hashes pin the canonical config of the minimal test config and of
 the shipped reference config, and the run-all digests pin every data file
@@ -17,12 +19,14 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import nvfourier as nf
 from nvfourier.cli import main
 from nvfourier.config import build_config, load_config
+from nvfourier.spin_dynamics import imaging_coordinate_nm
 
 from helpers import minimal_config_dict
 
@@ -60,6 +64,25 @@ def _drift_wire(cfg):
     return plan, {"wire": cfg.wire, "axis": cfg.nv_axis}
 
 
+# the shipped wire (0, 1, 0), NV axis (0, 0, -1) and imaging axis (-1, 0, 0)
+# make most cross-product terms of the field model exact zeros; these do not
+TILTED_WIRE_DIRECTION = (0.3, 1.0, 0.2)
+TILTED_NV_AXIS = (0.1, -0.2, -1.0)
+TILTED_IMAGING_AXIS = (-1.0, 0.1, 0.05)
+
+
+def _tilted(cfg):
+    """The reference wire, NV axis and imaging axis turned off the coordinate axes."""
+    wire = replace(cfg.wire, direction=TILTED_WIRE_DIRECTION)
+    return wire, nf.NvAxis(TILTED_NV_AXIS), TILTED_IMAGING_AXIS
+
+
+def _drift_wire_tilted(cfg):
+    plan, _ = _drift_wire(cfg)
+    wire, axis, imaging_axis = _tilted(cfg)
+    return replace(plan, imaging_axis=imaging_axis), {"wire": wire, "axis": axis}
+
+
 def _dense(cfg):
     plan = replace(cfg.plan, n_points=15_000)
     return plan, {"gradient_per_ma": _reference_gradient(cfg)}
@@ -80,6 +103,11 @@ CASES = {
         _drift_wire,
         "bd7cbd20ce44a1b0fadc89362659d40e9dd907f2533fa5b5b1986a8e19d4939d",
         "f19df21f1b722ac321aded59724405483d74c5dca474a27f6a1aa0e98619b707",
+    ),
+    "drift_wire_tilted": (
+        _drift_wire_tilted,
+        "1ec0c0457382fbd13f5634ee037b30842f1652b9f63e4d4e882713fda76e737b",
+        "fb02fe02177ba78924b86203f392159270095f405b207ba669df695e58e50c76",
     ),
     "dense_15000": (
         _dense,
@@ -106,6 +134,30 @@ def record_digests(name, tmp_path):
 def test_record_digest(name, tmp_path):
     _, csv_digest, sidecar_digest = CASES[name]
     assert record_digests(name, tmp_path) == (csv_digest, sidecar_digest)
+
+
+def test_tilted_case_keeps_the_nv_imaged():
+    # the wire keeps its polarity because the gradient at the NV stays
+    # positive, and the NV stays inside the record's field of view
+    cfg = load_config(DEFAULT_CONFIG)
+    plan, geometry = _drift_wire_tilted(cfg)
+    record = nf.run_sweep(plan, cfg.nv, **geometry)
+    x0_nm = imaging_coordinate_nm(cfg.nv, plan.origin_um, plan.imaging_axis)
+    assert record.metadata["gradient_per_ma_g_per_um"] > 0
+    assert 0 < x0_nm < 1.0 / (2.0 * record.metadata["delta_k_per_nm"])
+
+
+SAMPLE_FIELD_TILTED_DIGEST = "30b67e6a939a1418c56d96181188e89a0eba4a172e3d5006c0c6bb2cfedb3e03"
+
+
+def test_sample_field_digest_on_tilted_stack():
+    cfg = load_config(DEFAULT_CONFIG)
+    wire, axis, imaging_axis = _tilted(cfg)
+    points = cfg.nv.position_um + np.random.default_rng(11).uniform(-1.0, 1.0, (1_000, 3))
+    sample = nf.sample_field(wire, points, axis, imaging_axis)
+    values = (sample.b_projected_g, sample.gradient_projected_g_per_um, sample.delta_f_mhz)
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest()
+    assert digest == SAMPLE_FIELD_TILTED_DIGEST
 
 
 CONFIG_HASHES = {

@@ -1,7 +1,9 @@
-"""The CSV format: the streaming reader against the whole-file reader it
-replaced, bit-exact round trips, and bounded memory."""
+"""The plain-JSON form of the dataclasses against the per-value reflection
+it replaced, and the CSV format: the streaming reader against the
+whole-file reader it replaced, bit-exact round trips, and bounded memory."""
 
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -10,9 +12,83 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nvfourier as nf
 from nvfourier import serialize
+from nvfourier.config import load_config
 from nvfourier.errors import DataFormatError
-from nvfourier.serialize import read_csv, write_csv
+from nvfourier.field_model import load_calibration_csv
+from nvfourier.serialize import read_csv, to_plain, write_csv
+
+from helpers import REF_GRADIENT_PER_MA, reference_nv, reference_plan
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_run.yaml"
+
+
+def to_plain_oracle(obj):
+    """The ``to_plain`` that read ``dataclasses.fields`` on every value, kept
+    verbatim: the reference for the documents built from the dataclasses."""
+    if is_dataclass(obj):
+        return {f.name: to_plain_oracle(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: to_plain_oracle(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_plain_oracle(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+def drifting_plan():
+    drift = nf.DriftModel(
+        linear_rate_nm_per_hour=0.004, random_walk_sigma_nm_per_sqrt_hour=0.01,
+        temperature_coupling_nm_per_k=0.2,
+    )
+    noise = nf.CurrentNoiseModel(relative_amplitude=0.01, modulation_frequency_cycles=3.0, white_sigma=0.001)
+    return reference_plan(drift=drift, current_noise=noise, shot_noise=True, shots_per_point=1000)
+
+
+@pytest.fixture(scope="module")
+def serialized():
+    """One of each dataclass the package writes to JSON, from real runs."""
+    cfg = load_config(DEFAULT_CONFIG)
+    _, wire_report = nf.calibrate_wire(load_calibration_csv(cfg.calibration_csv), cfg.wire, cfg.nv_axis)
+    nv = cfg.nv
+    sensitivity = nf.full_sensitivity_report(
+        nv.contrast_alpha, nv.yield_beta, cfg.sigma_s, cfg.plan.sequence.total_time_us, cfg.plan.shots_per_point
+    )
+    record = nf.run_sweep(drifting_plan(), reference_nv(), gradient_per_ma=REF_GRADIENT_PER_MA)
+    peak = nf.fit_lorentzian(nf.fourier_reconstruct(record, zero_pad_factor=4))
+    return {
+        "plan": drifting_plan(), "nv": reference_nv(), "wire_report": wire_report,
+        "sensitivity": sensitivity, "peak": peak, "cosine": nf.fit_cosine(record),
+    }
+
+
+class TestToPlain:
+    @pytest.mark.parametrize("name", ["plan", "nv", "wire_report", "sensitivity", "peak", "cosine"])
+    def test_matches_per_value_reflection(self, serialized, name):
+        obj = serialized[name]
+        # repr tells numpy scalars from Python numbers and shows NaN, which == does not
+        assert repr(to_plain(obj)) == repr(to_plain_oracle(obj))
+
+    @pytest.mark.parametrize("name", ["peak", "cosine"])
+    def test_class_variable_model_left_out(self, serialized, name):
+        obj = serialized[name]
+        assert obj.model in ("lorentzian", "cosine")
+        assert "model" not in to_plain(obj)
+
+    def test_run_sweep_sidecar_matches_reflection_reference(self):
+        plan, nv = drifting_plan(), reference_nv()
+        metadata = nf.run_sweep(plan, nv, gradient_per_ma=REF_GRADIENT_PER_MA).metadata
+        expected = {f.name: to_plain_oracle(getattr(plan, f.name)) for f in fields(plan)}
+        expected["waveform"] = expected.pop("waveform_template")
+        expected["nv"] = to_plain_oracle(nv)
+        del expected["nv"]["position_um"]
+        derived = ["tau_us", "gradient_per_ma_g_per_um", "waveform_efficiency", "delta_k_per_nm", "k_max_per_nm"]
+        assert list(metadata) == [*expected, *derived]
+        for key, value in expected.items():
+            assert repr(metadata[key]) == repr(value), key
+        assert all(type(metadata[key]) is float for key in derived)
 
 
 def read_csv_oracle(path, columns) -> np.ndarray:
