@@ -2,18 +2,21 @@
 sensitivity into reproducible runs.
 
 Subcommands: calibrate, simulate, reconstruct, fit-cosine, sensitivity,
-run-all.  Each command is one session: it loads the config, resolves the
-output directory, runs its stages in order and writes the manifest.  A
-command that fails writes no manifest and removes the files its finished
-stages wrote.  Every stage takes ``(cfg, out, manifest, args)`` and reads
-every value that shapes its results from ``cfg``; ``args`` gives only the
-input record (``--record``) and ``--quiet``.  The config file is the one
-place for those values, so every run is reproducible bit-exactly from
-(config, seed); the manifest records the config hash, per-stage
-timings and a SHA-256 inventory of every output file (timings and
-timestamps are the only non-deterministic manifest fields).  A command
-whose directory already holds a manifest of the same config hash adds to
-it: the stages it did not run, and the outputs that still exist, stay.
+run-all; ``COMMANDS`` names the stages each one runs.  Each command is one
+session: it loads the config, resolves the output directory, runs its stages
+in order and writes the manifest.  A stage lists each output file
+(``Manifest.output``) before it writes the file's first byte, so a command
+that fails, in a stage or in writing the manifest, removes every file it
+listed and leaves no manifest of its own.  Every stage takes ``(cfg, out,
+manifest, args)`` and reads every value that shapes its results from
+``cfg``; ``args`` gives only the input record (``--record``) and
+``--quiet``.  The config file is the one place for those values, so every
+run is reproducible bit-exactly from (config, seed); the manifest records
+the config hash, per-stage timings and a SHA-256 inventory of every output
+file (timings and timestamps are the only non-deterministic manifest
+fields).  A command whose directory already holds a manifest of the same
+config hash adds to it: the stages it did not run, and the outputs that
+still exist, stay.
 
 The stages and the layer functions they call are attributes of this module,
 looked up when called, so a wrapper set on one of these names sees its calls.
@@ -44,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquisition import drift_trajectory, load_record, run_sweep, save_record
+from .acquisition import drift_trajectory, load_record, run_sweep, save_record, sidecar_path
 from .config import RunConfig, load_config, section_doc
 from .errors import AliasAmbiguityError, MissingCalibrationError, NvFourierError, UsageError
 from .field_model import _dot, calibrate_wire, gradient_at, load_calibration_csv, sample_field
@@ -84,8 +87,11 @@ class Manifest:
         seconds, cpu_seconds = time.perf_counter() - t0, time.process_time() - cpu0
         self.stages.append({"name": name, "seconds": seconds, "cpu_seconds": cpu_seconds})
 
-    def add_output(self, path) -> None:
-        self.outputs.append(Path(path))
+    def output(self, path) -> Path:
+        """List ``path`` as this command's output, before it is written, and return it."""
+        path = Path(path)
+        self.outputs.append(path)
+        return path
 
     def write(self, path: Path) -> None:
         """Write the manifest to ``path``, merged into the one there when that
@@ -142,9 +148,11 @@ def _earlier_manifest(path: Path, config_hash: str):
 @contextmanager
 def _session(args):
     """Load the config (with --seed), resolve the output directory and start
-    the manifest.  Write it when the body finishes; when the body raises,
-    remove the files it lists, which this command wrote, and write none.
-    The directory is made by the first file written to it."""
+    the manifest, and write it when the body finishes.  When the body or
+    the manifest write raises, remove each listed output that is a regular
+    file: every output is listed before its first byte is written, so none
+    of this command's files stays.  The directory is made by the first file
+    written to it."""
     if not args.config:
         raise UsageError("--config PATH is required")
     cfg = load_config(args.config)
@@ -154,11 +162,12 @@ def _session(args):
     manifest = Manifest(cfg)
     try:
         yield cfg, out, manifest
+        manifest.write(out / "manifest.json")
     except BaseException:
         for path in manifest.outputs:
-            path.unlink(missing_ok=True)
+            if path.is_file():
+                path.unlink()
         raise
-    manifest.write(out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +190,7 @@ def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None
     report_doc = to_plain(report)
     report_doc["fitted_wire"] = section_doc("wire", fitted)
     report_doc["gradient_per_ma_g_per_um_at_nv"] = float(gradient)
-    report_path = out / "calibration_report.json"
-    write_json(report_path, report_doc)
-    manifest.add_output(report_path)
+    write_json(manifest.output(out / "calibration_report.json"), report_doc)
 
     # predicted field/gradient curve along the imaging axis through the samples
     e = cfg.plan.imaging_axis
@@ -193,12 +200,11 @@ def stage_calibrate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None
     base = centroid - _dot(centroid, e) * e
     points = base + np.linspace(proj.min(), proj.max(), 101)[:, None] * e
     curve = sample_field(fitted, points, cfg.nv_axis, e)
-    curve_path = out / "gradient_curve.csv"
     write_csv(
-        curve_path, ["x_um", "y_um", "z_um", "b_G", "gradient_G_per_um", "delta_f_MHz"],
+        manifest.output(out / "gradient_curve.csv"),
+        ["x_um", "y_um", "z_um", "b_G", "gradient_G_per_um", "delta_f_MHz"],
         *points.T, curve.b_projected_g, curve.gradient_projected_g_per_um, curve.delta_f_mhz,
     )
-    manifest.add_output(curve_path)
 
     residual_rms = float(np.sqrt(np.mean(np.square(report.residuals_mhz))))
     manifest.derived["calibration"] = {
@@ -229,10 +235,9 @@ def stage_simulate(cfg: RunConfig, out: Path, manifest: Manifest, args) -> None:
             f"field of view [0, {field_of_view:.4f}) nm = (n_points - 1)/(2 K_max); raise "
             "plan.n_points or lower plan.i_max_ma"
         )
-    record_path = out / "record.csv"
-    sidecar = save_record(record, record_path)
-    manifest.add_output(record_path)
-    manifest.add_output(sidecar)
+    record_path = manifest.output(out / "record.csv")
+    manifest.output(sidecar_path(record_path))
+    save_record(record, record_path)
     manifest.derived["k_max_per_nm"] = record.k_max
     manifest.derived["field_of_view_nm"] = field_of_view
     _say(
@@ -251,19 +256,14 @@ def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
     pixel = profile.pixel_size_nm
     fwhm_over_pixel = fit.fwhm_nm / pixel
 
-    profile_path = out / "profile.csv"
+    profile_path = manifest.output(out / "profile.csv")
     save_profile_csv(profile, profile_path)
-    fit_path = out / "peak_fit.json"
-    save_fit_json(fit, fit_path)
-    manifest.add_output(profile_path)
-    manifest.add_output(fit_path)
+    save_fit_json(fit, manifest.output(out / "peak_fit.json"))
 
-    plots = out / "plots"
-    kspace_plot = plots / "kspace_signal.csv"
+    kspace_plot = manifest.output(out / "plots" / "kspace_signal.csv")
     write_csv(kspace_plot, ["k_per_nm", "signal"], record.k_values, record.signals)
-    spec_path = plots / "plot_spec.json"
     write_json(
-        spec_path,
+        manifest.output(out / "plots" / "plot_spec.json"),
         {
             "plots": [
                 {
@@ -285,8 +285,6 @@ def stage_reconstruct(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
             ]
         },
     )
-    for p in (kspace_plot, spec_path):
-        manifest.add_output(p)
 
     manifest.derived["reconstruction"] = {
         "center_nm": fit.center_nm,
@@ -305,9 +303,7 @@ def stage_fit_cosine(cfg: RunConfig, out: Path, manifest: Manifest, args) -> Non
     """Cosine-fit the raw record (--record, else <out>/record.csv)."""
     record = load_record(args.record or out / "record.csv")
     fit = fit_cosine(record)
-    path = out / "cosine_fit.json"
-    save_fit_json(fit, path)
-    manifest.add_output(path)
+    save_fit_json(fit, manifest.output(out / "cosine_fit.json"))
     manifest.derived["cosine_fit"] = {"implied_position_nm": fit.implied_position_nm}
     _say(args, f"implied position = {fit.implied_position_nm:.3f} nm")
 
@@ -321,9 +317,7 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
         cfg.plan.sequence.total_time_us,
         cfg.plan.shots_per_point,
     )
-    path = out / "sensitivity.json"
-    write_json(path, to_plain(report))
-    manifest.add_output(path)
+    write_json(manifest.output(out / "sensitivity.json"), to_plain(report))
     manifest.derived["sensitivity"] = {
         "eta_ut_per_sqrt_hz": report.eta_ut_per_sqrt_hz,
         "deviation_nt": report.deviation_nt,
@@ -339,26 +333,31 @@ def stage_sensitivity(cfg: RunConfig, out: Path, manifest: Manifest, args) -> No
 # subcommands
 # ---------------------------------------------------------------------------
 
+# subcommand: (help, the stages it runs in order, whether it takes --record)
+COMMANDS = {
+    "calibrate": ("fit the wire model to the config's calibration CSV", ["calibrate"], False),
+    "simulate": ("run the K sweep and write the record", ["simulate"], False),
+    "reconstruct": ("transform a record and fit the peak", ["reconstruct"], True),
+    "fit-cosine": ("cosine-fit a raw record (single-oscillation sweeps)", ["fit-cosine"], True),
+    "sensitivity": ("compute the sensitivity chain", ["sensitivity"], False),
+    "run-all": ("calibrate, simulate, reconstruct and report",
+                ["calibrate", "simulate", "reconstruct", "sensitivity"], False),
+}
 
-def cmd_stage(args) -> int:
-    """Run the subcommand's one stage, named as the subcommand, in a session."""
-    with _session(args) as (cfg, out, manifest), manifest.stage(args.command):
-        args.stage(cfg, out, manifest, args)
-    return 0
 
-
-def cmd_run_all(args) -> int:
-    """Calibrate when the config names a samples CSV, then simulate at the
-    calibrated gradient, reconstruct and report the sensitivity."""
-    stages = [("simulate", stage_simulate), ("reconstruct", stage_reconstruct),
-              ("sensitivity", stage_sensitivity)]
+def run(args) -> int:
+    """Run the subcommand's stages in order in one session, each recorded
+    under its name.  run-all calibrates only when the config names a
+    samples CSV, and then simulates at the calibrated gradient."""
+    pipeline = args.command == "run-all"
     with _session(args) as (cfg, out, manifest):
-        if cfg.calibration_csv:
-            stages.insert(0, ("calibrate", stage_calibrate))
-        for name, stage in stages:
+        for name in COMMANDS[args.command][1]:
+            if pipeline and name == "calibrate" and not cfg.calibration_csv:
+                continue
             with manifest.stage(name):
-                stage(cfg, out, manifest, args)
-    _say(args, f"manifest written to {out / 'manifest.json'}")
+                globals()["stage_" + name.replace("-", "_")](cfg, out, manifest, args)
+    if pipeline:
+        _say(args, f"manifest written to {out / 'manifest.json'}")
     return 0
 
 
@@ -395,40 +394,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("calibrate", help="fit the wire model to the config's calibration CSV")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(func=cmd_stage, stage=stage_calibrate)
-
-    p = sub.add_parser("simulate", help="run the K sweep and write the record")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(func=cmd_stage, stage=stage_simulate)
-
-    p = sub.add_parser("reconstruct", help="transform a record and fit the peak")
-    _add_global_options(p, suppress=True)
-    p.add_argument("--record", default=None, help="record CSV (default <out>/record.csv)")
-    p.set_defaults(func=cmd_stage, stage=stage_reconstruct)
-
-    p = sub.add_parser("fit-cosine", help="cosine-fit a raw record (single-oscillation sweeps)")
-    _add_global_options(p, suppress=True)
-    p.add_argument("--record", default=None)
-    p.set_defaults(func=cmd_stage, stage=stage_fit_cosine)
-
-    p = sub.add_parser("sensitivity", help="compute the sensitivity chain")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(func=cmd_stage, stage=stage_sensitivity)
-
-    p = sub.add_parser("run-all", help="calibrate, simulate, reconstruct and report")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(func=cmd_run_all, record=None)
-
+    for command, (help_text, _, takes_record) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_global_options(p, suppress=True)
+        if takes_record:
+            p.add_argument("--record", default=None, help="record CSV (default <out>/record.csv)")
+        else:
+            p.set_defaults(record=None)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        return run(build_parser().parse_args(argv))
     except NvFourierError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -159,10 +159,6 @@ def _perp(wire: MicrowireModel, points_um: np.ndarray):
     return _reject((x - anchor[0], y - anchor[1], z - anchor[2]), d)
 
 
-def _perp_displacement(wire: MicrowireModel, points_um: np.ndarray) -> np.ndarray:
-    return np.stack(_perp(wire, points_um), axis=-1)
-
-
 def field_at(wire: MicrowireModel, point_um) -> np.ndarray:
     """Magnetic field vector (G) of the wire at a point (um), or an (n, 3)
     stack of them at an (n, 3) stack of points.

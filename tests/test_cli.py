@@ -612,6 +612,18 @@ def test_os_error_is_one_io_error_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("io-error: "), err
 
 
+@pytest.mark.parametrize("blocked", ["record.meta.json", "plots/plot_spec.json", "manifest.json"])
+def test_output_path_that_is_a_directory_leaves_no_file(tmp_path, capsys, blocked):
+    # each output is listed before it is written, so the files written
+    # before the blocked one (and, for the manifest, every output) go too
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["run-all", "--config", str(DEFAULT_CONFIG), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io-error: "), err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_failed_command_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["reconstruct", "--config", str(DEFAULT_CONFIG), "--out", str(out), "--quiet"]) == 1

@@ -12,6 +12,7 @@ from nvfourier.config import load_config
 from nvfourier.constants import MU0_OVER_2PI_G_UM_PER_MA
 from nvfourier.errors import (DataFormatError, DegenerateFitError, FitConvergenceError, GeometryError,
                               UnderDeterminedError, ValidationError)
+from nvfourier.field_model import _perp
 
 from helpers import numeric_gradient_at, save_calibration_csv
 
@@ -140,7 +141,7 @@ class TestGradient:
             imaging = rng.normal(size=3)
             point = anchor + rng.uniform(0.5, 4.0, 3)
             # keep clear of the axis for the difference quotient
-            rho = nf.field_model._perp_displacement(wire, point)
+            rho = np.stack(_perp(wire, point), axis=-1)
             if np.linalg.norm(rho) < 0.1:
                 continue
             analytic = nf.gradient_at(wire, point, axis, imaging)
@@ -162,7 +163,7 @@ class TestGradient:
         wire = nf.MicrowireModel(anchor, wire_dir, 1.0, polarity)
         axis = nf.NvAxis(nv_axis)
         stack = np.asarray(points)
-        rho = nf.field_model._perp_displacement(wire, stack)
+        rho = np.stack(_perp(wire, stack), axis=-1)
         assume(np.all(np.linalg.norm(rho, axis=1) > 1e-3))
         batched = nf.gradient_at(wire, stack, axis, imaging)
         single = np.array([nf.gradient_at(wire, p, axis, imaging) for p in points])
@@ -187,7 +188,7 @@ class TestGradient:
         wire = nf.MicrowireModel(rng.normal(size=3), rng.normal(size=3), 1.0)
         axis, imaging = nf.NvAxis(rng.normal(size=3)), rng.normal(size=3)
         points = wire.anchor_point_um + rng.uniform(-5.0, 5.0, (8_000, 3))
-        rho = nf.field_model._perp_displacement(wire, points)
+        rho = np.stack(_perp(wire, points), axis=-1)
         points = points[np.linalg.norm(rho, axis=1) > 1e-3]
         batched = nf.gradient_at(wire, points, axis, imaging)
         scalar = np.array([scalar_gradient(wire, p, axis, imaging) for p in points])
